@@ -16,7 +16,7 @@ from .graph import (BipartiteGraph, DataError, EdgeRecord, GraphView,
                     RatingScale, ingest, parse_delimited, read_delimited,
                     write_delimited)
 from .pqueue import PriorityTree
-from .spectral import ConvergenceError, SparseMatrix, truncated_svd
+from .spectral import ConvergenceError, truncated_svd
 from .synth import (GroundTruth, InjectionConfig, bench_graph, gen_hyperbolic,
                     inject, read_labels, write_labels)
 from .temporal import (BurstPair, DropInfo, SpikeProfile, TimeSeriesHist,
@@ -32,7 +32,7 @@ __all__ = [
     "ConvergenceError", "DataError", "DetectionResult", "DetectorConfig",
     "DropInfo", "EdgeRecord", "GraphView", "GroundTruth", "InjectionConfig",
     "PriorityTree", "RatingScale", "SignalConfig", "SignalContext",
-    "SparseMatrix", "SpikeProfile", "SweepResult", "TimeSeriesHist",
+    "SpikeProfile", "SweepResult", "TimeSeriesHist",
     "avg_degree_baseline", "awakening_point", "bench_graph", "build_histogram",
     "build_profile", "contrast_score", "density_sweep", "drop_edge_weight",
     "extreme_slopes", "f_measure", "fast_greedy", "gen_hyperbolic",

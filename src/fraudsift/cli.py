@@ -12,12 +12,12 @@ import logging
 import sys
 import time
 from dataclasses import asdict
-from importlib.metadata import version as pkg_version
 from pathlib import Path
 
 import click
 import numpy as np
 
+from . import __version__
 from .detector import DetectorConfig, fast_greedy
 from .evalkit import density_sweep
 from .graph import DataError, RatingScale, read_delimited, write_delimited
@@ -85,7 +85,7 @@ def _config_echo(config: DetectorConfig, seed: int, **extra) -> dict:
     echo = asdict(config)
     echo["seed"] = seed
     echo.update(extra)
-    echo["version"] = pkg_version("fraudsift")
+    echo["version"] = __version__
     return echo
 
 
@@ -214,7 +214,7 @@ def cmd_inject(input_path, output_dir, seed, n_fraudsters, n_objects,
     _write_json(out / "run.json", {
         "command": "inject",
         "input": str(input_path),
-        "config": {**asdict(cfg), "seed": seed, "version": pkg_version("fraudsift")},
+        "config": {**asdict(cfg), "seed": seed, "version": __version__},
         "n_events_before": graph.n_events,
         "n_events_after": injected.n_events,
         "density": cfg.density,

@@ -112,25 +112,35 @@ class SignalContext:
         self.sink_event_total = graph.sink_event_counts()
         self.pair_phi_weight = np.zeros(npairs, dtype=np.float64)
         self.sink_phi_total = np.zeros(nv, dtype=np.float64)
-        self.profiles: list | None = [] if keep_profiles else None
-        self.hists: list | None = [] if keep_profiles else None
+        self.profiles: list | None = None
+        self.hists: list | None = None
 
         sigma = np.ones(nv, dtype=np.float64)
         if self.use_phi:
-            drop_w = np.zeros(nv, dtype=np.float64)
+            times = graph.sink_event_time.astype(np.float64)
             indptr = graph.sink_event_indptr
-            for v in range(nv):
+            hists = temporal.histogram_segments(times, indptr)
+            n_events = np.diff(indptr)
+            if keep_profiles:
+                self.profiles = [temporal.SpikeProfile((), None, 0.0)] * nv
+                self.hists = [hists[v] if n_events[v] >= 3 else None for v in range(nv)]
+            drop_w = np.zeros(nv, dtype=np.float64)
+            event_w = np.zeros(times.size, dtype=np.float64)
+            # only the burst/drop recursion is per sink
+            for v in np.flatnonzero((n_events >= 3) & (hists.n_bins() >= 3)).tolist():
                 lo, hi = indptr[v], indptr[v + 1]
-                times = graph.sink_event_time[lo:hi]
-                hist, profile = temporal.build_profile(times, significance=config.significance)
+                profile, w = temporal.spike_profile(hists[v], times[lo:hi],
+                                                    significance=config.significance)
                 if keep_profiles:
-                    self.profiles.append(profile)
-                    self.hists.append(hist)
-                if profile.pairs:
-                    w = temporal.burst_event_weights(profile, times.astype(np.float64))
-                    self.sink_phi_total[v] = w.sum()
-                    np.add.at(self.pair_phi_weight, graph.sink_event_pair[lo:hi], w)
+                    self.profiles[v] = profile
+                if w is not None:
+                    self.sink_phi_total[v] = profile.phi_denominator
+                    event_w[lo:hi] = w
                 drop_w[v] = temporal.drop_edge_weight(profile.max_drop)
+            # each pair's events sit in one sink, in time order: the sums match
+            # a per-sink accumulation exactly
+            self.pair_phi_weight = np.bincount(graph.sink_event_pair, weights=event_w,
+                                               minlength=npairs)
             sigma = temporal.sigma_from_drop_weights(drop_w)
             self.drop_weights = drop_w
         else:

@@ -23,11 +23,10 @@ SIGNAL_NAMES = ("alpha", "phi", "kappa")
 class DetectorConfig:
     """Detection knobs; ``signals=None`` enables whatever the data supports.
 
-    The SVD settings are deliberately loose: seeding only consumes the
-    ordering and rough magnitude of singular-vector entries, so the seeds
-    from a partially converged subspace are as good as fully converged ones
-    at a fraction of the cost. Raise svd_max_iter / lower svd_tol when the
-    vectors themselves matter.
+    Seeding runs ARPACK at its default (machine-precision) tolerance from a
+    starting vector drawn from ``svd_seed``, so seeds are reproducible; with
+    ``strict_svd`` an ARPACK iteration cap is an error instead of a warning
+    that falls back to the singular vectors that did converge.
     """
 
     base: float = 32.0
@@ -39,8 +38,6 @@ class DetectorConfig:
     smoothing: float = 1e-3
     kappa_norm: str = "evolving"
     significance: float = 0.5
-    svd_tol: float = 1e-3
-    svd_max_iter: int = 40
     svd_seed: int = 42
     strict_svd: bool = False
 
@@ -131,22 +128,22 @@ def greedy_shaving(graph: BipartiteGraph, seed_users,
 
 
 def svd_seeds(matrix, num_vectors: int, cap_exponent: float | None = 1 / 1.6,
-              tol: float = 1e-4, max_iter: int = 150, seed: int = 42,
+              tol: float = 0.0, max_iter: int | None = None, seed: int = 42,
               strict: bool = False) -> tuple[list[np.ndarray], dict]:
     """Candidate user sets from the top left singular vectors of a users-by-X matrix.
 
     Per vector, users are ranked by decreasing component and truncated where
     the component falls to 1/sqrt(n_users) or below; an extra ordering on the
     negated vector is tried when the vector carries mass on both signs. The
-    optional cap bounds every seed at n_users^cap_exponent entries.
+    optional cap bounds every seed at n_users^cap_exponent entries. ``tol``
+    and ``max_iter`` go to truncated_svd; the defaults are ARPACK's own.
     """
-    A = matrix.to_csr() if hasattr(matrix, "to_csr") else matrix
-    n_users = A.shape[0]
-    k = min(num_vectors, min(A.shape))
+    n_users = matrix.shape[0]
+    k = min(num_vectors, min(matrix.shape))
     if k < num_vectors:
         logger.warning("rank limits seeds to %d of %d requested vectors", k, num_vectors)
     try:
-        U, s, _ = truncated_svd(A, k, tol=tol, max_iter=max_iter, seed=seed)
+        U, s, _ = truncated_svd(matrix, k, tol=tol, max_iter=max_iter, seed=seed)
     except ConvergenceError as exc:
         if strict:
             raise
@@ -209,10 +206,10 @@ def matricize(graph: BipartiteGraph, time_bin: float = 86400.0,
     bins = ((ts - ts.min()) / float(time_bin)).astype(np.int64)
     if graph.has_ratings:
         cluster_fn = rating_clusters or default_rating_clusters(graph.scale)
-        values = np.unique(ratings)
-        lut = {v: int(cluster_fn(float(v))) for v in values}
-        clusters = np.asarray([lut[v] for v in ratings], dtype=np.int64)
-        n_clusters = max(lut.values()) + 1
+        values, value_of_event = np.unique(ratings, return_inverse=True)
+        lut = np.asarray([cluster_fn(float(v)) for v in values], dtype=np.int64)
+        clusters = lut[value_of_event]
+        n_clusters = int(lut.max()) + 1
     else:
         clusters = np.zeros(us.size, dtype=np.int64)
         n_clusters = 1
@@ -263,8 +260,7 @@ def fast_greedy(graph: BipartiteGraph, config: DetectorConfig | None = None,
 
     seeds, seed_meta = svd_seeds(
         design, config.num_seeds, cap_exponent=config.cap_exponent,
-        tol=config.svd_tol, max_iter=config.svd_max_iter, seed=config.svd_seed,
-        strict=config.strict_svd)
+        seed=config.svd_seed, strict=config.strict_svd)
     if not seeds:
         raise DataError("no usable seeds above the truncation threshold")
 

@@ -493,12 +493,16 @@ def read_delimited(path: str | Path, scale: RatingScale | None = None,
 
 
 def write_delimited(graph: BipartiteGraph, path: str | Path) -> None:
-    """Write events back out in the ingestible CSV layout (no header)."""
+    """Write events back out in the ingestible CSV layout (no header), pair-major."""
+    us, vs, ts, ratings = graph.event_arrays()
+    columns = [np.asarray(graph.user_ids, dtype=object)[us].tolist(),
+               np.asarray(graph.object_ids, dtype=object)[vs].tolist()]
+    if ts is not None:
+        columns.append(ts.astype(str).tolist())
+    if ratings is not None:
+        # format each distinct rating once; the bit pattern keeps -0.0 apart from 0.0
+        bits, rating_of_event = np.unique(ratings.view(np.int64), return_inverse=True)
+        labels = np.asarray([f"{v:g}" for v in bits.view(np.float64).tolist()], dtype=object)
+        columns.append(labels[rating_of_event].tolist())
     with open(path, "w", encoding="utf-8") as fh:
-        for rec in graph.events():
-            fields = [rec.user, rec.object]
-            if rec.timestamp is not None:
-                fields.append(str(rec.timestamp))
-            if rec.rating is not None:
-                fields.append(f"{rec.rating:g}")
-            fh.write(",".join(fields) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*columns))

@@ -1,67 +1,20 @@
-"""Truncated SVD of sparse non-negative matrices via block subspace iteration."""
+"""Truncated SVD of sparse non-negative matrices via ARPACK (scipy's svds)."""
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
-from numpy.linalg import qr, svd
+from scipy.sparse.linalg import ArpackNoConvergence, svds
 
 from .graph import DataError
 
 
 class ConvergenceError(RuntimeError):
-    """Iteration cap reached before the residual tolerance; carries best-so-far."""
+    """ARPACK hit its iteration cap; carries the singular triplets that did converge."""
 
-    def __init__(self, message: str, best=None, residuals=None):
+    def __init__(self, message: str, best=None):
         super().__init__(message)
         self.best = best
-        self.residuals = residuals
-
-
-class SparseMatrix:
-    """Coalesced triplet sparse matrix; thin front over scipy CSR storage."""
-
-    def __init__(self, csr: sp.csr_matrix):
-        self._csr = csr
-
-    @classmethod
-    def from_triplets(cls, rows, cols, values, shape: tuple[int, int]) -> "SparseMatrix":
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        values = np.asarray(values, dtype=np.float64)
-        if not (rows.size == cols.size == values.size):
-            raise DataError("triplet arrays must have equal length")
-        if not np.all(np.isfinite(values)):
-            raise DataError("matrix values must be finite")
-        if rows.size and (rows.min() < 0 or rows.max() >= shape[0]
-                          or cols.min() < 0 or cols.max() >= shape[1]):
-            raise DataError("triplet index out of range")
-        coo = sp.coo_matrix((values, (rows, cols)), shape=shape)
-        csr = coo.tocsr()  # duplicate (i, j) entries are summed here
-        csr.sum_duplicates()
-        return cls(csr)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self._csr.shape
-
-    @property
-    def nnz(self) -> int:
-        return int(self._csr.nnz)
-
-    def to_csr(self) -> sp.csr_matrix:
-        return self._csr
-
-    def toarray(self) -> np.ndarray:
-        return self._csr.toarray()
-
-
-def _as_operator(m):
-    if isinstance(m, SparseMatrix):
-        return m.to_csr()
-    if sp.issparse(m):
-        return m.tocsr()
-    return np.asarray(m, dtype=np.float64)
 
 
 def _canonical_signs(U: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -74,71 +27,55 @@ def _canonical_signs(U: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return U, V
 
 
-def truncated_svd(matrix, k: int, tol: float = 1e-6, max_iter: int = 300,
-                  seed: int = 42, oversample: int | None = None):
-    """Top-k singular triplets (U, s, V) by block power iteration with Rayleigh-Ritz.
+def _triplets_from_gram_basis(A, Q: np.ndarray):
+    """(U, s, V), largest first, of A restricted to the orthonormalized basis Q
+    of eigenvectors of its Gram matrix on the smaller side."""
+    Q = np.linalg.qr(Q)[0]
+    if A.shape[0] >= A.shape[1]:
+        Ub, s, Vbt = np.linalg.svd(A @ Q, full_matrices=False)
+        return Ub, s, Q @ Vbt.T
+    Vb, s, Ubt = np.linalg.svd(A.T @ Q, full_matrices=False)
+    return Q @ Ubt.T, s, Vb
 
-    Deterministic for a fixed seed. Converged when every retained pair
-    satisfies ||M v_i - s_i u_i|| <= tol * s_1; otherwise raises
-    ConvergenceError carrying the best factors and residuals seen.
+
+def truncated_svd(matrix, k: int, tol: float = 0.0, max_iter: int | None = None,
+                  seed: int = 42, oversample: int | None = None):
+    """Top-k singular triplets (U, s, V), largest first, by implicitly restarted Lanczos.
+
+    ``tol`` is ARPACK's relative accuracy (0: machine precision), ``max_iter``
+    its restart cap (None: ARPACK's default) and ``oversample`` the number of
+    Lanczos vectors beyond k (None: ARPACK's default). Deterministic for a
+    fixed seed, which draws the starting vector. When k equals the smaller
+    dimension ARPACK cannot run and a dense SVD is used. Raises
+    ConvergenceError carrying the converged triplets when ARPACK hits the cap.
     """
-    A = _as_operator(matrix)
-    n_rows, n_cols = A.shape
+    A = matrix.tocsr() if sp.issparse(matrix) else np.asarray(matrix, dtype=np.float64)
+    n_small = min(A.shape)
     if k < 1:
         raise DataError("rank k must be at least 1")
-    if k > min(n_rows, n_cols):
+    if k > n_small:
         raise DataError(f"rank k={k} exceeds matrix dimensions {A.shape}")
-    if tol <= 0:
-        raise DataError("tolerance must be positive")
-    p = min(min(n_rows, n_cols), k + (oversample if oversample is not None else max(10, k)))
-
-    # iterate the subspace on the smaller dimension; the wide side is touched
-    # only through matrix products, never re-orthonormalized
-    row_side = n_rows <= n_cols
-    rng = np.random.default_rng(seed)
-    Q = qr(rng.standard_normal((n_rows if row_side else n_cols, p)))[0]
-
-    def ritz(Qc):
-        if row_side:
-            C = A.T @ Qc  # (n_cols, p); A ~ Qc (Qc^T A)
-            Uc, s, Vtc = svd(C, full_matrices=False)
-            U = Qc @ Vtc.T[:, :k]
-            V = Uc[:, :k]
-        else:
-            B = A @ Qc  # (n_rows, p); A ~ (A Qc) Qc^T
-            Ub, s, Vtb = svd(B, full_matrices=False)
-            U = Ub[:, :k]
-            V = Qc @ Vtb.T[:, :k]
+    if tol < 0:
+        raise DataError("tolerance must be non-negative")
+    if k == n_small:
+        dense = A.toarray() if sp.issparse(A) else A
+        U, s, Vt = np.linalg.svd(dense, full_matrices=False)
+        U, V = _canonical_signs(U[:, :k], Vt[:k].T.copy())
         return U, s[:k], V
 
-    def residuals(U, s, V):
-        # one side of the pair equations holds by construction for Ritz
-        # factors; measure the other side
-        if row_side:
-            R = A @ V - U * s
-        else:
-            R = A.T @ U - V * s
-        return np.sqrt((R * R).sum(axis=0))
-
-    best = None
-    best_res = None
-    for it in range(1, max_iter + 1):
-        if row_side:
-            Q = qr(A @ (A.T @ Q))[0]
-        else:
-            Q = qr(A.T @ (A @ Q))[0]
-        if it % 5 == 0 or it == max_iter:
-            U, s, V = ritz(Q)
-            res = residuals(U, s, V)
-            if best_res is None or res.max() < best_res.max():
-                best, best_res = (U, s, V), res
-            scale = s[0] if s[0] > 0 else 1.0
-            if s[0] == 0.0 or res.max() <= tol * scale:
-                U, V = _canonical_signs(U, V)
-                return U, s, V
-    U, s, V = best
+    ncv = None  # ARPACK needs k < ncv < n_small
+    if oversample is not None and k + 1 < n_small:
+        ncv = min(n_small - 1, k + max(oversample, 1))
+    v0 = np.random.default_rng(seed).standard_normal(n_small)
+    try:
+        U, s, Vt = svds(A, k=k, ncv=ncv, tol=tol, maxiter=max_iter, v0=v0)
+    except ArpackNoConvergence as exc:
+        U, s, V = _triplets_from_gram_basis(A, exc.eigenvectors)
+        U, V = _canonical_signs(U, V)
+        raise ConvergenceError(
+            f"ARPACK converged {s.size} of {k} singular triplets "
+            f"(tol={tol:g}, max_iter={max_iter})", best=(U, s, V)) from None
+    # svds returns ascending singular values
+    U, s, V = U[:, ::-1].copy(), s[::-1].copy(), Vt[::-1].T.copy()
     U, V = _canonical_signs(U, V)
-    raise ConvergenceError(
-        f"SVD did not reach tol={tol:g} within {max_iter} iterations "
-        f"(worst residual {best_res.max():.3g}, s1={s[0]:.3g})",
-        best=(U, s, V), residuals=best_res)
+    return U, s, V

@@ -68,33 +68,109 @@ class SpikeProfile:
     phi_denominator: float
 
 
-def build_histogram(timestamps: Sequence[int] | np.ndarray) -> TimeSeriesHist:
-    """Bin timestamps with the finer of the Sturges and Freedman-Diaconis rules.
+@dataclass(frozen=True)
+class SegmentHistograms:
+    """Histograms of many time-sorted segments, packed end to end.
 
-    Bin count is max(ceil(log2 n) + 1, ceil(range / (2 * IQR * n^(-1/3)))); a
-    zero IQR falls back to Sturges alone, and identical timestamps degenerate
-    to a single one-second bin.
+    Segment s owns bins ``bin_indptr[s]:bin_indptr[s + 1]`` of ``counts``;
+    an empty segment owns no bins. Bin centers are built per segment on
+    access, from the segment's first timestamp and bin width.
     """
-    ts = np.asarray(timestamps, dtype=np.float64)
-    n = ts.size
-    if n == 0:
-        raise DataError("cannot build a histogram from zero timestamps")
-    lo, hi = float(ts.min()), float(ts.max())
-    if lo == hi:
-        return TimeSeriesHist(np.array([lo]), np.array([n], dtype=np.int64), 1.0)
-    k_sturges = int(np.ceil(np.log2(n))) + 1
-    q75, q25 = np.percentile(ts, [75, 25])
-    iqr = float(q75 - q25)
+
+    bin_indptr: np.ndarray
+    counts: np.ndarray
+    lo: np.ndarray
+    widths: np.ndarray
+    spread: np.ndarray  # the segment spans more than one timestamp
+
+    def n_bins(self) -> np.ndarray:
+        return np.diff(self.bin_indptr)
+
+    def __getitem__(self, s: int) -> TimeSeriesHist:
+        first, last = self.bin_indptr[s], self.bin_indptr[s + 1]
+        lo, width = float(self.lo[s]), float(self.widths[s])
+        if self.spread[s]:
+            # linspace's edges i * width + lo, shifted by half a bin
+            centers = np.arange(last - first) * width + lo + width / 2.0
+        else:
+            centers = np.full(last - first, lo)
+        return TimeSeriesHist(centers, self.counts[first:last], width)
+
+
+def _quantile_sorted(ts: np.ndarray, starts: np.ndarray, n: np.ndarray, q: float) -> np.ndarray:
+    """np.percentile's linear quantile of each sorted segment of length n >= 2,
+    with its index arithmetic and its two-sided interpolation rule."""
+    virtual = (n - 1) * q
+    prev = np.floor(virtual)
+    gamma = virtual - prev
+    at = starts + prev.astype(np.int64)
+    below, above = ts[at], ts[at + 1]
+    diff = above - below
+    return np.where(gamma >= 0.5, above - diff * (1 - gamma), below + diff * gamma)
+
+
+def histogram_segments(times: np.ndarray, indptr: np.ndarray) -> SegmentHistograms:
+    """Bin every segment ``times[indptr[s]:indptr[s + 1]]`` (sorted within itself)
+    with the finer of the Sturges and Freedman-Diaconis rules, in one pass.
+
+    Bin count is max(ceil(log2 n) + 1, ceil(range / (2 * IQR * n^(-1/3)))),
+    capped at MAX_BINS; a zero IQR falls back to Sturges alone, and identical
+    timestamps degenerate to a single one-second bin. The quartiles, edges
+    and bin assignment reproduce np.percentile and np.histogram bit for bit,
+    including np.histogram's right-closed last bin.
+    """
+    ts = np.asarray(times, dtype=np.float64)
+    indptr = np.asarray(indptr, dtype=np.int64)
+    starts = indptr[:-1]
+    n = np.diff(indptr)
+    present = n > 0
+    lo = np.zeros(n.size)
+    hi = np.zeros(n.size)
+    lo[present] = ts[starts[present]]
+    hi[present] = ts[indptr[1:][present] - 1]
     span = hi - lo
-    if iqr > 0:
-        k_fd = int(np.ceil(span / (2.0 * iqr * n ** (-1.0 / 3.0))))
-    else:
-        k_fd = 0
-    k = min(max(k_sturges, k_fd, 1), MAX_BINS)
-    counts, edges = np.histogram(ts, bins=k, range=(lo, hi))
-    width = span / k
-    centers = edges[:-1] + width / 2.0
-    return TimeSeriesHist(centers, counts.astype(np.int64), width)
+    spread = span > 0
+
+    k = present.astype(np.int64)
+    if spread.any():
+        ns = n[spread]
+        iqr = (_quantile_sorted(ts, starts[spread], ns, 0.75)
+               - _quantile_sorted(ts, starts[spread], ns, 0.25))
+        # the scalar rules of the per-sink definition, once per distinct n
+        n_values, n_of_seg = np.unique(ns, return_inverse=True)
+        k_sturges = np.asarray([int(np.ceil(np.log2(int(v)))) + 1 for v in n_values])[n_of_seg]
+        cube = np.asarray([int(v) ** (-1.0 / 3.0) for v in n_values])[n_of_seg]
+        k_fd = np.zeros(ns.size)
+        fd = iqr > 0
+        k_fd[fd] = np.ceil(span[spread][fd] / (2.0 * iqr[fd] * cube[fd]))
+        k[spread] = np.minimum(np.maximum(k_sturges, k_fd), MAX_BINS).astype(np.int64)
+    bin_indptr = np.concatenate(([0], np.cumsum(k))).astype(np.int64)
+    widths = np.where(spread, span / np.maximum(k, 1), 1.0)
+
+    # each event's bin, by np.histogram's uniform-bin rule with its one-ulp corrections
+    seg = np.repeat(np.arange(n.size), n)
+    bins = np.zeros(ts.size, dtype=np.int64)
+    ev = np.flatnonzero(spread[seg])
+    if ev.size:
+        s = seg[ev]
+        t, lo_e, k_e, step = ts[ev], lo[s], k[s], widths[s]
+        idx = (((t - lo_e) / span[s]) * k_e).astype(np.intp)
+        idx[idx == k_e] -= 1
+        idx[t < idx * step + lo_e] -= 1
+        upper = np.where(idx + 1 == k_e, hi[s], (idx + 1) * step + lo_e)
+        idx[(t >= upper) & (idx != k_e - 1)] += 1
+        bins[ev] = idx
+    counts = np.bincount(bin_indptr[seg] + bins, minlength=int(bin_indptr[-1]))
+    return SegmentHistograms(bin_indptr, counts.astype(np.int64, copy=False), lo, widths,
+                             spread)
+
+
+def build_histogram(timestamps: Sequence[int] | np.ndarray) -> TimeSeriesHist:
+    """Histogram of one sink's timestamps: the one-segment case of histogram_segments."""
+    ts = np.sort(np.asarray(timestamps, dtype=np.float64))
+    if ts.size == 0:
+        raise DataError("cannot build a histogram from zero timestamps")
+    return histogram_segments(ts, np.array([0, ts.size]))[0]
 
 
 def _distances_to_line(tx, cx, t0, c0, t1, c1):
@@ -213,20 +289,28 @@ def max_drop(hist: TimeSeriesHist) -> DropInfo | None:
     return best
 
 
+def spike_profile(hist: TimeSeriesHist, sorted_times: np.ndarray,
+                  significance: float = 0.5) -> tuple[SpikeProfile, np.ndarray | None]:
+    """Spike profile of a histogram with >= 3 bins, and the burst weight of
+    each of its time-sorted events (None without a significant burst)."""
+    pairs = multiburst(hist, significance=significance)
+    drop = max_drop(hist)
+    if not pairs:
+        return SpikeProfile((), drop, 0.0), None
+    w = burst_event_weights(pairs, sorted_times)
+    return SpikeProfile(pairs, drop, float(w.sum())), w
+
+
 def build_profile(timestamps: Sequence[int] | np.ndarray,
                   significance: float = 0.5) -> tuple[TimeSeriesHist | None, SpikeProfile]:
     """Histogram + spike profile for one sink; sinks with < 3 events get an empty profile."""
-    ts = np.asarray(timestamps)
+    ts = np.sort(np.asarray(timestamps, dtype=np.float64))
     if ts.size < 3:
         return None, SpikeProfile((), None, 0.0)
     hist = build_histogram(ts)
     if len(hist) < 3:
         return hist, SpikeProfile((), None, 0.0)
-    pairs = multiburst(hist, significance=significance)
-    drop = max_drop(hist)
-    profile = SpikeProfile(pairs, drop, 0.0)
-    denom = burst_mass(profile, ts)
-    return hist, SpikeProfile(pairs, drop, denom)
+    return hist, spike_profile(hist, ts, significance)[0]
 
 
 def burst_mass(profile: SpikeProfile, timestamps) -> float:
@@ -240,10 +324,10 @@ def burst_mass(profile: SpikeProfile, timestamps) -> float:
     return total
 
 
-def burst_event_weights(profile: SpikeProfile, sorted_times: np.ndarray) -> np.ndarray:
+def burst_event_weights(pairs: Sequence[BurstPair], sorted_times: np.ndarray) -> np.ndarray:
     """Per-event burst weight over a time-sorted array; summing gives burst_mass."""
     w = np.zeros(sorted_times.size, dtype=np.float64)
-    for p in profile.pairs:
+    for p in pairs:
         lo = np.searchsorted(sorted_times, p.awakening[0], side="left")
         hi = np.searchsorted(sorted_times, p.burst[0], side="right")
         w[lo:hi] += p.altitude * p.slope

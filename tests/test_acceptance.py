@@ -15,6 +15,7 @@ from fraudsift import DetectorConfig, InjectionConfig
 from fraudsift.cli import main as cli_main
 from fraudsift.contrast import ContrastState, SignalConfig, SignalContext
 from fraudsift.evalkit import roc_auc_from_arrays
+from oracles import triplet_matrix
 
 
 def report(name: str, ok: bool, detail: str) -> None:
@@ -232,7 +233,7 @@ def test_criterion_6_spectral_against_dense_oracle():
         rows = rng.integers(0, 200, nnz)
         cols = rng.integers(0, 150, nnz)
         vals = rng.uniform(0.5, 2.0, nnz)
-        m = fs.SparseMatrix.from_triplets(rows, cols, vals, (200, 150))
+        m = triplet_matrix(rows, cols, vals, (200, 150))
         U, s, V = fs.truncated_svd(m, 5, tol=1e-8, max_iter=2000, oversample=15,
                                    seed=trial)
         ref = dense_svd(m.toarray(), compute_uv=False)[:5]

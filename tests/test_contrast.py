@@ -9,6 +9,8 @@ from fraudsift import (BipartiteGraph, DataError, RatingScale, contrast_score,
                        ingest, involvement_ratio, rating_divergence,
                        suspicion_scale)
 from fraudsift.contrast import ContrastState, SignalConfig, SignalContext
+from fraudsift.temporal import sigma_from_drop_weights
+from oracles import signal_arrays
 
 
 def state_for(graph, seed=None, **cfg_kwargs):
@@ -218,6 +220,18 @@ def test_remove_user_touches_only_adjacent_sinks():
     v2 = int(np.searchsorted(st.domain, g.object_index("v2")))
     assert st.P[v1] == before[v1]
     assert st.P[v2] != before[v2]
+
+
+@pytest.mark.parametrize("seed", [3, 4, 5])
+def test_signal_context_matches_per_sink_oracle(make_graph, seed):
+    g = make_graph(n_users=60, n_objects=25, n_events=2500, seed=seed)
+    ctx = SignalContext(g, SignalConfig())
+    pair_w, sink_total, drop_w = signal_arrays(g)
+    assert np.count_nonzero(sink_total) > 5 and np.count_nonzero(drop_w) > 5
+    assert ctx.pair_phi_weight.tobytes() == pair_w.tobytes()
+    assert ctx.sink_phi_total.tobytes() == sink_total.tobytes()
+    assert ctx.drop_weights.tobytes() == drop_w.tobytes()
+    assert ctx.sigma.tobytes() == sigma_from_drop_weights(drop_w).tobytes()
 
 
 def test_degrades_to_topology_only_without_attributes(make_graph):

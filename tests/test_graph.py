@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from fraudsift import (BipartiteGraph, DataError, EdgeRecord, RatingScale,
                        ingest, parse_delimited, read_delimited, write_delimited)
+from oracles import delimited_text
 
 
 def test_ingest_counts_nodes_and_edges():
@@ -183,6 +184,17 @@ def test_delimited_round_trip(tmp_path, make_graph):
     a = sorted((r.user, r.object, r.timestamp, r.rating) for r in g.events())
     b = sorted((r.user, r.object, r.timestamp, r.rating) for r in g2.events())
     assert a == b
+
+
+@pytest.mark.parametrize("timestamps", [True, False])
+@pytest.mark.parametrize("scale", [None, RatingScale.from_range(1, 5, 1),
+                                   RatingScale([-0.0, 0.5, 2.25, 1e-7, 123456789.0])])
+def test_write_delimited_matches_record_writer(tmp_path, make_graph, timestamps, scale):
+    g = make_graph(n_users=15, n_objects=10, n_events=200, seed=6, timestamps=timestamps,
+                   ratings=scale is not None, scale=scale)
+    path = tmp_path / "events.csv"
+    write_delimited(g, path)
+    assert path.read_bytes() == delimited_text(g).encode("utf-8")
 
 
 def test_prior_column_hook():

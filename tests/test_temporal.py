@@ -4,12 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import oracles
 from fraudsift import DataError
-from fraudsift.temporal import (BurstPair, DropInfo, SpikeProfile, TimeSeriesHist,
-                                awakening_point, build_histogram, build_profile,
-                                burst_mass, drop_edge_weight, extreme_slopes,
-                                max_drop, multiburst, phi_involvement,
+from fraudsift.temporal import (MAX_BINS, BurstPair, DropInfo, SpikeProfile,
+                                TimeSeriesHist, awakening_point, build_histogram,
+                                build_profile, burst_mass, drop_edge_weight,
+                                extreme_slopes, histogram_segments, max_drop,
+                                multiburst, phi_involvement,
                                 simulate_triangle_attack, time_obstruction_bound)
 
 
@@ -72,6 +76,41 @@ def test_histogram_two_gaussians_matches_rule_oracle():
     counts, _ = np.histogram(ts, bins=k, range=(ts.min(), ts.max()))
     assert np.array_equal(h.counts, counts)
     assert h.counts.sum() == len(ts)
+
+
+# ties, spread and far outliers: Sturges, Freedman-Diaconis and the MAX_BINS cap all occur
+segment = st.one_of(
+    st.lists(st.integers(0, 40), min_size=0, max_size=60),
+    st.lists(st.integers(0, 3), min_size=3, max_size=60).map(lambda xs: xs + [10**9]),
+    st.lists(st.integers(0, 10**6), min_size=1, max_size=200),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(segment, min_size=1, max_size=8))
+@example([[7, 7, 7], [0, 1, 5], [], [42]])
+@example([[0] * 10 + [1] * 10 + [10**9]])
+@example([[0] * 1020 + [0, 1000, 500, 500]])
+def test_segmented_histograms_match_per_segment_oracle(segments):
+    times = np.concatenate([np.sort(np.asarray(seg, dtype=np.float64)) for seg in segments])
+    indptr = np.concatenate(([0], np.cumsum([len(seg) for seg in segments])))
+    hists = histogram_segments(times, indptr)
+    assert hists.bin_indptr[-1] == hists.counts.size
+    for s, seg in enumerate(segments):
+        got = hists[s]
+        if not seg:
+            assert len(got) == 0
+            continue
+        want = oracles.histogram(seg)
+        assert got.centers.tobytes() == want.centers.tobytes()
+        assert got.counts.tobytes() == want.counts.tobytes()
+        assert got.bin_width == want.bin_width
+        assert 1 <= len(got) <= MAX_BINS
+
+
+def test_histogram_clamps_bin_count_at_max_bins():
+    ts = [0] * 10 + [1] * 10 + [10**9]
+    assert len(build_histogram(ts)) == MAX_BINS == len(oracles.histogram(ts))
 
 
 # -- awakening ------------------------------------------------------------
