@@ -12,10 +12,8 @@ from .detector import (DetectionResult, DetectorConfig, fast_greedy,
                        greedy_shaving, matricize, resolve_signals, svd_seeds)
 from .evalkit import (AccuracyCurve, SweepResult, avg_degree_baseline,
                       density_sweep, f_measure, roc_auc)
-from .graph import (BipartiteGraph, DataError, EdgeRecord, GraphView,
-                    RatingScale, ingest, parse_delimited, read_delimited,
-                    write_delimited)
-from .pqueue import PriorityTree
+from .graph import (BipartiteGraph, DataError, EdgeRecord, RatingScale,
+                    ingest, parse_delimited, read_delimited, write_delimited)
 from .spectral import ConvergenceError, truncated_svd
 from .synth import (GroundTruth, InjectionConfig, bench_graph, gen_hyperbolic,
                     inject, read_labels, write_labels)
@@ -30,9 +28,9 @@ __version__ = "0.1.0"
 __all__ = [
     "AccuracyCurve", "BipartiteGraph", "BurstPair", "ContrastState",
     "ConvergenceError", "DataError", "DetectionResult", "DetectorConfig",
-    "DropInfo", "EdgeRecord", "GraphView", "GroundTruth", "InjectionConfig",
-    "PriorityTree", "RatingScale", "SignalConfig", "SignalContext",
-    "SpikeProfile", "SweepResult", "TimeSeriesHist",
+    "DropInfo", "EdgeRecord", "GroundTruth", "InjectionConfig", "RatingScale",
+    "SignalConfig", "SignalContext", "SpikeProfile", "SweepResult",
+    "TimeSeriesHist",
     "avg_degree_baseline", "awakening_point", "bench_graph", "build_histogram",
     "build_profile", "contrast_score", "density_sweep", "drop_edge_weight",
     "extreme_slopes", "f_measure", "fast_greedy", "gen_hyperbolic",

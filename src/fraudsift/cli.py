@@ -66,6 +66,7 @@ def _load_graph(input_path, scale: str | None, neutral: str | None):
             declared = RatingScale(_parse_floats(scale, "--scale"), neutral=neutral_vals)
     graph = read_delimited(input_path, scale=declared)
     if declared is None and neutral_vals is not None and graph.scale is not None:
+        # the one change to a built graph: at load time, before any run reads it
         graph.scale = RatingScale(graph.scale.values, neutral=neutral_vals)
     return graph
 
@@ -79,6 +80,11 @@ def _detector_config(base, num_seeds, signals, time_bin, cap_exponent) -> Detect
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
                     encoding="utf-8")
+
+
+def _neutral_echo(graph) -> list[float] | None:
+    """The neutral scores rating tables exclude, or None without ratings."""
+    return sorted(graph.scale.neutral) if graph.has_ratings else None
 
 
 def _config_echo(config: DetectorConfig, seed: int, **extra) -> dict:
@@ -175,7 +181,7 @@ def cmd_detect(input_path, output_dir, scale, neutral, dump_profiles, seed, base
         "objective": result.objective,
         "n_users_detected": len(result.users),
         "meta": {k: v for k, v in result.meta.items() if k != "singular_values"},
-        "config": _config_echo(config, seed),
+        "config": _config_echo(config, seed, neutral=_neutral_echo(graph)),
         "timings": timings,
     })
     click.echo(f"detected {len(result.users)} users, objective {result.objective:.6g}")
@@ -258,7 +264,8 @@ def cmd_sweep(input_path, output_dir, densities, n_objects, ratings_per_object,
                              "" if p.sink_auc is None else f"{p.sink_auc:.6f}",
                              p.error or ""])
     summary = result.summary()
-    summary["config"] = _config_echo(config, seed, input=str(input_path))
+    summary["config"] = _config_echo(config, seed, input=str(input_path),
+                                     neutral=_neutral_echo(graph))
     _write_json(out / "summary.json", summary)
 
     def show(x):

@@ -97,8 +97,9 @@ class SignalConfig:
 
 class SignalContext:
     """Graph-wide precompute shared by every shaving run: spike profiles, the
-    per-pair burst weights behind the temporal signal, drop-based column
-    weights, and per-sink rating tables."""
+    per-pair burst weights behind the temporal signal, the drop-based column
+    weights ``sigma``, and per-sink rating tables. The graph is only read, so
+    contexts built on one graph with different configs do not interfere."""
 
     def __init__(self, graph: BipartiteGraph, config: SignalConfig | None = None,
                  keep_profiles: bool = False):
@@ -149,7 +150,6 @@ class SignalContext:
         if graph.sink_prior is not None:
             sigma = sigma * graph.sink_prior
         self.sigma = sigma
-        graph.set_sigma(sigma)
 
         if self.use_kappa:
             scale = graph.scale
@@ -195,7 +195,7 @@ class ContrastState:
     the objective numerator and denominator sum over that domain.
     """
 
-    def __init__(self, graph, context, seed_idx, active=None, kappa_norm_value=None):
+    def __init__(self, graph, context, seed_idx, active=None):
         self.graph = graph
         self.ctx = context
         cfg = context.config
@@ -278,13 +278,7 @@ class ContrastState:
         self.kappa = np.zeros(nv)
         self.P = np.zeros(nv)
         self._refresh_signals(None)
-        if self.use_kappa:
-            if kappa_norm_value is not None:
-                self.kmax = float(kappa_norm_value)
-            else:
-                self.kmax = float(self.kw.max()) if nv else 0.0
-        else:
-            self.kmax = 0.0
+        self.kmax = float(self.kw.max()) if self.use_kappa and nv else 0.0
         self._refresh_contrast(None)
         self.S = self._sub @ (self.sigma_d * self.P)
         self.num = float((self.sigma_d * self.cnt_set * self.P).sum())
@@ -294,9 +288,9 @@ class ContrastState:
 
     @classmethod
     def build(cls, graph: BipartiteGraph, seed_users, context: SignalContext,
-              active=None, kappa_norm_value=None) -> "ContrastState":
+              active=None) -> "ContrastState":
         idx = _user_indices(graph, seed_users)
-        return cls(graph, context, idx, active=active, kappa_norm_value=kappa_norm_value)
+        return cls(graph, context, idx, active=active)
 
     # -- signal recomputation ----------------------------------------------
 
@@ -427,9 +421,6 @@ class ContrastState:
         """Weighted engagement from the active set per domain sink."""
         return self.sigma_d * self.cnt_set
 
-    def engagement_total(self) -> np.ndarray:
-        return self.sigma_d * self.cnt_total
-
     def user_scores(self) -> dict[str, float]:
         ids = self.graph.user_ids
         return {ids[self.seed_idx[r]]: float(self.S[r])
@@ -441,10 +432,6 @@ class ContrastState:
         if loc >= self.domain.size or self.domain[loc] != vi:
             raise DataError(f"sink {obj!r} is outside the tracked domain")
         return float(self.P[loc])
-
-    def active_user_ids(self) -> list[str]:
-        ids = self.graph.user_ids
-        return [ids[self.seed_idx[r]] for r in np.flatnonzero(self.active)]
 
 
 def _user_indices(graph: BipartiteGraph, users) -> np.ndarray:

@@ -33,7 +33,6 @@ class DetectorConfig:
     num_seeds: int = 10
     signals: tuple[str, ...] | None = None
     time_bin: float = 86400.0
-    neutral: tuple[float, ...] | None = None
     cap_exponent: float | None = 1 / 1.6
     smoothing: float = 1e-3
     kappa_norm: str = "evolving"
@@ -242,12 +241,6 @@ def fast_greedy(graph: BipartiteGraph, config: DetectorConfig | None = None,
     active, from the plain weighted adjacency otherwise.
     """
     config = config or DetectorConfig()
-    if graph.n_events == 0:
-        raise DataError("empty input")
-    if config.neutral is not None and graph.scale is not None:
-        from .graph import RatingScale
-
-        graph.scale = RatingScale(graph.scale.values, neutral=config.neutral)
     sig = resolve_signals(graph, config)
     if context is None:
         context = SignalContext(graph, sig)
@@ -256,7 +249,7 @@ def fast_greedy(graph: BipartiteGraph, config: DetectorConfig | None = None,
         design, _ = matricize(graph, time_bin=config.time_bin,
                               column_weights=context.sigma)
     else:
-        design = graph.counts_matrix(weighted=True)
+        design = graph.counts_matrix(column_weights=context.sigma)
 
     seeds, seed_meta = svd_seeds(
         design, config.num_seeds, cap_exponent=config.cap_exponent,

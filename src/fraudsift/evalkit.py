@@ -3,6 +3,7 @@ sinks, accuracy-vs-density curves, and an average-degree peeling baseline."""
 
 from __future__ import annotations
 
+import heapq
 import logging
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Mapping, Sequence
@@ -12,7 +13,6 @@ from scipy.stats import rankdata
 
 from .detector import DetectorConfig, fast_greedy
 from .graph import BipartiteGraph, DataError
-from .pqueue import PriorityTree
 from .synth import GroundTruth, InjectionConfig, inject
 
 logger = logging.getLogger(__name__)
@@ -172,22 +172,20 @@ def density_sweep(base: BipartiteGraph, densities: Sequence[float],
 
 def avg_degree_baseline(graph: BipartiteGraph) -> frozenset[str]:
     """Greedy peeling maximizing total edges over (|users| + |objects|), shaving
-    whichever side holds the minimum-degree node. The classic density baseline
-    the contrast detector is compared against."""
+    the node of minimum degree, ties toward the smaller key (users are keys
+    0..nu-1, objects nu..nu+nv-1). The classic density baseline the contrast
+    detector is compared against."""
     csr = graph.counts_matrix()
     csc = csr.tocsc()
     nu, nv = csr.shape
     deg_u = np.asarray(csr.sum(axis=1)).ravel()
-    deg_v = np.asarray(csr.sum(axis=0)).ravel()
+    deg = np.concatenate((deg_u, np.asarray(csr.sum(axis=0)).ravel())).tolist()
+    alive = [True] * (nu + nv)
+    # lazy deletion: a degree drop pushes a fresh entry; degrees only fall, so a
+    # node's newest entry pops first and its older ones find it dead
+    heap = [(d, key) for key, d in enumerate(deg)]
+    heapq.heapify(heap)
 
-    heap = PriorityTree()
-    for j in range(nu):
-        heap.push(j, deg_u[j])
-    for i in range(nv):
-        heap.push(nu + i, deg_v[i])
-
-    alive_u = np.ones(nu, dtype=bool)
-    alive_v = np.ones(nv, dtype=bool)
     total = float(deg_u.sum())
     n_alive = nu + nv
     best_score = total / n_alive
@@ -195,25 +193,24 @@ def avg_degree_baseline(graph: BipartiteGraph) -> frozenset[str]:
     order: list[int] = []
 
     while n_alive > 1:
-        key, _ = heap.pop_min()
+        d, key = heapq.heappop(heap)
+        if not alive[key]:
+            continue
         order.append(key)
+        alive[key] = False
+        total -= d
         if key < nu:
-            alive_u[key] = False
-            total -= deg_u[key]
             lo, hi = csr.indptr[key], csr.indptr[key + 1]
-            for j, e in zip(csr.indices[lo:hi], csr.data[lo:hi]):
-                if alive_v[j]:
-                    deg_v[j] -= e
-                    heap.update(nu + j, deg_v[j])
+            nbrs = (csr.indices[lo:hi] + nu).tolist()
+            weights = csr.data[lo:hi].tolist()
         else:
-            v = key - nu
-            alive_v[v] = False
-            total -= deg_v[v]
-            lo, hi = csc.indptr[v], csc.indptr[v + 1]
-            for i, e in zip(csc.indices[lo:hi], csc.data[lo:hi]):
-                if alive_u[i]:
-                    deg_u[i] -= e
-                    heap.update(i, deg_u[i])
+            lo, hi = csc.indptr[key - nu], csc.indptr[key - nu + 1]
+            nbrs = csc.indices[lo:hi].tolist()
+            weights = csc.data[lo:hi].tolist()
+        for j, e in zip(nbrs, weights):
+            if alive[j]:
+                deg[j] -= e
+                heapq.heappush(heap, (deg[j], j))
         n_alive -= 1
         score = total / n_alive
         if score > best_score:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -89,8 +90,8 @@ class BipartiteGraph:
     Node ids are interned to dense integer indices at construction. Events
     sharing a (user, object) pair are aggregated into one stored pair with a
     multiplicity count; their timestamps are kept sorted per pair. The graph
-    is immutable after construction apart from the per-sink suspiciousness
-    column ``sigma``, which the temporal stage assigns before detection.
+    is not changed after construction; per-run state such as the per-sink
+    suspiciousness weights lives in the run's ``SignalContext``.
     """
 
     def __init__(self, user_ids, object_ids, user_idx, obj_idx, times, ratings,
@@ -151,7 +152,6 @@ class BipartiteGraph:
             self.sink_event_pair = None
             self.sink_event_indptr = None
 
-        self.sigma = np.ones(nv, dtype=np.float64)
         if pri is not None:
             # extension hook: per-event priors fold into the sink column weight
             sums = np.bincount(vs, weights=pri, minlength=nv)
@@ -204,7 +204,7 @@ class BipartiteGraph:
         return (f"BipartiteGraph({self.n_users} users x {self.n_objects} objects, "
                 f"{self.n_events} events in {self.n_pairs} pairs)")
 
-    # -- degree / engagement primitives -------------------------------------
+    # -- degree and pair primitives -------------------------------------------
 
     def sink_event_counts(self) -> np.ndarray:
         """Raw event count (unweighted indegree) per sink."""
@@ -213,39 +213,11 @@ class BipartiteGraph:
     def user_event_counts(self) -> np.ndarray:
         return self._user_event_counts
 
-    def set_sigma(self, sigma: np.ndarray) -> None:
-        sigma = np.asarray(sigma, dtype=np.float64)
-        if sigma.shape != (self.n_objects,):
-            raise DataError("sigma must carry one weight per sink column")
-        if not np.all(sigma > 0):
-            raise DataError("sigma weights must be positive")
-        self.sigma = sigma
-
-    def engagement(self, users: Iterable[str], obj: str) -> float:
-        """Suspiciousness-weighted count of events from ``users`` into ``obj``."""
-        vi = self.object_index(obj)
-        uset = np.asarray(sorted(self.user_index(u) for u in set(users)), dtype=np.int64)
-        pids = self.sink_pair_order[self.sink_pair_indptr[vi]:self.sink_pair_indptr[vi + 1]]
-        if uset.size == 0 or pids.size == 0:
-            return 0.0
-        mask = np.isin(self.pair_src[pids], uset)
-        return float(self.sigma[vi] * self.pair_count[pids[mask]].sum())
-
-    def total_engagement(self, obj: str) -> float:
-        """Weighted indegree of a sink over the full user set."""
-        vi = self.object_index(obj)
-        return float(self.sigma[vi] * self._sink_event_counts[vi])
-
     def pairs_of_user(self, ui: int) -> np.ndarray:
         return np.arange(self.src_pair_indptr[ui], self.src_pair_indptr[ui + 1])
 
     def pairs_of_sink(self, vi: int) -> np.ndarray:
         return self.sink_pair_order[self.sink_pair_indptr[vi]:self.sink_pair_indptr[vi + 1]]
-
-    def timestamps_of_sink(self, vi: int) -> np.ndarray:
-        if not self.has_timestamps:
-            raise DataError("graph has no timestamps")
-        return self.sink_event_time[self.sink_event_indptr[vi]:self.sink_event_indptr[vi + 1]]
 
     def pair_timestamps(self, pid: int) -> np.ndarray:
         if not self.has_timestamps:
@@ -257,38 +229,19 @@ class BipartiteGraph:
             raise DataError("graph has no ratings")
         return self.event_rating[self.pair_event_indptr[pid]:self.pair_event_indptr[pid + 1]]
 
-    def pairs_by_source(self) -> Iterator[tuple[str, str, int]]:
-        for p in range(self.n_pairs):
-            yield (self.user_ids[self.pair_src[p]], self.object_ids[self.pair_dst[p]],
-                   int(self.pair_count[p]))
-
-    def pairs_by_sink(self) -> Iterator[tuple[str, str, int]]:
-        for p in self.sink_pair_order:
-            yield (self.user_ids[self.pair_src[p]], self.object_ids[self.pair_dst[p]],
-                   int(self.pair_count[p]))
-
-    def counts_matrix(self, weighted: bool = False):
-        """Users-by-objects event-count matrix as scipy CSR; optionally sigma-weighted."""
+    def counts_matrix(self, column_weights: np.ndarray | None = None):
+        """Users-by-objects event-count matrix as scipy CSR; each column scaled
+        by its object's weight when ``column_weights`` is given."""
         from scipy.sparse import csr_matrix
 
-        data = self.pair_count.copy()
-        if weighted:
-            data *= self.sigma[self.pair_dst]
+        if column_weights is None:
+            data = self.pair_count.copy()
+        else:
+            weights = np.asarray(column_weights, dtype=np.float64)
+            data = self.pair_count * weights[self.pair_dst]
         indptr = self.src_pair_indptr.astype(np.int64)
         return csr_matrix((data, self.pair_dst.copy(), indptr),
                           shape=(self.n_users, self.n_objects))
-
-    # -- restriction --------------------------------------------------------
-
-    def restrict(self, users: Iterable[str] | np.ndarray) -> "GraphView":
-        if isinstance(users, np.ndarray):
-            idx = np.unique(users.astype(np.int64))
-        else:
-            idx = np.unique(np.asarray([self.user_index(u) for u in users], dtype=np.int64))
-        if idx.size == 0:
-            raise DataError("empty seed")
-        pids = concat_ranges(self.src_pair_indptr[idx], self.src_pair_indptr[idx + 1])
-        return GraphView(self, idx, pids)
 
     # -- event export ---------------------------------------------------------
 
@@ -310,32 +263,6 @@ class BipartiteGraph:
         us = np.repeat(self.pair_src, reps)
         vs = np.repeat(self.pair_dst, reps)
         return us, vs, self.event_time, self.event_rating
-
-
-class GraphView:
-    """Read-only view over the edges incident to a fixed source subset."""
-
-    def __init__(self, graph: BipartiteGraph, user_indices: np.ndarray, pair_ids: np.ndarray):
-        self.graph = graph
-        self.user_indices = user_indices
-        self.pair_ids = pair_ids
-
-    @property
-    def n_pairs(self) -> int:
-        return int(self.pair_ids.size)
-
-    @property
-    def n_edge_events(self) -> int:
-        return int(self.graph.pair_count[self.pair_ids].sum())
-
-    def sink_indices(self) -> np.ndarray:
-        return np.unique(self.graph.pair_dst[self.pair_ids])
-
-    def pairs(self) -> Iterator[tuple[str, str, int]]:
-        g = self.graph
-        for p in self.pair_ids:
-            yield (g.user_ids[g.pair_src[p]], g.object_ids[g.pair_dst[p]],
-                   int(g.pair_count[p]))
 
 
 # -- ingestion ----------------------------------------------------------------
@@ -370,10 +297,15 @@ def _coerce_record(rec, pos: int):
             rating = float(rating)
         except (TypeError, ValueError):
             raise DataError(f"record {pos}: non-numeric rating {rating!r}") from None
+        if not math.isfinite(rating):
+            raise DataError(f"record {pos}: non-finite rating {rating!r}")
     if prior is not None:
-        prior = float(prior)
-        if prior <= 0:
-            raise DataError(f"record {pos}: prior must be positive")
+        try:
+            prior = float(prior)
+        except (TypeError, ValueError):
+            raise DataError(f"record {pos}: non-numeric prior {prior!r}") from None
+        if not (math.isfinite(prior) and prior > 0):
+            raise DataError(f"record {pos}: prior {prior!r} is not positive and finite")
     return user, obj, ts, rating, prior
 
 
@@ -471,7 +403,7 @@ def parse_delimited(lines: Iterable[str]) -> tuple[list[tuple], list[str]]:
         for j, kind in ((2, "timestamp"), (3, "rating"), (4, "prior")):
             if len(parts) > j:
                 try:
-                    rec.append(float(parts[j]) if j > 2 else int(float(parts[j])))
+                    rec.append(float(parts[j]))
                 except ValueError:
                     diagnostics.append(f"line {lineno}: non-numeric {kind} {parts[j]!r}")
                     ok = False
@@ -493,8 +425,15 @@ def read_delimited(path: str | Path, scale: RatingScale | None = None,
 
 
 def write_delimited(graph: BipartiteGraph, path: str | Path) -> None:
-    """Write events back out in the ingestible CSV layout (no header), pair-major."""
+    """Write events back out in the ingestible CSV layout (no header), pair-major.
+
+    Columns are positional, so ratings cannot be written without timestamps:
+    the reader would take them for timestamps.
+    """
     us, vs, ts, ratings = graph.event_arrays()
+    if ratings is not None and ts is None:
+        raise DataError("cannot write ratings without timestamps: the CSV layout "
+                        "is user,object[,timestamp[,rating]]")
     columns = [np.asarray(graph.user_ids, dtype=object)[us].tolist(),
                np.asarray(graph.object_ids, dtype=object)[vs].tolist()]
     if ts is not None:

@@ -78,3 +78,39 @@ def delimited_text(graph) -> str:
             fields.append(f"{rec.rating:g}")
         lines.append(",".join(fields) + "\n")
     return "".join(lines)
+
+
+def pair_counts(graph, by_sink: bool = False) -> list[tuple[str, str, int]]:
+    """(user, object, event count) per stored pair, in source order or, with
+    ``by_sink``, in the order of the graph's sink-side index."""
+    order = graph.sink_pair_order if by_sink else range(graph.n_pairs)
+    return [(graph.user_ids[graph.pair_src[p]], graph.object_ids[graph.pair_dst[p]],
+             int(graph.pair_count[p])) for p in order]
+
+
+def avg_degree_peel(counts) -> set[int]:
+    """Average-degree peeling on a dense users-by-objects count matrix.
+
+    Every step recomputes the degrees of the live nodes and removes the one
+    with the smallest (degree, key), where users are keys 0..nu-1 and objects
+    nu..nu+nv-1. Returns the user rows alive at the best prefix.
+    """
+    counts = np.asarray(counts, dtype=np.float64)
+    nu, nv = counts.shape
+    alive = np.ones(nu + nv, dtype=bool)
+
+    def live_counts():
+        return counts[alive[:nu]][:, alive[nu:]]
+
+    best_score = live_counts().sum() / (nu + nv)
+    best_alive = alive.copy()
+    while alive.sum() > 1:
+        deg = np.concatenate((counts[:, alive[nu:]].sum(axis=1),
+                              counts[alive[:nu]].sum(axis=0)))
+        key = min(np.flatnonzero(alive).tolist(), key=lambda k: (deg[k], k))
+        alive[key] = False
+        score = live_counts().sum() / alive.sum()
+        if score > best_score:
+            best_score = score
+            best_alive = alive.copy()
+    return set(np.flatnonzero(best_alive[:nu]).tolist())

@@ -43,6 +43,7 @@ def test_detect_recovers_planted_block(tmp_path):
     run = json.loads((out / "run.json").read_text())
     assert run["objective"] > 0
     assert run["config"]["seed"] == 0
+    assert run["config"]["neutral"] is None
     ranked = (out / "objects.csv").read_text().splitlines()[1:]
     top8 = {row.split(",")[0] for row in ranked[:8]}
     assert top8 == {f"t{j}" for j in range(8)}
@@ -115,9 +116,10 @@ def test_sweep_writes_curve_and_summary(tmp_path):
     rc = main(["sweep", "--input", str(base), "--output-dir", str(out),
                "--densities", "0.5,1.0", "--n-objects", "10",
                "--ratings-per-object", "20", "--num-seeds", "3",
-               "--cap-exponent", "none", "--seed", "2"])
+               "--cap-exponent", "none", "--seed", "2", "--neutral", "3,2.5"])
     assert rc == 0
     summary = json.loads((out / "summary.json").read_text())
+    assert summary["config"]["neutral"] == [2.5, 3.0]
     for key in ("users_auc", "sinks_auc", "lowest_detection_density_users",
                 "lowest_detection_density_sinks"):
         assert key in summary
@@ -166,6 +168,8 @@ def test_detect_profile_dump(tmp_path):
     rc = main(["detect", "--input", str(base), "--output-dir", str(out),
                "--dump-profiles", "5", "--num-seeds", "3"])
     assert rc == 0
+    run = json.loads((out / "run.json").read_text())
+    assert run["config"]["neutral"] == [2.5]  # the inferred scale's middle value
     payload = json.loads((out / "profiles.json").read_text())
     assert len(payload["profiles"]) == 5
     assert {"sink", "pairs", "drop"} <= set(payload["profiles"][0])

@@ -193,7 +193,7 @@ def test_user_scores_match_explicit_summation(make_graph):
         total = 0.0
         for pid in g.pairs_of_user(ui):
             v = g.object_ids[g.pair_dst[pid]]
-            total += g.sigma[g.pair_dst[pid]] * g.pair_count[pid] * st.contrast_of(v)
+            total += st.ctx.sigma[g.pair_dst[pid]] * g.pair_count[pid] * st.contrast_of(v)
         assert scores[u] == pytest.approx(total, rel=1e-9)
 
 

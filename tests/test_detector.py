@@ -9,7 +9,7 @@ import pytest
 import scipy.sparse as sp
 
 from fraudsift import (BipartiteGraph, DataError, DetectorConfig, RatingScale,
-                       fast_greedy, gen_hyperbolic, greedy_shaving, ingest,
+                       bench_graph, fast_greedy, gen_hyperbolic, greedy_shaving, ingest,
                        inject, InjectionConfig, matricize, resolve_signals,
                        svd_seeds, f_measure)
 from fraudsift.contrast import ContrastState, SignalConfig, SignalContext
@@ -253,9 +253,42 @@ def test_fast_greedy_camouflage_degrades_accuracy_by_little():
 
 
 def test_fast_greedy_neutral_override_changes_rating_tables(make_graph):
+    # the neutral set is part of the graph's scale, fixed when the graph is built
+    plain = make_graph(n_users=30, n_objects=20, n_events=250, seed=55)
+    override = make_graph(n_users=30, n_objects=20, n_events=250, seed=55,
+                          scale=RatingScale.from_range(1, 5, 1, neutral=(2.0, 3.0)))
+    contexts = [SignalContext(g, resolve_signals(g, DetectorConfig()))
+                for g in (plain, override)]
+    assert contexts[0].category_values.tolist() == [1.0, 2.0, 4.0, 5.0]
+    assert contexts[1].category_values.tolist() == [1.0, 4.0, 5.0]
+    assert contexts[1].sink_cat_counts.sum() < contexts[0].sink_cat_counts.sum()
+    fast_greedy(override, DetectorConfig(num_seeds=2), context=contexts[1])
+    assert override.scale.neutral == frozenset({2.0, 3.0})
+
+
+def test_fast_greedy_leaves_graph_unchanged(make_graph):
     g = make_graph(n_users=30, n_objects=20, n_events=250, seed=55)
-    fast_greedy(g, DetectorConfig(num_seeds=2, neutral=(2.0, 3.0)))
-    assert g.scale.neutral == frozenset({2.0, 3.0})
+    scale = g.scale
+    before = {k: v.copy() if isinstance(v, np.ndarray) else v for k, v in vars(g).items()}
+    for signals in (("alpha",), None):
+        fast_greedy(g, DetectorConfig(num_seeds=2, signals=signals))
+    assert g.scale is scale and scale.neutral == frozenset({3.0})
+    assert vars(g).keys() == before.keys()
+    for key, value in vars(g).items():
+        if isinstance(value, np.ndarray):
+            assert value.tobytes() == before[key].tobytes(), key
+        else:
+            assert value is before[key], key
+
+
+def test_seeds_do_not_depend_on_other_contexts_built_on_the_graph():
+    alpha = DetectorConfig(signals=("alpha",), num_seeds=5)
+    fresh, _ = bench_graph(2000, seed=1)
+    expected = fast_greedy(fresh, alpha).meta["seed_sizes"]
+    g, _ = bench_graph(2000, seed=1)
+    alpha_ctx = SignalContext(g, resolve_signals(g, alpha))
+    SignalContext(g, resolve_signals(g, DetectorConfig()))  # phi: non-unit sigma
+    assert fast_greedy(g, alpha, context=alpha_ctx).meta["seed_sizes"] == expected
 
 
 def test_greedy_shaving_isolated_seed_user_is_degenerate():

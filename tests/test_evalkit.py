@@ -4,10 +4,13 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fraudsift import (AccuracyCurve, DataError, DetectorConfig, f_measure,
                        gen_hyperbolic, ingest, roc_auc, avg_degree_baseline)
 from fraudsift.evalkit import density_sweep, roc_auc_from_arrays
+from oracles import avg_degree_peel
 
 
 # -- f-measure -------------------------------------------------------------
@@ -157,6 +160,25 @@ def test_baseline_matches_subset_brute_force():
                         best, best_users = score, set(users)
     got = avg_degree_baseline(g)
     assert {g.user_index(u) for u in got} == best_users
+
+
+# degree ties: two 2x2 blocks and a stray edge, a 6-cycle, a 3x3 block and a star
+TIED_GRAPHS = [
+    [(0, 0), (0, 1), (1, 0), (1, 1), (2, 2), (2, 3), (3, 2), (3, 3), (4, 4)],
+    [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 0)],
+    [(i, j) for i in range(3) for j in range(3)] + [(3, 3), (3, 3), (4, 3)],
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=1, max_size=30))
+@example(TIED_GRAPHS[0])
+@example(TIED_GRAPHS[1])
+@example(TIED_GRAPHS[2])
+def test_baseline_matches_naive_peeling_oracle(edges):
+    g = ingest([(f"u{u}", f"v{v}") for u, v in edges])
+    expected = avg_degree_peel(g.counts_matrix().toarray())
+    assert {g.user_index(u) for u in avg_degree_baseline(g)} == expected
 
 
 # -- density sweep ------------------------------------------------------------------

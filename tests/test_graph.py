@@ -9,7 +9,15 @@ from hypothesis import strategies as st
 
 from fraudsift import (BipartiteGraph, DataError, EdgeRecord, RatingScale,
                        ingest, parse_delimited, read_delimited, write_delimited)
-from oracles import delimited_text
+from fraudsift.contrast import ContrastState, SignalConfig, SignalContext
+from oracles import delimited_text, pair_counts
+
+
+def engagement(graph, users, obj, column_weights=None) -> float:
+    """Weighted event count from ``users`` into ``obj``, read off counts_matrix."""
+    rows = [graph.user_index(u) for u in users]
+    col = graph.object_index(obj)
+    return float(graph.counts_matrix(column_weights)[rows, col].sum())
 
 
 def test_ingest_counts_nodes_and_edges():
@@ -17,14 +25,14 @@ def test_ingest_counts_nodes_and_edges():
     assert g.n_users == 2
     assert g.n_objects == 1
     assert g.n_pairs == 2
-    assert all(c == 1 for _, _, c in g.pairs_by_source())
+    assert all(c == 1 for _, _, c in pair_counts(g))
 
 
 def test_ingest_aggregates_multiplicity():
     g = ingest([("u1", "v1"), ("u1", "v1")])
     assert g.n_pairs == 1
     assert g.n_events == 2
-    assert list(g.pairs_by_source()) == [("u1", "v1", 2)]
+    assert pair_counts(g) == [("u1", "v1", 2)]
 
 
 def test_ingest_empty_stream_errors():
@@ -77,30 +85,30 @@ def test_pair_timestamps_stored_sorted():
 
 def test_engagement_single_edge():
     g = ingest([("u1", "v1")])
-    assert g.engagement(["u1"], "v1") == 1.0
+    assert engagement(g, ["u1"], "v1") == 1.0
 
 
 def test_engagement_empty_set_is_zero():
     g = ingest([("u1", "v1"), ("u2", "v2")])
-    assert g.engagement([], "v1") == 0.0
-    assert g.engagement([], "v2") == 0.0
+    assert engagement(g, [], "v1") == 0.0
+    assert engagement(g, [], "v2") == 0.0
 
 
 def test_engagement_sums_multiplicities():
     g = ingest([("u1", "v1")] * 2 + [("u2", "v1")] * 3)
-    assert g.engagement(["u1", "u2"], "v1") == 5.0
+    assert engagement(g, ["u1", "u2"], "v1") == 5.0
 
 
 def test_engagement_unknown_sink_errors():
     g = ingest([("u1", "v1")])
     with pytest.raises(DataError, match="unknown sink"):
-        g.engagement(["u1"], "nope")
+        engagement(g, ["u1"], "nope")
 
 
 def test_forward_reverse_index_consistency(make_graph):
     g = make_graph(n_users=30, n_objects=20, n_events=300, seed=3)
-    fwd = collections.Counter(g.pairs_by_source())
-    rev = collections.Counter(g.pairs_by_sink())
+    fwd = collections.Counter(pair_counts(g))
+    rev = collections.Counter(pair_counts(g, by_sink=True))
     assert fwd == rev
     assert sum(c for _, _, c in fwd.elements()) >= g.n_pairs
 
@@ -117,47 +125,42 @@ def test_engagement_additive_and_monotone(seed):
     a = set(rng.choice(users, 4, replace=False))
     b = set(rng.choice(sorted(set(users) - a), 3, replace=False))
     for v in g.object_ids:
-        fa = g.engagement(a, v)
-        fb = g.engagement(b, v)
-        assert g.engagement(a | b, v) == pytest.approx(fa + fb)
-        assert fa <= g.engagement(users, v)
+        fa = engagement(g, a, v)
+        fb = engagement(g, b, v)
+        assert engagement(g, a | b, v) == pytest.approx(fa + fb)
+        assert fa <= engagement(g, users, v)
+
+
+# -- restriction to a seed's edges, as ContrastState builds it ------------------
+
+
+def restricted(graph, users) -> ContrastState:
+    ctx = SignalContext(graph, SignalConfig(use_phi=False, use_kappa=False))
+    return ContrastState.build(graph, users, ctx)
 
 
 def test_restrict_identity_and_degree():
     g = ingest([("u1", "v1"), ("u1", "v2"), ("u1", "v1"), ("u2", "v2")])
-    full = g.restrict(g.user_ids)
-    assert full.n_edge_events == g.n_events
-    one = g.restrict(["u1"])
-    assert one.n_edge_events == 3
+    assert restricted(g, g.user_ids).row_vals.sum() == g.n_events
+    assert restricted(g, ["u1"]).row_vals.sum() == 3
 
 
 def test_restrict_empty_seed_errors():
     g = ingest([("u1", "v1")])
     with pytest.raises(DataError, match="empty seed"):
-        g.restrict([])
+        restricted(g, [])
 
 
 def test_restrict_matches_linear_scan_oracle(make_graph):
     g = make_graph(n_users=100, n_objects=100, n_events=1500, seed=11,
                    timestamps=False, ratings=False)
     picked = [f"u{i}" for i in range(0, 100, 10)]
-    view = g.restrict(picked)
-    # oracle: filter the full event list by source id
+    state = restricted(g, picked)
+    # oracle: filter the full pair list by source id
     wanted = set(picked)
-    expected = sum(c for u, _, c in g.pairs_by_source() if u in wanted)
-    assert view.n_edge_events == expected
-    assert set(np.asarray(g.pair_src)[view.pair_ids].tolist()) <= {
-        g.user_index(u) for u in picked}
-
-
-def test_sigma_validation():
-    g = ingest([("u1", "v1")])
-    with pytest.raises(DataError):
-        g.set_sigma(np.array([0.0]))
-    with pytest.raises(DataError):
-        g.set_sigma(np.ones(3))
-    g.set_sigma(np.array([2.0]))
-    assert g.engagement(["u1"], "v1") == 2.0
+    expected = sum(c for u, _, c in pair_counts(g) if u in wanted)
+    assert state.row_vals.sum() == expected
+    assert set(g.pair_src[state.row_pids].tolist()) <= {g.user_index(u) for u in picked}
 
 
 def test_parse_delimited_header_and_bad_lines():
@@ -180,7 +183,7 @@ def test_delimited_round_trip(tmp_path, make_graph):
     write_delimited(g, path)
     g2 = read_delimited(path)
     assert g2.n_events == g.n_events
-    assert collections.Counter(g2.pairs_by_source()) == collections.Counter(g.pairs_by_source())
+    assert collections.Counter(pair_counts(g2)) == collections.Counter(pair_counts(g))
     a = sorted((r.user, r.object, r.timestamp, r.rating) for r in g.events())
     b = sorted((r.user, r.object, r.timestamp, r.rating) for r in g2.events())
     assert a == b
@@ -193,6 +196,12 @@ def test_write_delimited_matches_record_writer(tmp_path, make_graph, timestamps,
     g = make_graph(n_users=15, n_objects=10, n_events=200, seed=6, timestamps=timestamps,
                    ratings=scale is not None, scale=scale)
     path = tmp_path / "events.csv"
+    if g.has_ratings and not g.has_timestamps:
+        # the reader would take the rating column for timestamps
+        with pytest.raises(DataError, match="ratings without timestamps"):
+            write_delimited(g, path)
+        assert not path.exists()
+        return
     write_delimited(g, path)
     assert path.read_bytes() == delimited_text(g).encode("utf-8")
 
@@ -207,6 +216,50 @@ def test_prior_column_hook():
 
 def test_engagement_of_full_user_set_is_weighted_indegree(make_graph):
     g = make_graph(n_users=20, n_objects=12, n_events=150, seed=9)
-    g.set_sigma(np.linspace(1.0, 2.0, 12))
-    for v in g.object_ids:
-        assert g.engagement(g.user_ids, v) == pytest.approx(g.total_engagement(v))
+    weights = np.linspace(1.0, 2.0, 12)
+    indegree = weights * g.sink_event_counts()
+    for vi, v in enumerate(g.object_ids):
+        assert engagement(g, g.user_ids, v, weights) == pytest.approx(indegree[vi])
+
+
+def test_counts_matrix_column_weights_scale_pair_counts(make_graph):
+    g = make_graph(n_users=20, n_objects=12, n_events=150, seed=9)
+    weights = np.linspace(1.0, 2.0, 12)
+    plain = g.counts_matrix()
+    weighted = g.counts_matrix(column_weights=weights)
+    assert plain.data.tobytes() == g.pair_count.tobytes()
+    assert weighted.data.tobytes() == (g.pair_count * weights[g.pair_dst]).tobytes()
+    assert np.array_equal(weighted.toarray(), plain.toarray() * weights)
+
+
+def read_both_ways(tmp_path, rows):
+    """Diagnostics from ingest on the records and from read_delimited on the
+    same rows written as CSV, after both accept the rows' valid part."""
+    record_diags: list[str] = []
+    csv_diags: list[str] = []
+    g_rec = ingest(rows, diagnostics=record_diags)
+    path = tmp_path / "events.csv"
+    path.write_text("".join(",".join(str(f) for f in r) + "\n" for r in rows),
+                    encoding="utf-8")
+    g_csv = read_delimited(path, diagnostics=csv_diags)
+    assert pair_counts(g_rec) == pair_counts(g_csv)
+    return record_diags, csv_diags
+
+
+def test_fractional_timestamp_rejected_by_both_entry_points(tmp_path):
+    rows = [("u1", "v1", 10), ("u2", "v1", 12.5), ("u3", "v1", 14)]
+    for diags in read_both_ways(tmp_path, rows):
+        assert diags == ["record 2: timestamp 12.5 is not integer seconds"]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("column", ["rating", "prior"])
+def test_non_finite_rating_or_prior_rejected_by_both_entry_points(tmp_path, value, column):
+    good = [("u1", "v1", 10, 4.0, 1.0), ("w1", "v1", 12, 2.0, 2.0)]
+    bad = ["u2", "v1", 11, 4.0, 1.0]
+    bad[3 if column == "rating" else 4] = value
+    rows = [good[0], tuple(bad), good[1]]
+    for diags in read_both_ways(tmp_path, rows):
+        assert len(diags) == 1 and diags[0].startswith("record 2:")
+        assert column in diags[0]
+
