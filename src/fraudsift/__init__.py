@@ -13,7 +13,7 @@ from .detector import (DetectionResult, DetectorConfig, fast_greedy,
 from .evalkit import (AccuracyCurve, SweepResult, avg_degree_baseline,
                       density_sweep, f_measure, roc_auc)
 from .graph import (BipartiteGraph, DataError, EdgeRecord, RatingScale,
-                    ingest, parse_delimited, read_delimited, write_delimited)
+                    ingest, read_delimited, write_delimited)
 from .spectral import ConvergenceError, truncated_svd
 from .synth import (GroundTruth, InjectionConfig, bench_graph, gen_hyperbolic,
                     inject, read_labels, write_labels)
@@ -35,9 +35,9 @@ __all__ = [
     "build_profile", "contrast_score", "density_sweep", "drop_edge_weight",
     "extreme_slopes", "f_measure", "fast_greedy", "gen_hyperbolic",
     "greedy_shaving", "ingest", "inject", "involvement_ratio", "matricize",
-    "max_drop", "multiburst", "parse_delimited", "phi_involvement",
-    "rating_divergence", "read_delimited", "read_labels", "resolve_signals",
-    "roc_auc", "simulate_triangle_attack", "suspicion_scale", "svd_seeds",
+    "max_drop", "multiburst", "phi_involvement", "rating_divergence",
+    "read_delimited", "read_labels", "resolve_signals", "roc_auc",
+    "simulate_triangle_attack", "suspicion_scale", "svd_seeds",
     "time_obstruction_bound", "truncated_svd", "write_delimited",
     "write_labels",
 ]

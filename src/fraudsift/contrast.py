@@ -227,11 +227,6 @@ class ContrastState:
         self.row_cols = np.searchsorted(domain, cols_global).astype(np.int64)
         self.row_vals = graph.pair_count[pids].astype(np.float64)
         self.row_pids = pids
-        row_of_nnz = np.repeat(np.arange(m0, dtype=np.int64), row_lens)
-        order = np.lexsort((row_of_nnz, self.row_cols))
-        self.col_rows = row_of_nnz[order]
-        self.col_vals = self.row_vals[order]
-        self.col_indptr = np.searchsorted(self.row_cols[order], np.arange(nv + 1))
         self._sub = sp.csr_matrix((self.row_vals, self.row_cols, self.row_indptr),
                                   shape=(m0, nv))
 
@@ -251,7 +246,7 @@ class ContrastState:
         self.n_active = int(self.active.sum())
         self.n_rescales = 0
 
-        act_nnz = self.active[row_of_nnz]
+        act_nnz = np.repeat(self.active, row_lens)
         self.cnt_set = np.bincount(self.row_cols[act_nnz],
                                    weights=self.row_vals[act_nnz], minlength=nv)
         if self.use_phi:
@@ -259,18 +254,20 @@ class ContrastState:
                 self.row_cols[act_nnz],
                 weights=context.pair_phi_weight[pids[act_nnz]], minlength=nv)
         if self.use_kappa:
+            # each seed row's (local sink * c + category, count) entries, laid
+            # out row by row like row_cols
             c = max(context.n_categories, 1)
-            self.cat_set = np.zeros((nv, c), dtype=np.float64)
-            apids = pids[act_nnz]
-            acols = self.row_cols[act_nnz]
             ci = context.pair_cat_indptr
-            idx = concat_ranges(ci[apids], ci[apids + 1])
-            if idx.size:
-                reps = (ci[apids + 1] - ci[apids]).astype(np.int64)
-                flat = np.repeat(acols, reps) * c + context.pair_cat_id[idx]
-                self.cat_set += np.bincount(
-                    flat, weights=context.pair_cat_count[idx],
-                    minlength=nv * c).reshape(nv, c)
+            reps = (ci[pids + 1] - ci[pids]).astype(np.int64)
+            idx = concat_ranges(ci[pids], ci[pids + 1])
+            self.row_cat_flat = np.repeat(self.row_cols, reps) * c + context.pair_cat_id[idx]
+            self.row_cat_count = context.pair_cat_count[idx]
+            self.row_cat_indptr = np.concatenate(([0], np.cumsum(reps)))[self.row_indptr]
+            act_cat = np.repeat(act_nnz, reps)
+            # an empty bincount is int64
+            self.cat_set = np.bincount(
+                self.row_cat_flat[act_cat], weights=self.row_cat_count[act_cat],
+                minlength=nv * c).reshape(nv, c).astype(np.float64, copy=False)
 
         self.alpha = np.zeros(nv)
         self.phi = np.zeros(nv)
@@ -281,6 +278,7 @@ class ContrastState:
         self.kmax = float(self.kw.max()) if self.use_kappa and nv else 0.0
         self._refresh_contrast(None)
         self.S = self._sub @ (self.sigma_d * self.P)
+        self.S[~self.active] = np.inf  # removed users never win argmin
         self.num = float((self.sigma_d * self.cnt_set * self.P).sum())
         self.psum = float(self.P.sum())
 
@@ -336,42 +334,32 @@ class ContrastState:
 
     # -- removal ------------------------------------------------------------
 
-    def remove_user(self, user) -> None:
-        """Drop one user from the active set, updating sinks adjacent to it and
-        the scores of users sharing those sinks; exact within float drift."""
-        gidx = self.graph.user_index(user) if isinstance(user, str) else int(user)
-        local = int(np.searchsorted(self.seed_idx, gidx))
-        if local >= self.seed_idx.size or self.seed_idx[local] != gidx:
-            raise DataError(f"user {user!r} is not in the tracked set")
-        self._remove_local(local)
-
     def _remove_local(self, r: int) -> None:
+        """Drop seed row ``r`` from the active set, updating the sinks adjacent
+        to it and, with one matvec over the seed block, the user scores;
+        exact within float drift."""
         if not self.active[r]:
             raise DataError("user already removed")
         self.active[r] = False
         self.n_active -= 1
+        self.S[r] = np.inf
 
         lo, hi = self.row_indptr[r], self.row_indptr[r + 1]
         cols = self.row_cols[lo:hi]
         if cols.size == 0:
             return
         vals = self.row_vals[lo:hi]
-        pids = self.row_pids[lo:hi]
 
         cnt_old = self.cnt_set[cols].copy()
         p_old = self.P[cols].copy()
 
         self.cnt_set[cols] -= vals
         if self.use_phi:
-            self.phi_set[cols] -= self.ctx.pair_phi_weight[pids]
+            self.phi_set[cols] -= self.ctx.pair_phi_weight[self.row_pids[lo:hi]]
         if self.use_kappa:
-            ci = self.ctx.pair_cat_indptr
-            idx = concat_ranges(ci[pids], ci[pids + 1])
-            if idx.size:
-                reps = (ci[pids + 1] - ci[pids]).astype(np.int64)
-                c = self.cat_set.shape[1]
-                flat = np.repeat(cols, reps) * c + self.ctx.pair_cat_id[idx]
-                np.subtract.at(self.cat_set.reshape(-1), flat, self.ctx.pair_cat_count[idx])
+            a, b = self.row_cat_indptr[r], self.row_cat_indptr[r + 1]
+            # the flat indices are unique within one row
+            self.cat_set.reshape(-1)[self.row_cat_flat[a:b]] -= self.row_cat_count[a:b]
 
         self._refresh_signals(cols)
 
@@ -386,6 +374,7 @@ class ContrastState:
             self._refresh_contrast(None)
             sp_weights = self.sigma_d * self.P
             self.S = self._sub @ sp_weights
+            self.S[~self.active] = np.inf
             self.num = float((sp_weights * self.cnt_set).sum())
             self.psum = float(self.P.sum())
             self.n_rescales += 1
@@ -394,13 +383,11 @@ class ContrastState:
         self._refresh_contrast(cols)
         p_new = self.P[cols]
         dp = p_new - p_old
-        starts, stops = self.col_indptr[cols], self.col_indptr[cols + 1]
-        idx = concat_ranges(starts, stops)
-        if idx.size:
-            per_entry = self.col_vals[idx] * np.repeat(self.sigma_d[cols] * dp,
-                                                       stops - starts)
-            self.S += np.bincount(self.col_rows[idx], weights=per_entry,
-                                  minlength=self.active.size)
+        # rows hold ascending columns, so each row sums in the order of a
+        # per-sink gather; the zero entries of w add +0.0
+        w = np.zeros(self.sigma_d.size)
+        w[cols] = self.sigma_d[cols] * dp
+        self.S += self._sub @ w
         self.num += float((self.sigma_d[cols]
                            * (self.cnt_set[cols] * p_new - cnt_old * p_old)).sum())
         self.psum += float(dp.sum())
@@ -414,24 +401,12 @@ class ContrastState:
         return self.num / (self.n_active + self.psum)
 
     def argmin_active_score(self) -> int:
-        masked = np.where(self.active, self.S, np.inf)
-        return int(np.argmin(masked))
+        """Active row of least score; removed rows hold +inf."""
+        return int(np.argmin(self.S))
 
     def engagement_from_set(self) -> np.ndarray:
         """Weighted engagement from the active set per domain sink."""
         return self.sigma_d * self.cnt_set
-
-    def user_scores(self) -> dict[str, float]:
-        ids = self.graph.user_ids
-        return {ids[self.seed_idx[r]]: float(self.S[r])
-                for r in np.flatnonzero(self.active)}
-
-    def contrast_of(self, obj: str) -> float:
-        vi = self.graph.object_index(obj)
-        loc = int(np.searchsorted(self.domain, vi))
-        if loc >= self.domain.size or self.domain[loc] != vi:
-            raise DataError(f"sink {obj!r} is outside the tracked domain")
-        return float(self.P[loc])
 
 
 def _user_indices(graph: BipartiteGraph, users) -> np.ndarray:

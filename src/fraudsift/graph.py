@@ -6,7 +6,7 @@ import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -160,7 +160,6 @@ class BipartiteGraph:
         else:
             self.sink_prior = None
         self._sink_event_counts = np.bincount(vs, minlength=nv).astype(np.float64)
-        self._user_event_counts = np.bincount(us, minlength=nu).astype(np.float64)
 
     # -- basic shape -------------------------------------------------------
 
@@ -210,25 +209,6 @@ class BipartiteGraph:
         """Raw event count (unweighted indegree) per sink."""
         return self._sink_event_counts
 
-    def user_event_counts(self) -> np.ndarray:
-        return self._user_event_counts
-
-    def pairs_of_user(self, ui: int) -> np.ndarray:
-        return np.arange(self.src_pair_indptr[ui], self.src_pair_indptr[ui + 1])
-
-    def pairs_of_sink(self, vi: int) -> np.ndarray:
-        return self.sink_pair_order[self.sink_pair_indptr[vi]:self.sink_pair_indptr[vi + 1]]
-
-    def pair_timestamps(self, pid: int) -> np.ndarray:
-        if not self.has_timestamps:
-            raise DataError("graph has no timestamps")
-        return self.event_time[self.pair_event_indptr[pid]:self.pair_event_indptr[pid + 1]]
-
-    def pair_ratings(self, pid: int) -> np.ndarray:
-        if not self.has_ratings:
-            raise DataError("graph has no ratings")
-        return self.event_rating[self.pair_event_indptr[pid]:self.pair_event_indptr[pid + 1]]
-
     def counts_matrix(self, column_weights: np.ndarray | None = None):
         """Users-by-objects event-count matrix as scipy CSR; each column scaled
         by its object's weight when ``column_weights`` is given."""
@@ -245,18 +225,6 @@ class BipartiteGraph:
 
     # -- event export ---------------------------------------------------------
 
-    def events(self) -> Iterator[EdgeRecord]:
-        """All events in pair-major order (timestamps sorted within each pair)."""
-        for p in range(self.n_pairs):
-            u = self.user_ids[self.pair_src[p]]
-            o = self.object_ids[self.pair_dst[p]]
-            lo, hi = self.pair_event_indptr[p], self.pair_event_indptr[p + 1]
-            for e in range(lo, hi):
-                yield EdgeRecord(
-                    u, o,
-                    int(self.event_time[e]) if self.has_timestamps else None,
-                    float(self.event_rating[e]) if self.has_ratings else None)
-
     def event_arrays(self):
         """(user_idx, obj_idx, times, ratings) per event, pair-major order."""
         reps = self.pair_count.astype(np.int64)
@@ -268,44 +236,64 @@ class BipartiteGraph:
 # -- ingestion ----------------------------------------------------------------
 
 
-def _coerce_record(rec, pos: int):
+# float64 holds every integer below 2^53 exactly; the temporal signal reads
+# timestamps as float64
+_TIMESTAMP_LIMIT = 2 ** 53
+
+
+def _coerce_timestamp(ts) -> int:
+    """Exact integer seconds from an int, an integral float or a numeric string."""
+    if isinstance(ts, str):
+        try:
+            ts = int(ts)
+        except ValueError:
+            pass
+    if not isinstance(ts, (int, np.integer)):
+        try:
+            tsf = float(ts)
+        except (TypeError, ValueError):
+            raise DataError(f"non-numeric timestamp {ts!r}") from None
+        if not tsf.is_integer():
+            raise DataError(f"timestamp {tsf!r} is not integer seconds")
+        ts = tsf
+    ts = int(ts)
+    if ts < 0:
+        raise DataError(f"negative timestamp {ts}")
+    if ts >= _TIMESTAMP_LIMIT:
+        raise DataError(f"timestamp {ts} is not below 2^53 seconds")
+    return ts
+
+
+def _coerce_record(rec):
     if isinstance(rec, EdgeRecord):
         user, obj, ts, rating, prior = rec.user, rec.object, rec.timestamp, rec.rating, rec.prior
     else:
         parts = tuple(rec)
         if not 2 <= len(parts) <= 5:
-            raise DataError(f"record {pos}: wrong arity {len(parts)}")
+            raise DataError(f"wrong arity {len(parts)}")
         user, obj = parts[0], parts[1]
         ts = parts[2] if len(parts) > 2 else None
         rating = parts[3] if len(parts) > 3 else None
         prior = parts[4] if len(parts) > 4 else None
     user, obj = str(user), str(obj)
     if not user or not obj:
-        raise DataError(f"record {pos}: empty node id")
+        raise DataError("empty node id")
     if ts is not None:
-        try:
-            tsf = float(ts)
-        except (TypeError, ValueError):
-            raise DataError(f"record {pos}: non-numeric timestamp {ts!r}") from None
-        if not float(tsf).is_integer():
-            raise DataError(f"record {pos}: timestamp {ts!r} is not integer seconds")
-        ts = int(tsf)
-        if ts < 0:
-            raise DataError(f"record {pos}: negative timestamp {ts}")
+        ts = _coerce_timestamp(ts)
     if rating is not None:
         try:
             rating = float(rating)
         except (TypeError, ValueError):
-            raise DataError(f"record {pos}: non-numeric rating {rating!r}") from None
+            raise DataError(f"non-numeric rating {rating!r}") from None
         if not math.isfinite(rating):
-            raise DataError(f"record {pos}: non-finite rating {rating!r}")
+            raise DataError(f"non-finite rating {rating!r}")
     if prior is not None:
         try:
             prior = float(prior)
         except (TypeError, ValueError):
-            raise DataError(f"record {pos}: non-numeric prior {prior!r}") from None
+            raise DataError(f"non-numeric prior {prior!r}") from None
         if not (math.isfinite(prior) and prior > 0):
-            raise DataError(f"record {pos}: prior {prior!r} is not positive and finite")
+            raise DataError(f"prior {prior!r} is not positive and finite")
     return user, obj, ts, rating, prior
 
 
@@ -313,11 +301,17 @@ def ingest(records: Iterable, scale: RatingScale | None = None,
            diagnostics: list[str] | None = None) -> BipartiteGraph:
     """Aggregate an event stream into a BipartiteGraph.
 
-    Malformed records are rejected with a positional diagnostic (collected in
-    ``diagnostics`` when given, logged otherwise); the stream must yield at
-    least one valid record. Timestamps and ratings must be present on all
-    records or on none.
+    Malformed records are rejected with a diagnostic naming the record's
+    position (collected in ``diagnostics`` when given, logged otherwise); the
+    stream must yield at least one valid record. Timestamps and ratings must
+    be present on all records or on none.
     """
+    return _ingest(enumerate(records, start=1), "record", scale, diagnostics)
+
+
+def _ingest(numbered: Iterable[tuple[int, object]], unit: str,
+            scale: RatingScale | None, diagnostics: list[str] | None) -> BipartiteGraph:
+    """ingest over (position, record) pairs; diagnostics read ``{unit} {position}: ...``."""
     users: list[int] = []
     objs: list[int] = []
     times: list[int] = []
@@ -335,14 +329,13 @@ def ingest(records: Iterable, scale: RatingScale | None = None,
         else:
             logger.warning("ingest: %s", msg)
 
-    pos = 0
-    for pos, rec in enumerate(records, start=1):
+    for pos, rec in numbered:
         try:
-            user, obj, ts, rating, prior = _coerce_record(rec, pos)
+            user, obj, ts, rating, prior = _coerce_record(rec)
             if rating is not None and scale is not None and rating not in scale:
-                raise DataError(f"record {pos}: rating {rating} outside declared scale")
+                raise DataError(f"rating {rating} outside declared scale")
         except DataError as exc:
-            report(str(exc))
+            report(f"{unit} {pos}: {exc}")
             continue
         ui = uindex.setdefault(user, len(uids))
         if ui == len(uids):
@@ -381,10 +374,8 @@ def ingest(records: Iterable, scale: RatingScale | None = None,
 _HEADER_WORDS = {"user", "object", "item", "timestamp", "time", "rating", "stars", "prior"}
 
 
-def parse_delimited(lines: Iterable[str]) -> tuple[list[tuple], list[str]]:
-    """Parse ``user,object[,timestamp[,rating[,prior]]]`` rows; returns (records, diagnostics)."""
-    records: list[tuple] = []
-    diagnostics: list[str] = []
+def _delimited_rows(lines: Iterable[str]):
+    """(line number, fields) of every non-blank line; a header on line 1 is skipped."""
     delim = None
     for lineno, raw in enumerate(lines, start=1):
         line = raw.rstrip("\n").rstrip("\r")
@@ -395,33 +386,15 @@ def parse_delimited(lines: Iterable[str]) -> tuple[list[tuple], list[str]]:
         parts = [p.strip() for p in line.split(delim)]
         if lineno == 1 and any(p.lower() in _HEADER_WORDS for p in parts):
             continue
-        if not 2 <= len(parts) <= 5:
-            diagnostics.append(f"line {lineno}: wrong arity {len(parts)}")
-            continue
-        rec: list = list(parts[:2])
-        ok = True
-        for j, kind in ((2, "timestamp"), (3, "rating"), (4, "prior")):
-            if len(parts) > j:
-                try:
-                    rec.append(float(parts[j]))
-                except ValueError:
-                    diagnostics.append(f"line {lineno}: non-numeric {kind} {parts[j]!r}")
-                    ok = False
-                    break
-        if ok:
-            records.append(tuple(rec))
-    return records, diagnostics
+        yield lineno, parts
 
 
 def read_delimited(path: str | Path, scale: RatingScale | None = None,
                    diagnostics: list[str] | None = None) -> BipartiteGraph:
+    """ingest the ``user,object[,timestamp[,rating[,prior]]]`` rows of a
+    comma- or tab-separated file; a diagnostic names the file line."""
     with open(path, "r", encoding="utf-8") as fh:
-        records, diags = parse_delimited(fh)
-    if diagnostics is not None:
-        diagnostics.extend(diags)
-    elif diags:
-        logger.warning("read_delimited(%s): %d rejected lines", path, len(diags))
-    return ingest(records, scale=scale, diagnostics=diagnostics)
+        return _ingest(_delimited_rows(fh), "line", scale, diagnostics)
 
 
 def write_delimited(graph: BipartiteGraph, path: str | Path) -> None:

@@ -5,7 +5,9 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from fraudsift import temporal
+from fraudsift import EdgeRecord, temporal
+from fraudsift.contrast import ContrastState
+from fraudsift.graph import concat_ranges
 from fraudsift.temporal import MAX_BINS, TimeSeriesHist
 
 
@@ -67,10 +69,33 @@ def signal_arrays(graph, significance: float = 0.5):
     return pair_w, sink_total, drop_w
 
 
+def events(graph):
+    """All events as EdgeRecords in pair-major order (timestamps sorted within
+    each pair)."""
+    for p in range(graph.n_pairs):
+        u = graph.user_ids[graph.pair_src[p]]
+        o = graph.object_ids[graph.pair_dst[p]]
+        for e in range(graph.pair_event_indptr[p], graph.pair_event_indptr[p + 1]):
+            yield EdgeRecord(
+                u, o,
+                int(graph.event_time[e]) if graph.has_timestamps else None,
+                float(graph.event_rating[e]) if graph.has_ratings else None)
+
+
+def pairs_of_sink(graph, vi: int) -> np.ndarray:
+    """Stored pairs into sink ``vi``, by source."""
+    return graph.sink_pair_order[graph.sink_pair_indptr[vi]:graph.sink_pair_indptr[vi + 1]]
+
+
+def pair_events(graph, pid: int) -> slice:
+    """The events of stored pair ``pid`` as a slice of the event arrays."""
+    return slice(graph.pair_event_indptr[pid], graph.pair_event_indptr[pid + 1])
+
+
 def delimited_text(graph) -> str:
     """The CSV layout of write_delimited, one event record at a time."""
     lines = []
-    for rec in graph.events():
+    for rec in events(graph):
         fields = [rec.user, rec.object]
         if rec.timestamp is not None:
             fields.append(str(rec.timestamp))
@@ -114,3 +139,128 @@ def avg_degree_peel(counts) -> set[int]:
             best_score = score
             best_alive = alive.copy()
     return set(np.flatnonzero(best_alive[:nu]).tolist())
+
+
+def user_scores(state) -> dict[str, float]:
+    """Incremental score ``S`` of every active seed user, by user id."""
+    ids = state.graph.user_ids
+    return {ids[state.seed_idx[r]]: float(state.S[r]) for r in np.flatnonzero(state.active)}
+
+
+def seed_row(state, user: str) -> int:
+    """Row of ``user`` in the seed block of ``state``."""
+    row = int(np.searchsorted(state.seed_idx, state.graph.user_index(user)))
+    assert state.seed_idx[row] == state.graph.user_index(user), f"{user} not in the seed"
+    return row
+
+
+class GatherState(ContrastState):
+    """ContrastState with the column-gather updates it used before the seed-block
+    matvec: a CSC mirror of the seed block; a removal gathers every (sink, seed
+    user) entry of the removed user's sinks and sums them per user with
+    np.bincount, rebuilds its rating-category entries from the per-pair table
+    and subtracts them with np.subtract.at; removed users keep finite scores and
+    are masked at argmin."""
+
+    def __init__(self, graph, context, seed_idx, active=None):
+        super().__init__(graph, context, seed_idx, active=active)
+        m0, nv = self.active.size, self.domain.size
+        row_of_nnz = np.repeat(np.arange(m0, dtype=np.int64), np.diff(self.row_indptr))
+        order = np.lexsort((row_of_nnz, self.row_cols))
+        self.col_rows = row_of_nnz[order]
+        self.col_vals = self.row_vals[order]
+        self.col_indptr = np.searchsorted(self.row_cols[order], np.arange(nv + 1))
+        if self.use_kappa:
+            # the category counts of the active pairs, gathered pair by pair
+            c = self.cat_set.shape[1]
+            act_nnz = self.active[row_of_nnz]
+            apids = self.row_pids[act_nnz]
+            ci = context.pair_cat_indptr
+            idx = concat_ranges(ci[apids], ci[apids + 1])
+            self.cat_set = np.zeros((nv, c), dtype=np.float64)
+            if idx.size:
+                flat = (np.repeat(self.row_cols[act_nnz], ci[apids + 1] - ci[apids]) * c
+                        + context.pair_cat_id[idx])
+                self.cat_set += np.bincount(flat, weights=context.pair_cat_count[idx],
+                                            minlength=nv * c).reshape(nv, c)
+            self._refresh_signals(None)
+            self.kmax = float(self.kw.max())
+            self._refresh_contrast(None)
+            self.num = float((self.sigma_d * self.cnt_set * self.P).sum())
+            self.psum = float(self.P.sum())
+        self.S = self._sub @ (self.sigma_d * self.P)
+
+    def _remove_local(self, r: int) -> None:
+        self.active[r] = False
+        self.n_active -= 1
+        lo, hi = self.row_indptr[r], self.row_indptr[r + 1]
+        cols = self.row_cols[lo:hi]
+        vals = self.row_vals[lo:hi]
+        pids = self.row_pids[lo:hi]
+        cnt_old = self.cnt_set[cols].copy()
+        p_old = self.P[cols].copy()
+
+        self.cnt_set[cols] -= vals
+        if self.use_phi:
+            self.phi_set[cols] -= self.ctx.pair_phi_weight[pids]
+        if self.use_kappa:
+            ci = self.ctx.pair_cat_indptr
+            idx = concat_ranges(ci[pids], ci[pids + 1])
+            if idx.size:
+                c = self.cat_set.shape[1]
+                flat = np.repeat(cols, ci[pids + 1] - ci[pids]) * c + self.ctx.pair_cat_id[idx]
+                np.subtract.at(self.cat_set.reshape(-1), flat, self.ctx.pair_cat_count[idx])
+        self._refresh_signals(cols)
+
+        if self.use_kappa and self.kappa_norm == "evolving":
+            new_kmax = float(self.kw.max())
+            if new_kmax != self.kmax:
+                self.kmax = new_kmax
+                self._refresh_contrast(None)
+                sp_weights = self.sigma_d * self.P
+                self.S = self._sub @ sp_weights
+                self.num = float((sp_weights * self.cnt_set).sum())
+                self.psum = float(self.P.sum())
+                self.n_rescales += 1
+                return
+
+        self._refresh_contrast(cols)
+        p_new = self.P[cols]
+        dp = p_new - p_old
+        starts, stops = self.col_indptr[cols], self.col_indptr[cols + 1]
+        idx = concat_ranges(starts, stops)
+        per_entry = self.col_vals[idx] * np.repeat(self.sigma_d[cols] * dp, stops - starts)
+        self.S += np.bincount(self.col_rows[idx], weights=per_entry,
+                              minlength=self.active.size)
+        self.num += float((self.sigma_d[cols]
+                           * (self.cnt_set[cols] * p_new - cnt_old * p_old)).sum())
+        self.psum += float(dp.sum())
+
+    def argmin_active_score(self) -> int:
+        return int(np.argmin(np.where(self.active, self.S, np.inf)))
+
+
+def gather_shave(graph, seed_idx, context):
+    """greedy_shaving on GatherState: (removal order, trace, sink scores)."""
+    state = GatherState(graph, context, seed_idx)
+    best_obj = state.objective()
+    best_removals = 0
+    trace = [(state.n_active, best_obj)]
+    order = []
+    while state.n_active > 0:
+        r = state.argmin_active_score()
+        order.append(r)
+        state._remove_local(r)
+        if state.n_active == 0:
+            break
+        obj = state.objective()
+        trace.append((state.n_active, obj))
+        if obj > best_obj:
+            best_obj = obj
+            best_removals = len(order)
+    keep = np.ones(state.seed_idx.size, dtype=bool)
+    keep[order[:best_removals]] = False
+    final = GatherState(graph, context, state.seed_idx, active=keep)
+    sink_scores = np.zeros(graph.n_objects)
+    sink_scores[final.domain] = final.engagement_from_set() * final.P
+    return order, tuple(trace), sink_scores

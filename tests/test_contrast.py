@@ -10,7 +10,7 @@ from fraudsift import (BipartiteGraph, DataError, RatingScale, contrast_score,
                        suspicion_scale)
 from fraudsift.contrast import ContrastState, SignalConfig, SignalContext
 from fraudsift.temporal import sigma_from_drop_weights
-from oracles import signal_arrays
+from oracles import seed_row, signal_arrays, user_scores
 
 
 def state_for(graph, seed=None, **cfg_kwargs):
@@ -155,7 +155,7 @@ def test_objective_matches_formula_oracle_on_toy_graph():
 def test_objective_empty_set_errors():
     g = ingest([("u1", "v1")])
     st = state_for(g)
-    st.remove_user("u1")
+    st._remove_local(0)
     assert st.n_active == 0
     with pytest.raises(DataError, match="empty set"):
         st.objective()
@@ -167,7 +167,7 @@ def test_objective_empty_set_errors():
 def test_user_scores_equal_weighted_outdegree_when_contrast_is_one():
     g = ingest([("u1", "v1"), ("u1", "v1"), ("u1", "v2"), ("u2", "v3")])
     st = state_for(g)
-    scores = st.user_scores()
+    scores = user_scores(st)
     assert scores["u1"] == pytest.approx(3.0)
     assert scores["u2"] == pytest.approx(1.0)
 
@@ -180,20 +180,21 @@ def test_user_scores_approach_degree_over_base_for_diluted_sinks():
         records += [(f"w{i}_{j}", f"v{j}") for i in range(999)]
     g = ingest(records)
     st = state_for(g, seed=[g.user_index("u0")])
-    s = st.user_scores()["u0"]
+    s = user_scores(st)["u0"]
     assert s == pytest.approx(d / 32.0, rel=0.01)
 
 
 def test_user_scores_match_explicit_summation(make_graph):
     g = make_graph(n_users=12, n_objects=9, n_events=80, seed=21)
     st = state_for(g)
-    scores = st.user_scores()
+    scores = user_scores(st)
     for u in g.user_ids:
         ui = g.user_index(u)
         total = 0.0
-        for pid in g.pairs_of_user(ui):
-            v = g.object_ids[g.pair_dst[pid]]
-            total += st.ctx.sigma[g.pair_dst[pid]] * g.pair_count[pid] * st.contrast_of(v)
+        for pid in range(g.src_pair_indptr[ui], g.src_pair_indptr[ui + 1]):
+            vi = g.pair_dst[pid]
+            contrast = st.P[np.searchsorted(st.domain, vi)]
+            total += st.ctx.sigma[vi] * g.pair_count[pid] * contrast
         assert scores[u] == pytest.approx(total, rel=1e-9)
 
 
@@ -203,11 +204,11 @@ def test_user_scores_match_explicit_summation(make_graph):
 def test_remove_user_requires_membership():
     g = ingest([("u1", "v1"), ("u2", "v1")])
     st = state_for(g, seed=["u1"])
-    with pytest.raises(DataError):
-        st.remove_user("u2")
-    st.remove_user("u1")
-    with pytest.raises(DataError):
-        st.remove_user("u1")
+    # the seed block holds rows for its own users only
+    assert st.seed_idx.tolist() == [g.user_index("u1")]
+    st._remove_local(0)
+    with pytest.raises(DataError, match="already removed"):
+        st._remove_local(0)
 
 
 def test_remove_user_touches_only_adjacent_sinks():
@@ -215,7 +216,7 @@ def test_remove_user_touches_only_adjacent_sinks():
                )
     st = state_for(g)
     before = st.P.copy()
-    st.remove_user("u2")  # adjacent to v2 only
+    st._remove_local(seed_row(st, "u2"))  # adjacent to v2 only
     v1 = int(np.searchsorted(st.domain, g.object_index("v1")))
     v2 = int(np.searchsorted(st.domain, g.object_index("v2")))
     assert st.P[v1] == before[v1]

@@ -3,16 +3,20 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fraudsift import (BipartiteGraph, DataError, DetectorConfig, RatingScale,
                        bench_graph, fast_greedy, gen_hyperbolic, greedy_shaving, ingest,
                        inject, InjectionConfig, matricize, resolve_signals,
                        svd_seeds, f_measure)
 from fraudsift.contrast import ContrastState, SignalConfig, SignalContext
+from oracles import GatherState, gather_shave
 
 
 def brute_force_best(graph, base=32.0):
@@ -99,6 +103,65 @@ def test_shaving_is_deterministic(make_graph):
     b = greedy_shaving(g, g.user_ids)
     assert a.users == b.users
     assert a.objective == b.objective
+
+
+@st.composite
+def shave_cases(draw):
+    """A small timestamped, rated graph and a seed. Twin users copy another
+    user's events, so their scores tie at every step."""
+    n_users = draw(st.integers(2, 12))
+    n_objects = draw(st.integers(1, 8))
+    n_events = draw(st.integers(1, 150))
+    span = draw(st.sampled_from([20, 1000, 100_000]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    records = [(f"u{u}", f"v{v}", int(t), float(r)) for u, v, t, r in zip(
+        rng.integers(0, n_users, n_events), rng.integers(0, n_objects, n_events),
+        rng.integers(0, span, n_events), rng.integers(1, 6, n_events))]
+    for twin in range(draw(st.integers(0, 3))):
+        copied = records[draw(st.integers(0, n_events - 1))][0]
+        records += [(f"t{twin}", v, t, r) for u, v, t, r in records if u == copied]
+    g = ingest(records, scale=RatingScale.from_range(1, 5, 1))
+    seed = draw(st.one_of(st.just(list(range(g.n_users))),
+                          st.lists(st.integers(0, g.n_users - 1), min_size=1, unique=True)))
+    return g, np.sort(np.asarray(seed, dtype=np.int64))
+
+
+@settings(max_examples=60, deadline=None)
+@given(shave_cases())
+def test_shaving_matches_column_gather_oracle_bit_for_bit(case):
+    g, seed = case
+    for signals in (("alpha",), ("alpha", "phi"), None):
+        for kappa_norm in ("evolving", "initial"):
+            config = DetectorConfig(signals=signals, kappa_norm=kappa_norm)
+            ctx = SignalContext(g, resolve_signals(g, config))
+            state = ContrastState(g, ctx, seed)
+            # the matvec sums each row in a per-sink gather's order only if
+            # the row's columns ascend
+            within_row = np.ones(state.row_cols.size - 1, dtype=bool)
+            within_row[state.row_indptr[1:-1] - 1] = False
+            assert (np.diff(state.row_cols)[within_row] > 0).all()
+
+            order = []
+            remove = ContrastState._remove_local
+
+            def recording(shaved, r):
+                order.append(r)
+                remove(shaved, r)
+
+            with mock.patch.object(ContrastState, "_remove_local", recording):
+                res = greedy_shaving(g, seed, config, ctx)
+            want_order, want_trace, want_scores = gather_shave(g, seed, ctx)
+            assert order == want_order
+            assert np.array(res.trace).tobytes() == np.array(want_trace).tobytes()
+            assert res.sink_scores.tobytes() == want_scores.tobytes()
+
+            # the scores agree bit for bit at every step, not only where they
+            # decide the argmin
+            ref = GatherState(g, ctx, seed)
+            for r in order[:-1]:
+                state._remove_local(r)
+                ref._remove_local(r)
+                assert state.S[ref.active].tobytes() == ref.S[ref.active].tobytes()
 
 
 # -- spectral seeding ------------------------------------------------------------

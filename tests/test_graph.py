@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fraudsift import (BipartiteGraph, DataError, EdgeRecord, RatingScale,
-                       ingest, parse_delimited, read_delimited, write_delimited)
+                       ingest, read_delimited, write_delimited)
 from fraudsift.contrast import ContrastState, SignalConfig, SignalContext
-from oracles import delimited_text, pair_counts
+from oracles import delimited_text, events, pair_counts, pair_events
 
 
 def engagement(graph, users, obj, column_weights=None) -> float:
@@ -80,7 +80,7 @@ def test_rating_scale_defaults_middle_neutral():
 
 def test_pair_timestamps_stored_sorted():
     g = ingest([("u1", "v1", 30), ("u1", "v1", 10), ("u1", "v1", 20)])
-    assert g.pair_timestamps(0).tolist() == [10, 20, 30]
+    assert g.event_time[pair_events(g, 0)].tolist() == [10, 20, 30]
 
 
 def test_engagement_single_edge():
@@ -163,7 +163,7 @@ def test_restrict_matches_linear_scan_oracle(make_graph):
     assert set(g.pair_src[state.row_pids].tolist()) <= {g.user_index(u) for u in picked}
 
 
-def test_parse_delimited_header_and_bad_lines():
+def test_parse_delimited_header_and_bad_lines(tmp_path):
     lines = [
         "user,object,timestamp,rating",
         "u1,v1,100,4.0",
@@ -171,10 +171,23 @@ def test_parse_delimited_header_and_bad_lines():
         "u3,v1,200,3.5",
         "only_one_field",
     ]
-    records, diags = parse_delimited(lines)
-    assert len(records) == 2
-    assert len(diags) == 2
-    assert "line 3" in diags[0]
+    path = tmp_path / "events.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    diags = []
+    g = read_delimited(path, diagnostics=diags)
+    assert g.n_events == 2
+    assert diags == ["line 3: non-numeric timestamp 'abc'", "line 5: wrong arity 1"]
+
+
+def test_read_delimited_diagnostics_name_the_file_line(tmp_path):
+    path = tmp_path / "events.csv"
+    path.write_text("user,object,timestamp\nu1,v1,10\nu2,v1,12.5\n\nu3,v1,x\n",
+                    encoding="utf-8")
+    diags = []
+    g = read_delimited(path, diagnostics=diags)
+    assert g.n_events == 1
+    assert diags == ["line 3: timestamp 12.5 is not integer seconds",
+                     "line 5: non-numeric timestamp 'x'"]
 
 
 def test_delimited_round_trip(tmp_path, make_graph):
@@ -184,8 +197,8 @@ def test_delimited_round_trip(tmp_path, make_graph):
     g2 = read_delimited(path)
     assert g2.n_events == g.n_events
     assert collections.Counter(pair_counts(g2)) == collections.Counter(pair_counts(g))
-    a = sorted((r.user, r.object, r.timestamp, r.rating) for r in g.events())
-    b = sorted((r.user, r.object, r.timestamp, r.rating) for r in g2.events())
+    a = sorted((r.user, r.object, r.timestamp, r.rating) for r in events(g))
+    b = sorted((r.user, r.object, r.timestamp, r.rating) for r in events(g2))
     assert a == b
 
 
@@ -243,13 +256,34 @@ def read_both_ways(tmp_path, rows):
                     encoding="utf-8")
     g_csv = read_delimited(path, diagnostics=csv_diags)
     assert pair_counts(g_rec) == pair_counts(g_csv)
-    return record_diags, csv_diags
+    assert g_rec.event_time.tobytes() == g_csv.event_time.tobytes()
+    # without a header, record n is line n
+    assert csv_diags == [d.replace("record", "line", 1) for d in record_diags]
+    return record_diags
 
 
 def test_fractional_timestamp_rejected_by_both_entry_points(tmp_path):
     rows = [("u1", "v1", 10), ("u2", "v1", 12.5), ("u3", "v1", 14)]
-    for diags in read_both_ways(tmp_path, rows):
-        assert diags == ["record 2: timestamp 12.5 is not integer seconds"]
+    diags = read_both_ways(tmp_path, rows)
+    assert diags == ["record 2: timestamp 12.5 is not integer seconds"]
+
+
+@pytest.mark.parametrize("entry", ["records", "csv"])
+def test_timestamp_beyond_float64_integers_rejected(tmp_path, entry):
+    # 2^53 + 1 has no float64 of its own: it used to be stored as 2^53
+    rows = [("u1", "v1", 2**53 - 1), ("u2", "v1", 2**53 + 1), ("u3", "v1", 2**53)]
+    diags = []
+    if entry == "records":
+        g = ingest(rows, diagnostics=diags)
+        unit = "record"
+    else:
+        path = tmp_path / "events.csv"
+        path.write_text("".join(f"{u},{v},{t}\n" for u, v, t in rows), encoding="utf-8")
+        g = read_delimited(path, diagnostics=diags)
+        unit = "line"
+    assert g.event_time.tolist() == [2**53 - 1]
+    assert diags == [f"{unit} 2: timestamp 9007199254740993 is not below 2^53 seconds",
+                     f"{unit} 3: timestamp 9007199254740992 is not below 2^53 seconds"]
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -259,7 +293,7 @@ def test_non_finite_rating_or_prior_rejected_by_both_entry_points(tmp_path, valu
     bad = ["u2", "v1", 11, 4.0, 1.0]
     bad[3 if column == "rating" else 4] = value
     rows = [good[0], tuple(bad), good[1]]
-    for diags in read_both_ways(tmp_path, rows):
-        assert len(diags) == 1 and diags[0].startswith("record 2:")
-        assert column in diags[0]
+    diags = read_both_ways(tmp_path, rows)
+    assert len(diags) == 1 and diags[0].startswith("record 2:")
+    assert column in diags[0]
 

@@ -6,6 +6,7 @@ import pytest
 from fraudsift import (DataError, GroundTruth, InjectionConfig, RatingScale,
                        gen_hyperbolic, inject, read_labels, write_labels)
 from fraudsift.contrast import SignalConfig, SignalContext
+from oracles import pair_events, pairs_of_sink
 
 
 def small_base(seed=0, **kwargs):
@@ -102,7 +103,7 @@ def test_injection_unit_density_means_every_fraudster_hits_every_target():
     for o in truth.fraud_objects:
         vi = g.object_index(o)
         raters = set()
-        for p in g.pairs_of_sink(vi):
+        for p in pairs_of_sink(g, vi):
             if int(g.pair_src[p]) in fidx:
                 raters.add(int(g.pair_src[p]))
         assert len(raters) == 30
@@ -128,8 +129,8 @@ def test_injection_ratings_come_from_configured_values():
 
     def sink_ratings(graph, vi):
         out = []
-        for p in graph.pairs_of_sink(vi):
-            out.extend(graph.pair_ratings(p).tolist())
+        for p in pairs_of_sink(graph, vi):
+            out.extend(graph.event_rating[pair_events(graph, p)].tolist())
         return Counter(out)
 
     for o in truth.fraud_objects:
