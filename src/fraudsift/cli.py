@@ -23,6 +23,7 @@ from .evalkit import density_sweep
 from .graph import DataError, RatingScale, read_delimited, write_delimited
 from .spectral import ConvergenceError
 from .synth import InjectionConfig, bench_graph, inject, write_labels
+from .temporal import build_profile, profile_payload
 
 logger = logging.getLogger(__name__)
 
@@ -149,22 +150,16 @@ def cmd_detect(input_path, output_dir, scale, neutral, dump_profiles, seed, base
     timings["ingest_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    context = None
-    if dump_profiles and graph.has_timestamps:
-        from .contrast import SignalContext
-        from .detector import resolve_signals
-        context = SignalContext(graph, resolve_signals(graph, config),
-                                keep_profiles=True)
-    result = fast_greedy(graph, config, context=context)
+    result = fast_greedy(graph, config)
     timings["detect_s"] = time.perf_counter() - t0
 
-    if context is not None:
-        from .temporal import profile_payload
+    if dump_profiles and graph.has_timestamps:
+        indptr = graph.sink_event_indptr
         payloads = []
         for oid, _ in result.top_objects(graph, dump_profiles):
             vi = graph.object_index(oid)
-            payloads.append(profile_payload(oid, context.hists[vi],
-                                            context.profiles[vi]))
+            times = graph.sink_event_time[indptr[vi]:indptr[vi + 1]]
+            payloads.append(profile_payload(oid, *build_profile(times)))
         _write_json(out / "profiles.json", {"profiles": payloads})
 
     with open(out / "users.csv", "w", encoding="utf-8") as fh:

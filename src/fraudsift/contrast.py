@@ -21,45 +21,9 @@ from .graph import BipartiteGraph, DataError, concat_ranges
 
 logger = logging.getLogger(__name__)
 
-
-def suspicion_scale(x: float, base: float) -> float:
-    """Exponential belief scale b^(x-1) mapping [0, 1] onto (1/b, 1]."""
-    if base <= 1:
-        raise DataError("scaling base must exceed 1")
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"signal value {x} outside [0, 1]")
-    return float(base ** (x - 1.0))
-
-
-def involvement_ratio(engaged: float, total: float) -> float:
-    """Fraction of a sink's weighted traffic coming from the tracked user set."""
-    if total <= 0:
-        raise DataError("isolated sink")
-    if engaged < 0 or engaged > total * (1 + 1e-12):
-        raise ValueError("engagement exceeds the sink total")
-    return min(engaged / total, 1.0)
-
-
-def rating_divergence(counts_set: np.ndarray, counts_rest: np.ndarray,
-                      f_set: float, f_rest: float, smoothing: float = 1e-3) -> float:
-    """Balance-weighted KL divergence between two non-neutral rating histograms.
-
-    Additive smoothing keeps the divergence finite on disjoint supports; the
-    balance factor min(f_set/f_rest, f_rest/f_set) suppresses sinks where one
-    side contributes almost nothing. Sinks without ratings score 0.
-    """
-    nA = np.asarray(counts_set, dtype=np.float64)
-    nR = np.asarray(counts_rest, dtype=np.float64)
-    if nA.size == 0 or (nA.sum() + nR.sum()) == 0:
-        return 0.0
-    if f_set <= 0 or f_rest <= 0:
-        return 0.0
-    c = nA.size
-    p = (nA + smoothing) / (nA.sum() + smoothing * c)
-    q = (nR + smoothing) / (nR.sum() + smoothing * c)
-    kl = float((p * np.log(p / q)).sum())
-    balance = min(f_set / f_rest, f_rest / f_set)
-    return kl * balance
+# Additive smoothing of the rating histograms behind kappa; it keeps the
+# divergence finite on disjoint supports.
+RATING_SMOOTHING = 1e-3
 
 
 def contrast_score(alpha, phi, kappa, base: float,
@@ -78,21 +42,16 @@ def contrast_score(alpha, phi, kappa, base: float,
 
 @dataclass(frozen=True)
 class SignalConfig:
-    """Which signals participate and how they are scaled and normalized."""
+    """Which signals participate and the base they are scaled with."""
 
     base: float = 32.0
     use_alpha: bool = True
     use_phi: bool = True
     use_kappa: bool = True
-    smoothing: float = 1e-3
-    kappa_norm: str = "evolving"  # or "initial": freeze the max at seed time
-    significance: float = 0.5
 
     def __post_init__(self):
         if self.base <= 1:
             raise DataError("scaling base must exceed 1")
-        if self.kappa_norm not in ("evolving", "initial"):
-            raise DataError("kappa_norm must be 'evolving' or 'initial'")
 
 
 class SignalContext:
@@ -101,8 +60,7 @@ class SignalContext:
     weights ``sigma``, and per-sink rating tables. The graph is only read, so
     contexts built on one graph with different configs do not interfere."""
 
-    def __init__(self, graph: BipartiteGraph, config: SignalConfig | None = None,
-                 keep_profiles: bool = False):
+    def __init__(self, graph: BipartiteGraph, config: SignalConfig | None = None):
         config = config or SignalConfig()
         self.graph = graph
         self.use_phi = config.use_phi and graph.has_timestamps
@@ -113,8 +71,6 @@ class SignalContext:
         self.sink_event_total = graph.sink_event_counts()
         self.pair_phi_weight = np.zeros(npairs, dtype=np.float64)
         self.sink_phi_total = np.zeros(nv, dtype=np.float64)
-        self.profiles: list | None = None
-        self.hists: list | None = None
 
         sigma = np.ones(nv, dtype=np.float64)
         if self.use_phi:
@@ -122,18 +78,12 @@ class SignalContext:
             indptr = graph.sink_event_indptr
             hists = temporal.histogram_segments(times, indptr)
             n_events = np.diff(indptr)
-            if keep_profiles:
-                self.profiles = [temporal.SpikeProfile((), None, 0.0)] * nv
-                self.hists = [hists[v] if n_events[v] >= 3 else None for v in range(nv)]
             drop_w = np.zeros(nv, dtype=np.float64)
             event_w = np.zeros(times.size, dtype=np.float64)
             # only the burst/drop recursion is per sink
             for v in np.flatnonzero((n_events >= 3) & (hists.n_bins() >= 3)).tolist():
                 lo, hi = indptr[v], indptr[v + 1]
-                profile, w = temporal.spike_profile(hists[v], times[lo:hi],
-                                                    significance=config.significance)
-                if keep_profiles:
-                    self.profiles[v] = profile
+                profile, w = temporal.spike_profile(hists[v], times[lo:hi])
                 if w is not None:
                     self.sink_phi_total[v] = profile.phi_denominator
                     event_w[lo:hi] = w
@@ -203,8 +153,6 @@ class ContrastState:
         self.use_alpha = cfg.use_alpha
         self.use_phi = context.use_phi
         self.use_kappa = context.use_kappa
-        self.kappa_norm = cfg.kappa_norm
-        self.smoothing = cfg.smoothing
 
         seed_idx = np.unique(np.asarray(seed_idx, dtype=np.int64))
         if seed_idx.size == 0:
@@ -308,7 +256,7 @@ class ContrastState:
         nA = np.atleast_2d(self.cat_set[sel])
         nR = np.atleast_2d(self.cat_total[sel]) - nA
         c = nA.shape[1]
-        eps = self.smoothing
+        eps = RATING_SMOOTHING
         sA = nA.sum(axis=1)
         sR = nR.sum(axis=1)
         p = (nA + eps) / (sA + eps * c)[:, None]
@@ -363,14 +311,11 @@ class ContrastState:
 
         self._refresh_signals(cols)
 
-        rescale = False
-        if self.use_kappa and self.kappa_norm == "evolving":
-            new_kmax = float(self.kw.max()) if self.kw.size else 0.0
-            if new_kmax != self.kmax:
-                self.kmax = new_kmax
-                rescale = True
-
-        if rescale:
+        # kappa is normalized by the current maximum: a new maximum rescales
+        # every sink
+        new_kmax = float(self.kw.max()) if self.use_kappa else self.kmax
+        if new_kmax != self.kmax:
+            self.kmax = new_kmax
             self._refresh_contrast(None)
             sp_weights = self.sigma_d * self.P
             self.S = self._sub @ sp_weights

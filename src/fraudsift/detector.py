@@ -17,6 +17,8 @@ from .spectral import ConvergenceError, truncated_svd
 logger = logging.getLogger(__name__)
 
 SIGNAL_NAMES = ("alpha", "phi", "kappa")
+# Seeds ARPACK's starting vector, so spectral seeds are reproducible.
+SVD_SEED = 42
 
 
 @dataclass(frozen=True)
@@ -24,7 +26,7 @@ class DetectorConfig:
     """Detection knobs; ``signals=None`` enables whatever the data supports.
 
     Seeding runs ARPACK at its default (machine-precision) tolerance from a
-    starting vector drawn from ``svd_seed``, so seeds are reproducible; with
+    starting vector drawn from ``SVD_SEED``, so seeds are reproducible; with
     ``strict_svd`` an ARPACK iteration cap is an error instead of a warning
     that falls back to the singular vectors that did converge.
     """
@@ -34,10 +36,6 @@ class DetectorConfig:
     signals: tuple[str, ...] | None = None
     time_bin: float = 86400.0
     cap_exponent: float | None = 1 / 1.6
-    smoothing: float = 1e-3
-    kappa_norm: str = "evolving"
-    significance: float = 0.5
-    svd_seed: int = 42
     strict_svd: bool = False
 
 
@@ -65,8 +63,7 @@ def resolve_signals(graph: BipartiteGraph, config: DetectorConfig) -> SignalConf
         if use_kappa and not graph.has_ratings:
             raise DataError("signal 'kappa' requires ratings")
     return SignalConfig(base=config.base, use_alpha=use_alpha, use_phi=use_phi,
-                        use_kappa=use_kappa, smoothing=config.smoothing,
-                        kappa_norm=config.kappa_norm, significance=config.significance)
+                        use_kappa=use_kappa)
 
 
 @dataclass
@@ -127,7 +124,7 @@ def greedy_shaving(graph: BipartiteGraph, seed_users,
 
 
 def svd_seeds(matrix, num_vectors: int, cap_exponent: float | None = 1 / 1.6,
-              tol: float = 0.0, max_iter: int | None = None, seed: int = 42,
+              tol: float = 0.0, max_iter: int | None = None, seed: int = SVD_SEED,
               strict: bool = False) -> tuple[list[np.ndarray], dict]:
     """Candidate user sets from the top left singular vectors of a users-by-X matrix.
 
@@ -233,8 +230,7 @@ def matricize(graph: BipartiteGraph, time_bin: float = 86400.0,
     return m, labels
 
 
-def fast_greedy(graph: BipartiteGraph, config: DetectorConfig | None = None,
-                context: SignalContext | None = None) -> DetectionResult:
+def fast_greedy(graph: BipartiteGraph, config: DetectorConfig | None = None) -> DetectionResult:
     """Run greedy shaving from every spectral seed and keep the best block.
 
     Seeds come from the flattened attribute matrix when the temporal signal is
@@ -242,8 +238,7 @@ def fast_greedy(graph: BipartiteGraph, config: DetectorConfig | None = None,
     """
     config = config or DetectorConfig()
     sig = resolve_signals(graph, config)
-    if context is None:
-        context = SignalContext(graph, sig)
+    context = SignalContext(graph, sig)
 
     if context.use_phi:
         design, _ = matricize(graph, time_bin=config.time_bin,
@@ -253,7 +248,7 @@ def fast_greedy(graph: BipartiteGraph, config: DetectorConfig | None = None,
 
     seeds, seed_meta = svd_seeds(
         design, config.num_seeds, cap_exponent=config.cap_exponent,
-        seed=config.svd_seed, strict=config.strict_svd)
+        strict=config.strict_svd)
     if not seeds:
         raise DataError("no usable seeds above the truncation threshold")
 

@@ -401,12 +401,17 @@ def write_delimited(graph: BipartiteGraph, path: str | Path) -> None:
     """Write events back out in the ingestible CSV layout (no header), pair-major.
 
     Columns are positional, so ratings cannot be written without timestamps:
-    the reader would take them for timestamps.
+    the reader would take them for timestamps. Priors cannot be written at
+    all: the graph keeps only their per-sink means. Each rating is written in
+    the shortest form that reads back to the same float.
     """
     us, vs, ts, ratings = graph.event_arrays()
     if ratings is not None and ts is None:
         raise DataError("cannot write ratings without timestamps: the CSV layout "
                         "is user,object[,timestamp[,rating]]")
+    if graph.sink_prior is not None:
+        raise DataError("cannot write priors: the graph keeps only per-sink means, "
+                        "not the per-event prior column")
     columns = [np.asarray(graph.user_ids, dtype=object)[us].tolist(),
                np.asarray(graph.object_ids, dtype=object)[vs].tolist()]
     if ts is not None:
@@ -414,7 +419,8 @@ def write_delimited(graph: BipartiteGraph, path: str | Path) -> None:
     if ratings is not None:
         # format each distinct rating once; the bit pattern keeps -0.0 apart from 0.0
         bits, rating_of_event = np.unique(ratings.view(np.int64), return_inverse=True)
-        labels = np.asarray([f"{v:g}" for v in bits.view(np.float64).tolist()], dtype=object)
+        labels = np.asarray([np.format_float_positional(v, unique=True, trim="-")
+                             for v in bits.view(np.float64).tolist()], dtype=object)
         columns.append(labels[rating_of_event].tolist())
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(",".join(row) + "\n" for row in zip(*columns))

@@ -134,8 +134,12 @@ def inject(graph: BipartiteGraph, cfg: InjectionConfig) -> tuple[BipartiteGraph,
     surge (one start per target plus compressed empirical inter-arrivals) and
     rated from the configured high-score set. Camouflage edges go from the
     fraudsters to popular non-target objects. Returns the augmented graph and
-    the ground-truth labels.
+    the ground-truth labels. A graph with priors is refused: it keeps only
+    per-sink prior means, so the injected graph could not carry them over.
     """
+    if graph.sink_prior is not None:
+        raise DataError("cannot inject into a graph with priors: it keeps only "
+                        "per-sink means, not per-event priors")
     rng = np.random.default_rng(cfg.rng_seed)
     indeg = graph.sink_event_counts()
     eligible = np.flatnonzero(indeg <= cfg.max_target_indegree)

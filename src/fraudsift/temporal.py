@@ -1,9 +1,8 @@
-"""Per-sink timestamp histograms and spike geometry: bursts, drops, involvement."""
+"""Per-sink timestamp histograms and spike geometry: bursts, drops, burst weights."""
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -13,6 +12,8 @@ from .graph import DataError
 
 # Histogram recursion and memory guard; only extreme heavy-tail spacings hit it.
 MAX_BINS = 65536
+# A burst pair is kept when its altitude reaches this share of the largest one.
+BURST_SIGNIFICANCE = 0.5
 
 
 @dataclass(frozen=True)
@@ -211,18 +212,6 @@ def _dying_index(centers, counts, m: int, j: int) -> int | None:
     return best
 
 
-def awakening_point(hist: TimeSeriesHist, i: int, j: int) -> tuple[float, float] | None:
-    """Awakening point for the maximum inside [i, j], or None for degenerate windows."""
-    if j - i < 2:
-        raise DataError("window too short")
-    counts = np.asarray(hist.counts, dtype=np.float64)
-    m = i + int(np.argmax(counts[i:j + 1]))
-    a = _awakening_index(hist.centers, counts, i, m)
-    if a is None:
-        return None
-    return (float(hist.centers[a]), float(counts[a]))
-
-
 def _first_local_min(counts, m: int, j: int) -> int | None:
     """First k > m with counts[k] <= counts[k+1]; plateaus count at their left edge."""
     if m + 1 > j:
@@ -233,7 +222,8 @@ def _first_local_min(counts, m: int, j: int) -> int | None:
     return j
 
 
-def multiburst(hist: TimeSeriesHist, significance: float = 0.5) -> tuple[BurstPair, ...]:
+def multiburst(hist: TimeSeriesHist,
+               significance: float = BURST_SIGNIFICANCE) -> tuple[BurstPair, ...]:
     """Extract all awakening/burst pairs, keeping those whose altitude reaches
     ``significance`` times the largest altitude found."""
     centers = np.asarray(hist.centers, dtype=np.float64)
@@ -289,11 +279,11 @@ def max_drop(hist: TimeSeriesHist) -> DropInfo | None:
     return best
 
 
-def spike_profile(hist: TimeSeriesHist, sorted_times: np.ndarray,
-                  significance: float = 0.5) -> tuple[SpikeProfile, np.ndarray | None]:
+def spike_profile(hist: TimeSeriesHist,
+                  sorted_times: np.ndarray) -> tuple[SpikeProfile, np.ndarray | None]:
     """Spike profile of a histogram with >= 3 bins, and the burst weight of
     each of its time-sorted events (None without a significant burst)."""
-    pairs = multiburst(hist, significance=significance)
+    pairs = multiburst(hist)
     drop = max_drop(hist)
     if not pairs:
         return SpikeProfile((), drop, 0.0), None
@@ -301,8 +291,7 @@ def spike_profile(hist: TimeSeriesHist, sorted_times: np.ndarray,
     return SpikeProfile(pairs, drop, float(w.sum())), w
 
 
-def build_profile(timestamps: Sequence[int] | np.ndarray,
-                  significance: float = 0.5) -> tuple[TimeSeriesHist | None, SpikeProfile]:
+def build_profile(timestamps: np.ndarray) -> tuple[TimeSeriesHist | None, SpikeProfile]:
     """Histogram + spike profile for one sink; sinks with < 3 events get an empty profile."""
     ts = np.sort(np.asarray(timestamps, dtype=np.float64))
     if ts.size < 3:
@@ -310,43 +299,19 @@ def build_profile(timestamps: Sequence[int] | np.ndarray,
     hist = build_histogram(ts)
     if len(hist) < 3:
         return hist, SpikeProfile((), None, 0.0)
-    return hist, spike_profile(hist, ts, significance)[0]
-
-
-def burst_mass(profile: SpikeProfile, timestamps) -> float:
-    """Altitude- and slope-weighted count of timestamps falling inside burst windows."""
-    ts = np.sort(np.asarray(timestamps, dtype=np.float64))
-    total = 0.0
-    for p in profile.pairs:
-        lo = np.searchsorted(ts, p.awakening[0], side="left")
-        hi = np.searchsorted(ts, p.burst[0], side="right")
-        total += p.altitude * p.slope * float(hi - lo)
-    return total
+    return hist, spike_profile(hist, ts)[0]
 
 
 def burst_event_weights(pairs: Sequence[BurstPair], sorted_times: np.ndarray) -> np.ndarray:
-    """Per-event burst weight over a time-sorted array; summing gives burst_mass."""
+    """Per-event burst weight over a time-sorted array: each event inside a
+    pair's awakening-to-burst window adds the pair's altitude times slope.
+    Summed, it is the sink's phi denominator."""
     w = np.zeros(sorted_times.size, dtype=np.float64)
     for p in pairs:
         lo = np.searchsorted(sorted_times, p.awakening[0], side="left")
         hi = np.searchsorted(sorted_times, p.burst[0], side="right")
         w[lo:hi] += p.altitude * p.slope
     return w
-
-
-def phi_involvement(profile: SpikeProfile, times_subset, times_all) -> float:
-    """Share of slope-weighted in-burst activity contributed by a subset of events.
-
-    Returns 0 when the sink has no significant burst mass at all.
-    """
-    sub = Counter(np.asarray(times_subset, dtype=np.int64).tolist())
-    full = Counter(np.asarray(times_all, dtype=np.int64).tolist())
-    if sub - full:
-        raise DataError("inconsistent timestamp sets: subset is not contained in the full set")
-    denom = burst_mass(profile, times_all)
-    if denom <= 0.0:
-        return 0.0
-    return burst_mass(profile, times_subset) / denom
 
 
 def drop_edge_weight(drop: DropInfo | None) -> float:

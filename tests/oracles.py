@@ -2,13 +2,96 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import scipy.sparse as sp
 
-from fraudsift import EdgeRecord, temporal
+from fraudsift import DataError, EdgeRecord, temporal
 from fraudsift.contrast import ContrastState
 from fraudsift.graph import concat_ranges
-from fraudsift.temporal import MAX_BINS, TimeSeriesHist
+from fraudsift.temporal import MAX_BINS, SpikeProfile, TimeSeriesHist
+
+
+# -- scalar signal quantities ------------------------------------------------
+
+
+def suspicion_scale(x: float, base: float) -> float:
+    """Exponential belief scale b^(x-1) mapping [0, 1] onto (1/b, 1]."""
+    if base <= 1:
+        raise DataError("scaling base must exceed 1")
+    if not 0.0 <= x <= 1.0:
+        raise ValueError(f"signal value {x} outside [0, 1]")
+    return float(base ** (x - 1.0))
+
+
+def involvement_ratio(engaged: float, total: float) -> float:
+    """Fraction of a sink's weighted traffic coming from the tracked user set."""
+    if total <= 0:
+        raise DataError("isolated sink")
+    if engaged < 0 or engaged > total * (1 + 1e-12):
+        raise ValueError("engagement exceeds the sink total")
+    return min(engaged / total, 1.0)
+
+
+def rating_divergence(counts_set, counts_rest, f_set: float, f_rest: float,
+                      smoothing: float = 1e-3) -> float:
+    """Balance-weighted KL divergence between two non-neutral rating histograms,
+    one sink at a time: ContrastState's kappa before normalization.
+
+    The balance factor min(f_set/f_rest, f_rest/f_set) suppresses sinks where
+    one side contributes almost nothing. Sinks without ratings score 0.
+    """
+    nA = np.asarray(counts_set, dtype=np.float64)
+    nR = np.asarray(counts_rest, dtype=np.float64)
+    if nA.size == 0 or (nA.sum() + nR.sum()) == 0:
+        return 0.0
+    if f_set <= 0 or f_rest <= 0:
+        return 0.0
+    c = nA.size
+    p = (nA + smoothing) / (nA.sum() + smoothing * c)
+    q = (nR + smoothing) / (nR.sum() + smoothing * c)
+    kl = float((p * np.log(p / q)).sum())
+    balance = min(f_set / f_rest, f_rest / f_set)
+    return kl * balance
+
+
+def awakening_point(hist: TimeSeriesHist, i: int, j: int) -> tuple[float, float] | None:
+    """Awakening point for the maximum inside [i, j], or None for degenerate windows."""
+    if j - i < 2:
+        raise DataError("window too short")
+    counts = np.asarray(hist.counts, dtype=np.float64)
+    m = i + int(np.argmax(counts[i:j + 1]))
+    a = temporal._awakening_index(hist.centers, counts, i, m)
+    if a is None:
+        return None
+    return (float(hist.centers[a]), float(counts[a]))
+
+
+def burst_mass(profile: SpikeProfile, timestamps) -> float:
+    """Altitude- and slope-weighted count of timestamps falling inside burst windows."""
+    ts = np.sort(np.asarray(timestamps, dtype=np.float64))
+    total = 0.0
+    for p in profile.pairs:
+        lo = np.searchsorted(ts, p.awakening[0], side="left")
+        hi = np.searchsorted(ts, p.burst[0], side="right")
+        total += p.altitude * p.slope * float(hi - lo)
+    return total
+
+
+def phi_involvement(profile: SpikeProfile, times_subset, times_all) -> float:
+    """Share of slope-weighted in-burst activity contributed by a subset of events.
+
+    Returns 0 when the sink has no significant burst mass at all.
+    """
+    sub = Counter(np.asarray(times_subset, dtype=np.int64).tolist())
+    full = Counter(np.asarray(times_all, dtype=np.int64).tolist())
+    if sub - full:
+        raise DataError("inconsistent timestamp sets: subset is not contained in the full set")
+    denom = burst_mass(profile, times_all)
+    if denom <= 0.0:
+        return 0.0
+    return burst_mass(profile, times_subset) / denom
 
 
 def triplet_matrix(rows, cols, values, shape) -> sp.csr_matrix:
@@ -100,7 +183,7 @@ def delimited_text(graph) -> str:
         if rec.timestamp is not None:
             fields.append(str(rec.timestamp))
         if rec.rating is not None:
-            fields.append(f"{rec.rating:g}")
+            fields.append(np.format_float_positional(rec.rating, unique=True, trim="-"))
         lines.append(",".join(fields) + "\n")
     return "".join(lines)
 
@@ -212,7 +295,7 @@ class GatherState(ContrastState):
                 np.subtract.at(self.cat_set.reshape(-1), flat, self.ctx.pair_cat_count[idx])
         self._refresh_signals(cols)
 
-        if self.use_kappa and self.kappa_norm == "evolving":
+        if self.use_kappa:
             new_kmax = float(self.kw.max())
             if new_kmax != self.kmax:
                 self.kmax = new_kmax

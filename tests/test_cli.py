@@ -173,3 +173,27 @@ def test_detect_profile_dump(tmp_path):
     payload = json.loads((out / "profiles.json").read_text())
     assert len(payload["profiles"]) == 5
     assert {"sink", "pairs", "drop"} <= set(payload["profiles"][0])
+
+
+def test_detect_profile_dump_with_alpha_only(tmp_path):
+    # profiles come from the timestamps, whichever signals the detection used
+    base = tmp_path / "base.csv"
+    write_timestamped_base(base)
+    out = tmp_path / "out"
+    rc = main(["detect", "--input", str(base), "--output-dir", str(out),
+               "--signals", "alpha", "--dump-profiles", "3", "--num-seeds", "3"])
+    assert rc == 0
+    payload = json.loads((out / "profiles.json").read_text())
+    ranked = (out / "objects.csv").read_text().splitlines()[1:4]
+    assert [p["sink"] for p in payload["profiles"]] == [r.split(",")[0] for r in ranked]
+
+
+def test_inject_refuses_priors_as_data_error(tmp_path, capsys):
+    data = tmp_path / "priors.csv"
+    # rated 4 and 4.5, so the default fraud ratings are on the inferred scale
+    data.write_text("".join(f"u{i},v{i % 5},{1000 + i},{4 + i % 2 / 2},2.0\n"
+                            for i in range(40)), encoding="utf-8")
+    rc = main(["inject", "--input", str(data), "--output-dir", str(tmp_path / "out"),
+               "--n-fraudsters", "4", "--n-objects", "2", "--ratings-per-object", "2"])
+    assert rc == 3
+    assert "priors" in capsys.readouterr().err

@@ -5,16 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from fraudsift import (BipartiteGraph, DataError, RatingScale, contrast_score,
-                       ingest, involvement_ratio, rating_divergence,
-                       suspicion_scale)
+from fraudsift import DataError, RatingScale, build_profile, contrast_score, ingest
 from fraudsift.contrast import ContrastState, SignalConfig, SignalContext
 from fraudsift.temporal import sigma_from_drop_weights
-from oracles import seed_row, signal_arrays, user_scores
+from oracles import (involvement_ratio, phi_involvement, rating_divergence, seed_row,
+                     signal_arrays, suspicion_scale, user_scores)
 
 
-def state_for(graph, seed=None, **cfg_kwargs):
-    ctx = SignalContext(graph, SignalConfig(**cfg_kwargs))
+def state_for(graph, seed=None):
+    ctx = SignalContext(graph, SignalConfig())
     seed = seed if seed is not None else np.arange(graph.n_users)
     return ContrastState.build(graph, seed, ctx)
 
@@ -116,6 +115,27 @@ def test_kappa_max_normalization_marks_the_extreme_sink():
     assert st.kappa[hot] == pytest.approx(1.0)
     assert st.kappa[mild] < 1.0
     assert st.kw[hot] == pytest.approx(st.kmax)
+
+
+def test_state_signals_match_scalar_oracles(make_graph):
+    g = make_graph(n_users=40, n_objects=12, n_events=900, seed=12)
+    seed = np.arange(0, 40, 2)
+    st = state_for(g, seed=seed)
+    assert st.kmax > 0 and np.count_nonzero(st.phi) > 3
+    in_seed = np.isin(g.pair_src[g.sink_event_pair], seed)
+    indptr = g.sink_event_indptr
+    for k, v in enumerate(st.domain):
+        total, engaged = st.cnt_total[k], st.cnt_set[k]
+        assert st.alpha[k] == involvement_ratio(engaged, total)
+        times = g.sink_event_time[indptr[v]:indptr[v + 1]]
+        _, profile = build_profile(times)
+        subset = times[in_seed[indptr[v]:indptr[v + 1]]]
+        assert st.phi[k] == pytest.approx(phi_involvement(profile, subset, times),
+                                          rel=1e-12, abs=1e-15)
+        rest = st.cat_total[k] - st.cat_set[k]
+        assert st.kw[k] == pytest.approx(
+            rating_divergence(st.cat_set[k], rest, engaged, total - engaged),
+            rel=1e-12, abs=1e-15)
 
 
 # -- objective ----------------------------------------------------------------
@@ -273,13 +293,3 @@ def test_incremental_updates_match_rebuild(make_graph):
             ref = ContrastState(g, ctx, seed, active=keep)
             _assert_state_matches_rebuild(st, ref)
 
-
-def test_initial_kappa_norm_mode_skips_rescaling(make_graph):
-    g = make_graph(n_users=30, n_objects=20, n_events=250, seed=77)
-    ctx = SignalContext(g, SignalConfig(kappa_norm="initial"))
-    st = ContrastState.build(g, np.arange(30), ctx)
-    k0 = st.kmax
-    for u in range(10):
-        st._remove_local(u)
-    assert st.kmax == k0
-    assert st.n_rescales == 0

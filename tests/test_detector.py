@@ -131,37 +131,36 @@ def shave_cases(draw):
 def test_shaving_matches_column_gather_oracle_bit_for_bit(case):
     g, seed = case
     for signals in (("alpha",), ("alpha", "phi"), None):
-        for kappa_norm in ("evolving", "initial"):
-            config = DetectorConfig(signals=signals, kappa_norm=kappa_norm)
-            ctx = SignalContext(g, resolve_signals(g, config))
-            state = ContrastState(g, ctx, seed)
-            # the matvec sums each row in a per-sink gather's order only if
-            # the row's columns ascend
-            within_row = np.ones(state.row_cols.size - 1, dtype=bool)
-            within_row[state.row_indptr[1:-1] - 1] = False
-            assert (np.diff(state.row_cols)[within_row] > 0).all()
+        config = DetectorConfig(signals=signals)
+        ctx = SignalContext(g, resolve_signals(g, config))
+        state = ContrastState(g, ctx, seed)
+        # the matvec sums each row in a per-sink gather's order only if
+        # the row's columns ascend
+        within_row = np.ones(state.row_cols.size - 1, dtype=bool)
+        within_row[state.row_indptr[1:-1] - 1] = False
+        assert (np.diff(state.row_cols)[within_row] > 0).all()
 
-            order = []
-            remove = ContrastState._remove_local
+        order = []
+        remove = ContrastState._remove_local
 
-            def recording(shaved, r):
-                order.append(r)
-                remove(shaved, r)
+        def recording(shaved, r):
+            order.append(r)
+            remove(shaved, r)
 
-            with mock.patch.object(ContrastState, "_remove_local", recording):
-                res = greedy_shaving(g, seed, config, ctx)
-            want_order, want_trace, want_scores = gather_shave(g, seed, ctx)
-            assert order == want_order
-            assert np.array(res.trace).tobytes() == np.array(want_trace).tobytes()
-            assert res.sink_scores.tobytes() == want_scores.tobytes()
+        with mock.patch.object(ContrastState, "_remove_local", recording):
+            res = greedy_shaving(g, seed, config, ctx)
+        want_order, want_trace, want_scores = gather_shave(g, seed, ctx)
+        assert order == want_order
+        assert np.array(res.trace).tobytes() == np.array(want_trace).tobytes()
+        assert res.sink_scores.tobytes() == want_scores.tobytes()
 
-            # the scores agree bit for bit at every step, not only where they
-            # decide the argmin
-            ref = GatherState(g, ctx, seed)
-            for r in order[:-1]:
-                state._remove_local(r)
-                ref._remove_local(r)
-                assert state.S[ref.active].tobytes() == ref.S[ref.active].tobytes()
+        # the scores agree bit for bit at every step, not only where they
+        # decide the argmin
+        ref = GatherState(g, ctx, seed)
+        for r in order[:-1]:
+            state._remove_local(r)
+            ref._remove_local(r)
+            assert state.S[ref.active].tobytes() == ref.S[ref.active].tobytes()
 
 
 # -- spectral seeding ------------------------------------------------------------
@@ -325,7 +324,7 @@ def test_fast_greedy_neutral_override_changes_rating_tables(make_graph):
     assert contexts[0].category_values.tolist() == [1.0, 2.0, 4.0, 5.0]
     assert contexts[1].category_values.tolist() == [1.0, 4.0, 5.0]
     assert contexts[1].sink_cat_counts.sum() < contexts[0].sink_cat_counts.sum()
-    fast_greedy(override, DetectorConfig(num_seeds=2), context=contexts[1])
+    fast_greedy(override, DetectorConfig(num_seeds=2))
     assert override.scale.neutral == frozenset({2.0, 3.0})
 
 
@@ -349,9 +348,9 @@ def test_seeds_do_not_depend_on_other_contexts_built_on_the_graph():
     fresh, _ = bench_graph(2000, seed=1)
     expected = fast_greedy(fresh, alpha).meta["seed_sizes"]
     g, _ = bench_graph(2000, seed=1)
-    alpha_ctx = SignalContext(g, resolve_signals(g, alpha))
+    SignalContext(g, resolve_signals(g, alpha))
     SignalContext(g, resolve_signals(g, DetectorConfig()))  # phi: non-unit sigma
-    assert fast_greedy(g, alpha, context=alpha_ctx).meta["seed_sizes"] == expected
+    assert fast_greedy(g, alpha).meta["seed_sizes"] == expected
 
 
 def test_greedy_shaving_isolated_seed_user_is_degenerate():

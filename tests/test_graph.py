@@ -219,6 +219,29 @@ def test_write_delimited_matches_record_writer(tmp_path, make_graph, timestamps,
     assert path.read_bytes() == delimited_text(g).encode("utf-8")
 
 
+def test_rating_survives_write_and_read(tmp_path):
+    # six significant digits would write 1.23457: off the scale, or silently changed
+    g = ingest([("u0", "o0", 1, 1.2345678), ("u1", "o0", 2, 4.0), ("u1", "o1", 3, 4.5)])
+    path = tmp_path / "events.csv"
+    write_delimited(g, path)
+    assert path.read_text().splitlines() == ["u0,o0,1,1.2345678", "u1,o0,2,4",
+                                             "u1,o1,3,4.5"]
+    for scale in (None, g.scale):
+        back = read_delimited(path, scale=scale)
+        assert back.event_rating.tobytes() == g.event_rating.tobytes()
+        assert back.scale.values == g.scale.values
+
+
+def test_write_delimited_refuses_priors(tmp_path):
+    # the graph keeps only per-sink prior means, so the column cannot be written back
+    g = ingest([EdgeRecord("u1", "v1", prior=2.0), EdgeRecord("u2", "v2", prior=0.5)])
+    assert g.sink_prior.tolist() == [2.0, 0.5]
+    path = tmp_path / "events.csv"
+    with pytest.raises(DataError, match="priors"):
+        write_delimited(g, path)
+    assert not path.exists()
+
+
 def test_prior_column_hook():
     g = ingest([EdgeRecord("u1", "v1", prior=2.0), EdgeRecord("u2", "v1", prior=4.0),
                 EdgeRecord("u1", "v2", prior=1.0)])

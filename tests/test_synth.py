@@ -3,9 +3,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from fraudsift import (DataError, GroundTruth, InjectionConfig, RatingScale,
-                       gen_hyperbolic, inject, read_labels, write_labels)
-from fraudsift.contrast import SignalConfig, SignalContext
+from fraudsift import (DataError, EdgeRecord, GroundTruth, InjectionConfig, RatingScale,
+                       build_profile, gen_hyperbolic, ingest, inject, read_labels,
+                       write_labels)
 from oracles import pair_events, pairs_of_sink
 
 
@@ -155,6 +155,15 @@ def test_injection_shortfall_error_lists_counts():
         inject(base, cfg)
 
 
+def test_injection_refuses_a_graph_with_priors():
+    # the graph keeps only per-sink prior means, which the injected graph would lose
+    base = ingest([EdgeRecord(f"u{i}", f"v{i % 3}", prior=2.0) for i in range(6)])
+    assert base.sink_prior is not None
+    cfg = InjectionConfig(n_fraudsters=2, n_objects=1, ratings_per_object=2, rng_seed=0)
+    with pytest.raises(DataError, match="priors"):
+        inject(base, cfg)
+
+
 def test_injection_density_above_one_rejected():
     with pytest.raises(DataError, match="density above 1.0"):
         InjectionConfig(n_fraudsters=10, n_objects=5, ratings_per_object=20)
@@ -185,12 +194,12 @@ def test_injected_targets_surge_above_background_slopes():
     cfg = InjectionConfig(n_fraudsters=300, n_objects=40, ratings_per_object=60,
                           camouflage_ratio=0.0, rng_seed=2)
     g, truth = inject(base, cfg)
-    ctx = SignalContext(g, SignalConfig(), keep_profiles=True)
     tidx = {g.object_index(o) for o in truth.fraud_objects}
+    indptr = g.sink_event_indptr
     bg_slopes = []
     target_slopes = {}
     for v in range(g.n_objects):
-        prof = ctx.profiles[v]
+        _, prof = build_profile(g.sink_event_time[indptr[v]:indptr[v + 1]])
         top = max((p.slope for p in prof.pairs), default=0.0)
         if v in tidx:
             target_slopes[v] = top

@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 import oracles
 from fraudsift import DataError
 from fraudsift.temporal import (MAX_BINS, BurstPair, DropInfo, SpikeProfile,
-                                TimeSeriesHist, awakening_point, build_histogram,
-                                build_profile, burst_mass, drop_edge_weight,
-                                extreme_slopes, histogram_segments, max_drop,
-                                multiburst, phi_involvement,
-                                simulate_triangle_attack, time_obstruction_bound)
+                                TimeSeriesHist, build_histogram, build_profile,
+                                drop_edge_weight, extreme_slopes, histogram_segments,
+                                max_drop, multiburst, simulate_triangle_attack,
+                                time_obstruction_bound)
+from oracles import awakening_point, burst_mass, phi_involvement
 
 
 def hist_from_counts(counts) -> TimeSeriesHist:
