@@ -148,12 +148,14 @@ def cmd_detect(input_path, output_dir, scale, neutral, dump_profiles, seed, base
     t0 = time.perf_counter()
     graph = _load_graph(input_path, scale, neutral)
     timings["ingest_s"] = time.perf_counter() - t0
+    if dump_profiles and not graph.has_timestamps:
+        raise DataError("--dump-profiles requires timestamps; the input has none")
 
     t0 = time.perf_counter()
     result = fast_greedy(graph, config)
     timings["detect_s"] = time.perf_counter() - t0
 
-    if dump_profiles and graph.has_timestamps:
+    if dump_profiles:
         indptr = graph.sink_event_indptr
         payloads = []
         for oid, _ in result.top_objects(graph, dump_profiles):

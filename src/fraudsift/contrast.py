@@ -58,7 +58,13 @@ class SignalContext:
     """Graph-wide precompute shared by every shaving run: spike profiles, the
     per-pair burst weights behind the temporal signal, the drop-based column
     weights ``sigma``, and per-sink rating tables. The graph is only read, so
-    contexts built on one graph with different configs do not interfere."""
+    contexts built on one graph with different configs do not interfere.
+
+    The spike profiles take two paths (``temporal.spike_weights``): sinks
+    with at most ``temporal.FRONTIER_MAX_BINS`` bins run the burst/drop
+    recursion together, one level per pass over all their windows; sinks
+    with more bins run ``temporal.spike_profile`` one sink at a time. Both
+    give the bytes of the per-sink definition."""
 
     def __init__(self, graph: BipartiteGraph, config: SignalConfig | None = None):
         config = config or SignalConfig()
@@ -77,17 +83,8 @@ class SignalContext:
             times = graph.sink_event_time.astype(np.float64)
             indptr = graph.sink_event_indptr
             hists = temporal.histogram_segments(times, indptr)
-            n_events = np.diff(indptr)
-            drop_w = np.zeros(nv, dtype=np.float64)
-            event_w = np.zeros(times.size, dtype=np.float64)
-            # only the burst/drop recursion is per sink
-            for v in np.flatnonzero((n_events >= 3) & (hists.n_bins() >= 3)).tolist():
-                lo, hi = indptr[v], indptr[v + 1]
-                profile, w = temporal.spike_profile(hists[v], times[lo:hi])
-                if w is not None:
-                    self.sink_phi_total[v] = profile.phi_denominator
-                    event_w[lo:hi] = w
-                drop_w[v] = temporal.drop_edge_weight(profile.max_drop)
+            event_w, self.sink_phi_total, drop_w = temporal.spike_weights(
+                hists, times, indptr)
             # each pair's events sit in one sink, in time order: the sums match
             # a per-sink accumulation exactly
             self.pair_phi_weight = np.bincount(graph.sink_event_pair, weights=event_w,

@@ -8,10 +8,20 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import DataError
+from .graph import DataError, concat_ranges
 
-# Histogram recursion and memory guard; only extreme heavy-tail spacings hit it.
+# Cap on a histogram's bin count, a memory guard for heavy-tailed spacings.
+# It is no rare case: on bench_graph(1_000_000, seed=1) it fires on 196
+# sinks, which hold 12.8M of the 13.3M bins. Changing this cap, or the bin
+# rule, changes every output that reads the histograms.
 MAX_BINS = 65536
+# Segments with more bins than this keep spike_profile's per-segment
+# recursion; the rest advance through it together, one level per pass.
+# Bin counts are bimodal: a sink of the benchmark graphs has at most 230
+# bins or more than 2048, so any value from 256 to 1024 makes the same split.
+FRONTIER_MAX_BINS = 512
+# Most bins one frontier pass takes; the pass's temporaries grow with them.
+FRONTIER_CHUNK_BINS = 1 << 15
 # A burst pair is kept when its altitude reaches this share of the largest one.
 BURST_SIGNIFICANCE = 0.5
 
@@ -319,6 +329,195 @@ def drop_edge_weight(drop: DropInfo | None) -> float:
     if drop is None:
         return 0.0
     return math.log2(1.0 + drop.fall * drop.slope)
+
+
+def spike_weights(hists: SegmentHistograms, times: np.ndarray,
+                  indptr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """spike_profile of every segment with >= 3 events and >= 3 bins, reduced
+    to what the contrast signals read: the burst weight of each event, and
+    each segment's phi denominator and drop edge weight (zeros elsewhere).
+
+    Segments with at most FRONTIER_MAX_BINS bins run multiburst and max_drop
+    together, one recursion level per pass over a frontier of windows; the
+    rest call spike_profile one at a time. Both give the same bytes.
+    """
+    n_events = np.diff(indptr)
+    n_bins = hists.n_bins()
+    profiled = (n_events >= 3) & (n_bins >= 3)
+    event_w = np.zeros(times.size, dtype=np.float64)
+    phi_total = np.zeros(n_events.size, dtype=np.float64)
+    drop_w = np.zeros(n_events.size, dtype=np.float64)
+    small = np.flatnonzero(profiled & (n_bins <= FRONTIER_MAX_BINS))
+    cuts = np.flatnonzero(np.diff(np.cumsum(n_bins[small]) // FRONTIER_CHUNK_BINS)) + 1
+    for part in np.split(small, cuts):
+        _frontier_weights(hists, times, indptr, part, event_w, phi_total, drop_w)
+    for v in np.flatnonzero(profiled & (n_bins > FRONTIER_MAX_BINS)).tolist():
+        lo, hi = indptr[v], indptr[v + 1]
+        profile, w = spike_profile(hists[v], times[lo:hi])
+        if w is not None:
+            phi_total[v] = profile.phi_denominator
+            event_w[lo:hi] = w
+        drop_w[v] = drop_edge_weight(profile.max_drop)
+    return event_w, phi_total, drop_w
+
+
+def _frontier_weights(hists, times, indptr, segs, event_w, phi_total, drop_w) -> None:
+    """spike_weights of the segments ``segs``, written into its outputs."""
+    first, last = hists.bin_indptr[segs], hists.bin_indptr[segs + 1]
+    n_bins = last - first
+    # the segments' bins packed end to end, with __getitem__'s centers
+    start = np.cumsum(n_bins) - n_bins
+    counts = hists.counts[concat_ranges(first, last)].astype(np.float64)
+    local = np.arange(counts.size) - np.repeat(start, n_bins)
+    width = np.repeat(hists.widths[segs], n_bins)
+    centers = local * width + np.repeat(hists.lo[segs], n_bins) + width / 2.0
+    windows = (np.arange(segs.size), start, start + n_bins - 1)
+
+    seg, a, m = _burst_pairs(centers, counts, *windows)
+    if seg.size:
+        altitude = counts[m] - counts[a]
+        top = np.zeros(segs.size)
+        np.maximum.at(top, seg, altitude)
+        kept = altitude >= BURST_SIGNIFICANCE * top[seg]
+        seg, a, m, altitude = seg[kept], a[kept], m[kept], altitude[kept]
+        weight = altitude * (altitude / (centers[m] - centers[a]))
+        ev_lo, ev_hi = indptr[segs[seg]], indptr[segs[seg] + 1]
+        lo = _bisect(times, ev_lo, ev_hi, centers[a], right=False)
+        hi = _bisect(times, ev_lo, ev_hi, centers[m], right=True)
+        # the bursts of one segment cover disjoint spans of time
+        event_w[concat_ranges(lo, hi)] = np.repeat(weight, hi - lo)
+        bursty = segs[np.unique(seg)]
+        phi_total[bursty] = _segment_sums(event_w, indptr[bursty], indptr[bursty + 1])
+
+    seg, m, d = _max_drops(centers, counts, *windows)
+    fall = counts[m] - counts[d]
+    edge = 1.0 + fall * (fall / (centers[d] - centers[m]))
+    drop_w[segs[seg]] = list(map(math.log2, edge.tolist()))
+
+
+def _gather(starts: np.ndarray, stops: np.ndarray):
+    """The non-empty ranges [starts, stops) packed end to end: their indices,
+    and each range's offset and length in the packing."""
+    lens = stops - starts
+    return concat_ranges(starts, stops), np.cumsum(lens) - lens, lens
+
+
+def _first_max(values, idx, offsets, lens):
+    """Max of each packed range of values, and the idx of its first occurrence."""
+    top = np.maximum.reduceat(values, offsets)
+    hits = np.flatnonzero(values == np.repeat(top, lens))
+    return top, idx[hits[np.searchsorted(hits, offsets)]]
+
+
+def _live_windows(counts, seg, i, j):
+    """The windows (i, j) the recursion does not skip, i.e. with 3 or more
+    bins that are not all equal, and the first argmax m of each."""
+    keep = j - i >= 2
+    seg, i, j = seg[keep], i[keep], j[keep]
+    if not seg.size:
+        return seg, i, j, i
+    idx, offsets, lens = _gather(i, j + 1)
+    v = counts[idx]
+    top, m = _first_max(v, idx, offsets, lens)
+    live = top != np.minimum.reduceat(v, offsets)
+    return seg[live], i[live], j[live], m[live]
+
+
+def _farthest(centers, counts, starts, stops, p, q):
+    """First index of the point farthest from the line through points p and
+    q, over each non-empty range [starts, stops), with _distances_to_line's
+    arithmetic; and whether that distance is zero."""
+    if not starts.size:
+        return starts, np.zeros(0, dtype=bool)
+    idx, offsets, lens = _gather(starts, stops)
+    t0, c0, t1, c1 = centers[p], counts[p], centers[q], counts[q]
+    dc, dt = c1 - c0, t1 - t0
+    norm = np.array(list(map(math.hypot, dc.tolist(), dt.tolist())))
+    num = np.abs(np.repeat(dc, lens) * centers[idx] - np.repeat(dt, lens) * counts[idx]
+                 + np.repeat(t1 * c0, lens) - np.repeat(c1 * t0, lens))
+    top, best = _first_max(num / np.repeat(norm, lens), idx, offsets, lens)
+    return best, top == 0.0
+
+
+def _burst_pairs(centers, counts, seg, i, j):
+    """multiburst's (segment, awakening, burst) index triples over the
+    frontier of windows (i, j) of each segment, one recursion level per pass."""
+    # the candidates k of _first_local_min
+    rising = np.append(np.flatnonzero(counts[:-1] <= counts[1:]), counts.size)
+    found = []
+    while seg.size:
+        seg, i, j, m = _live_windows(counts, seg, i, j)
+        up = m > i
+        us, ui, um = seg[up], i[up], m[up]
+        a, flat = _farthest(centers, counts, ui, um, ui, um)
+        a = np.where(flat & (ui + 1 <= um - 1), ui + 1, a)
+        paired = counts[um] > counts[a]
+        us, ui, um, a = us[paired], ui[paired], um[paired], a[paired]
+        found.append((us, a, um))
+        down = m < j
+        dm, dj = m[down], j[down]
+        k = np.minimum(rising[np.searchsorted(rising, dm + 1)], dj)
+        seg = np.concatenate((us, seg[down]))
+        i = np.concatenate((ui, k))
+        j = np.concatenate((a - 1, dj))
+    if not found:
+        return (np.zeros(0, dtype=np.int64),) * 3
+    return tuple(np.concatenate(x) for x in zip(*found))
+
+
+def _max_drops(centers, counts, seg, i, j):
+    """max_drop's (segment, burst, dying) index triple of each segment with a
+    drop, over the frontier of windows (i, j), one recursion level per pass."""
+    found = []
+    while seg.size:
+        seg, i, j, m = _live_windows(counts, seg, i, j)
+        down = m < j
+        ds, di, dj, dm = seg[down], i[down], j[down], m[down]
+        d, flat = _farthest(centers, counts, dm + 1, dj + 1, dm, dj)
+        d = np.where(flat & (dm + 1 <= dj - 1), dj - 1, d)
+        fell = counts[dm] > counts[d]
+        found.append((ds[fell], di[fell], dj[fell], dm[fell], d[fell]))
+        seg = np.concatenate((ds, seg))
+        i = np.concatenate((d, i))
+        j = np.concatenate((dj, m - 1))
+    if not found:
+        return (np.zeros(0, dtype=np.int64),) * 3
+    seg, i, j, m, d = (np.concatenate(x) for x in zip(*found))
+    # max_drop keeps the first of equal falls in its depth-first pre-order:
+    # a window comes before the windows inside it, and disjoint windows go
+    # left to right
+    order = np.lexsort((-j, i, counts[d] - counts[m], seg))
+    seg, m, d = seg[order], m[order], d[order]
+    first = np.flatnonzero(np.diff(seg, prepend=-1))
+    return seg[first], m[first], d[first]
+
+
+def _bisect(times, lo, hi, x, right: bool) -> np.ndarray:
+    """np.searchsorted(times[lo:hi], x, side) + lo for each row, over ranges
+    sorted within themselves."""
+    while True:
+        open_ = lo < hi
+        if not open_.any():
+            return lo
+        mid = (lo + hi) // 2
+        t = times[np.where(open_, mid, 0)]
+        below = open_ & ((t <= x) if right else (t < x))
+        lo = np.where(below, mid + 1, lo)
+        hi = np.where(open_ & ~below, mid, hi)
+
+
+def _segment_sums(values, starts, stops) -> np.ndarray:
+    """``values[starts[r]:stops[r]].sum()`` for each row r, in numpy's
+    pairwise order: the rows of one length are summed as one 2-d array."""
+    lens = stops - starts
+    order = np.argsort(lens, kind="stable")
+    cuts = np.flatnonzero(np.diff(lens[order])) + 1
+    out = np.empty(lens.size)
+    for rows in np.split(order, cuts):
+        n = int(lens[rows[0]])
+        block = values[concat_ranges(starts[rows], stops[rows])]
+        out[rows] = block.reshape(rows.size, n).sum(axis=1)
+    return out
 
 
 def sigma_from_drop_weights(weights: np.ndarray) -> np.ndarray:

@@ -79,6 +79,17 @@ def test_detect_phi_on_timestamp_free_data_is_data_error(tmp_path, capsys):
     assert "requires timestamps" in capsys.readouterr().err
 
 
+def test_detect_profile_dump_on_timestamp_free_data_is_data_error(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    write_planted_fixture(data)
+    out = tmp_path / "out"
+    rc = main(["detect", "--input", str(data), "--output-dir", str(out),
+               "--signals", "alpha", "--dump-profiles", "3"])
+    assert rc == 3
+    assert "--dump-profiles requires timestamps" in capsys.readouterr().err
+    assert not (out / "run.json").exists()  # refused before detection
+
+
 def test_inject_outputs_are_byte_identical_under_fixed_seed(tmp_path):
     base = tmp_path / "base.csv"
     write_timestamped_base(base)

@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from fraudsift import DataError, RatingScale, build_profile, contrast_score, ingest
+from fraudsift import (DataError, RatingScale, bench_graph, build_profile, contrast_score,
+                       ingest)
 from fraudsift.contrast import ContrastState, SignalConfig, SignalContext
-from fraudsift.temporal import sigma_from_drop_weights
+from fraudsift.temporal import (FRONTIER_MAX_BINS, MAX_BINS, histogram_segments,
+                                sigma_from_drop_weights)
 from oracles import (involvement_ratio, phi_involvement, rating_divergence, seed_row,
                      signal_arrays, suspicion_scale, user_scores)
 
@@ -243,9 +245,17 @@ def test_remove_user_touches_only_adjacent_sinks():
     assert st.P[v2] != before[v2]
 
 
-@pytest.mark.parametrize("seed", [3, 4, 5])
+@pytest.mark.parametrize("seed", [3, 4, 5, "bench_graph_100k"])
 def test_signal_context_matches_per_sink_oracle(make_graph, seed):
-    g = make_graph(n_users=60, n_objects=25, n_events=2500, seed=seed)
+    if seed == "bench_graph_100k":
+        g = bench_graph(100_000, seed=3)[0]
+        # sinks on both sides of the frontier's cutoff, some at the bin cap
+        n_bins = histogram_segments(g.sink_event_time, g.sink_event_indptr).n_bins()
+        assert np.count_nonzero(n_bins == MAX_BINS) == 8
+        assert np.count_nonzero((n_bins > 1024) & (n_bins < MAX_BINS)) == 4
+        assert np.count_nonzero((n_bins >= 3) & (n_bins <= FRONTIER_MAX_BINS)) > 6000
+    else:
+        g = make_graph(n_users=60, n_objects=25, n_events=2500, seed=seed)
     ctx = SignalContext(g, SignalConfig())
     pair_w, sink_total, drop_w = signal_arrays(g)
     assert np.count_nonzero(sink_total) > 5 and np.count_nonzero(drop_w) > 5

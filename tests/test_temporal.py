@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,12 +9,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from fraudsift import DataError
-from fraudsift.temporal import (MAX_BINS, BurstPair, DropInfo, SpikeProfile,
+from fraudsift import DataError, temporal
+from fraudsift.temporal import (FRONTIER_CHUNK_BINS, FRONTIER_MAX_BINS, MAX_BINS,
+                                BurstPair, DropInfo, SegmentHistograms, SpikeProfile,
                                 TimeSeriesHist, build_histogram, build_profile,
                                 drop_edge_weight, extreme_slopes, histogram_segments,
                                 max_drop, multiburst, simulate_triangle_attack,
-                                time_obstruction_bound)
+                                spike_profile, spike_weights, time_obstruction_bound)
 from oracles import awakening_point, burst_mass, phi_involvement
 
 
@@ -220,6 +222,81 @@ def test_max_drop_keeps_largest_fall():
     assert d.burst == (0.0, 100.0)
     assert d.dying == (1.0, 20.0)
     assert d.fall == 80.0
+
+
+# -- every segment at once --------------------------------------------------
+
+
+# runs that stress the recursion's tie rules: plateaus, linear ramps (every
+# point on the anchor line), and small values with equal maxima and falls
+run = st.one_of(
+    st.tuples(st.integers(0, 30), st.integers(1, 40)).map(lambda t: [t[0]] * t[1]),
+    st.tuples(st.integers(0, 60), st.integers(-4, 4), st.integers(2, 40)).map(
+        lambda t: [max(t[0] + t[1] * k, 0) for k in range(t[2])]),
+    st.lists(st.integers(0, 4), min_size=1, max_size=40),
+    st.lists(st.integers(0, 500), min_size=1, max_size=40),
+)
+# (first timestamp, bin width, event offset from the bin center in widths);
+# offset 0 puts events on the centers that bound the burst windows
+geometry = st.tuples(st.sampled_from([0.0, 1.5e9 + 17]),
+                     st.sampled_from([1.0, 0.37, 86400 / 7]),
+                     st.sampled_from([-0.5, -0.25, 0.0, 0.25]))
+small_segment = st.tuples(
+    st.lists(run, min_size=1, max_size=12).map(lambda rs: sum(rs, [])[:FRONTIER_MAX_BINS])
+    .filter(lambda c: len(c) >= 3), geometry)
+large_segment = st.tuples(
+    st.tuples(st.lists(run, min_size=1, max_size=4), st.integers(1, 64)).map(
+        lambda t: np.resize(sum(t[0], []), FRONTIER_MAX_BINS + t[1]).tolist()), geometry)
+
+
+def packed_histograms(segments):
+    """SegmentHistograms holding the given bin counts, and the sorted event
+    times of each segment, placed by bin at a fixed offset from its center."""
+    counts = [np.asarray(c, dtype=np.int64) for c, _ in segments]
+    lo, width, offset = (np.asarray(x, dtype=np.float64) for x in zip(*(g for _, g in segments)))
+    bin_indptr = np.concatenate(([0], np.cumsum([c.size for c in counts])))
+    hists = SegmentHistograms(bin_indptr, np.concatenate(counts), lo, width,
+                              np.ones(len(counts), dtype=bool))
+    times = np.concatenate([np.repeat(hists[s].centers + offset[s] * width[s], c)
+                            for s, c in enumerate(counts)])
+    indptr = np.concatenate(([0], np.cumsum([c.sum() for c in counts])))
+    return hists, times, indptr
+
+
+def per_segment_weights(hists, times, indptr):
+    """spike_weights' outputs from spike_profile, one segment at a time."""
+    n = indptr.size - 1
+    event_w, phi_total, drop_w = np.zeros(times.size), np.zeros(n), np.zeros(n)
+    for s in range(n):
+        lo, hi = indptr[s], indptr[s + 1]
+        if hi - lo < 3 or len(hists[s]) < 3:
+            continue
+        profile, w = spike_profile(hists[s], times[lo:hi])
+        if w is not None:
+            event_w[lo:hi] = w
+            phi_total[s] = profile.phi_denominator
+        drop_w[s] = drop_edge_weight(profile.max_drop)
+    return event_w, phi_total, drop_w
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(small_segment, min_size=1, max_size=8), large_segment,
+       st.sampled_from([1, 64, FRONTIER_CHUNK_BINS]))
+# max_drop's tie: falls of 2 at slopes 2 and 1; the first in pre-order wins
+@example([([2, 0, 2, 1, 0, 1], (0.0, 1.0, 0.0))], ([0, 5] * 300, (0.0, 1.0, 0.0)),
+         FRONTIER_CHUNK_BINS)
+@example([([1, 2, 3, 4, 5, 4, 3, 2, 1], (0.0, 1.0, 0.0)), ([3, 3, 3], (0.0, 1.0, 0.0)),
+          ([9, 0, 9, 0, 9], (1.5e9 + 17, 0.37, -0.5)),
+          ([(k * 7) % 11 for k in range(FRONTIER_MAX_BINS)], (0.0, 0.37, 0.25))],
+         ([1] * (FRONTIER_MAX_BINS + 1), (0.0, 1.0, -0.25)), 64)
+def test_spike_weights_match_per_segment_spike_profile(small, large, chunk_bins):
+    hists, times, indptr = packed_histograms(small + [large])
+    assert hists.n_bins()[-1] > FRONTIER_MAX_BINS >= hists.n_bins()[:-1].max()
+    with mock.patch.object(temporal, "FRONTIER_CHUNK_BINS", chunk_bins):
+        got = spike_weights(hists, times, indptr)
+    want = per_segment_weights(hists, times, indptr)
+    for name, g, w in zip(("event_w", "phi_total", "drop_w"), got, want):
+        assert g.tobytes() == w.tobytes(), name
 
 
 # -- involvement -----------------------------------------------------------
