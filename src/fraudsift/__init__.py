@@ -5,9 +5,9 @@ tracked user set engages with it, then greedily shaves spectral seed sets to
 the block maximizing the expected-density objective.
 """
 
-from .contrast import ContrastState, SignalConfig, SignalContext, contrast_score
+from .contrast import ContrastState, SignalContext, contrast_score
 from .detector import (DetectionResult, DetectorConfig, fast_greedy,
-                       greedy_shaving, matricize, resolve_signals, svd_seeds)
+                       greedy_shaving, matricize, svd_seeds)
 from .evalkit import (AccuracyCurve, SweepResult, avg_degree_baseline,
                       density_sweep, f_measure, roc_auc)
 from .graph import (BipartiteGraph, DataError, EdgeRecord, RatingScale,
@@ -26,13 +26,12 @@ __all__ = [
     "AccuracyCurve", "BipartiteGraph", "BurstPair", "ContrastState",
     "ConvergenceError", "DataError", "DetectionResult", "DetectorConfig",
     "DropInfo", "EdgeRecord", "GroundTruth", "InjectionConfig", "RatingScale",
-    "SignalConfig", "SignalContext", "SpikeProfile", "SweepResult",
-    "TimeSeriesHist",
+    "SignalContext", "SpikeProfile", "SweepResult", "TimeSeriesHist",
     "avg_degree_baseline", "bench_graph", "build_histogram", "build_profile",
     "contrast_score", "density_sweep", "drop_edge_weight", "extreme_slopes",
     "f_measure", "fast_greedy", "gen_hyperbolic", "greedy_shaving", "ingest",
     "inject", "matricize", "max_drop", "multiburst", "read_delimited",
-    "read_labels", "resolve_signals", "roc_auc", "simulate_triangle_attack",
+    "read_labels", "roc_auc", "simulate_triangle_attack",
     "svd_seeds", "time_obstruction_bound", "truncated_svd", "write_delimited",
     "write_labels",
 ]

@@ -11,7 +11,7 @@ scores, and the running objective exactly under single-user removals.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.sparse as sp
@@ -19,46 +19,37 @@ import scipy.sparse as sp
 from . import temporal
 from .graph import BipartiteGraph, DataError, concat_ranges
 
+if TYPE_CHECKING:
+    from .detector import DetectorConfig
+
 logger = logging.getLogger(__name__)
 
+SIGNAL_NAMES = ("alpha", "phi", "kappa")
 # Additive smoothing of the rating histograms behind kappa; it keeps the
 # divergence finite on disjoint supports.
 RATING_SMOOTHING = 1e-3
 
 
-def contrast_score(alpha, phi, kappa, base: float,
-                   use_alpha: bool = True, use_phi: bool = True, use_kappa: bool = True):
-    """Joint suspiciousness b^(sum of enabled (signal - 1) terms); signals absent
-    from the data contribute a factor of one."""
-    expo = np.zeros_like(np.asarray(alpha, dtype=np.float64))
-    if use_alpha:
-        expo = expo + (np.asarray(alpha, dtype=np.float64) - 1.0)
-    if use_phi:
-        expo = expo + (np.asarray(phi, dtype=np.float64) - 1.0)
-    if use_kappa:
-        expo = expo + (np.asarray(kappa, dtype=np.float64) - 1.0)
+def contrast_score(signals, base: float):
+    """Joint suspiciousness b^(sum of (x - 1) over the enabled signals), summed
+    in the order given; a signal left out contributes a factor of one."""
+    expo = signals[0] - 1.0
+    for x in signals[1:]:
+        expo = expo + (x - 1.0)
     return base ** expo
 
 
-@dataclass(frozen=True)
-class SignalConfig:
-    """Which signals participate and the base they are scaled with."""
-
-    base: float = 32.0
-    use_alpha: bool = True
-    use_phi: bool = True
-    use_kappa: bool = True
-
-    def __post_init__(self):
-        if self.base <= 1:
-            raise DataError("scaling base must exceed 1")
-
-
 class SignalContext:
-    """Graph-wide precompute shared by every shaving run: spike profiles, the
-    per-pair burst weights behind the temporal signal, the drop-based column
-    weights ``sigma``, and per-sink rating tables. The graph is only read, so
-    contexts built on one graph with different configs do not interfere.
+    """The signal set of one run and the graph-wide precompute shared by every
+    shaving run: spike profiles, the per-pair burst weights behind the
+    temporal signal, the drop-based column weights ``sigma``, and per-sink
+    rating tables. The graph is only read, so contexts built on one graph
+    with different configs do not interfere.
+
+    ``use_alpha``, ``use_phi`` and ``use_kappa`` are decided here and only
+    here, from ``config.signals`` and the data: ``signals=None`` enables
+    every signal the data carries, and an explicit request for a signal the
+    data cannot support is a DataError. ``base`` is ``config.base``.
 
     The spike profiles take two paths (``temporal.spike_weights``): sinks
     with at most ``temporal.FRONTIER_MAX_BINS`` bins run the burst/drop
@@ -66,12 +57,28 @@ class SignalContext:
     with more bins run ``temporal.spike_profile`` one sink at a time. Both
     give the bytes of the per-sink definition."""
 
-    def __init__(self, graph: BipartiteGraph, config: SignalConfig | None = None):
-        config = config or SignalConfig()
+    def __init__(self, graph: BipartiteGraph, config: DetectorConfig):
+        signals = config.signals
+        if signals is None:
+            self.use_alpha = True
+            self.use_phi = graph.has_timestamps
+            self.use_kappa = graph.has_ratings
+        else:
+            unknown = set(signals) - set(SIGNAL_NAMES)
+            if unknown:
+                raise DataError(f"unknown signals: {sorted(unknown)}")
+            if not signals:
+                raise DataError("at least one signal must be enabled")
+            self.use_alpha = "alpha" in signals
+            self.use_phi = "phi" in signals
+            self.use_kappa = "kappa" in signals
+            if self.use_phi and not graph.has_timestamps:
+                raise DataError("signal 'phi' requires timestamps; "
+                                "matricization requires timestamps")
+            if self.use_kappa and not graph.has_ratings:
+                raise DataError("signal 'kappa' requires ratings")
+        self.base = config.base
         self.graph = graph
-        self.use_phi = config.use_phi and graph.has_timestamps
-        self.use_kappa = config.use_kappa and graph.has_ratings
-        self.config = config
         nv, npairs = graph.n_objects, graph.n_pairs
 
         self.sink_event_total = graph.sink_event_counts()
@@ -111,7 +118,6 @@ class SignalContext:
             ev_cat = np.full(ev_rating.size, -1, dtype=np.int64)
             for value, i in cat_of_value.items():
                 ev_cat[ev_rating == value] = i
-            self.event_category = ev_cat
             ev_dst = graph._event_dst
             keep = ev_cat >= 0
             if c > 0 and keep.any():
@@ -138,18 +144,16 @@ class ContrastState:
     """Exact bookkeeping of per-sink contrast scores, per-user scores, and the
     objective for one seed block, under user removals.
 
-    The sink domain is fixed at build time to the sinks adjacent to the seed;
-    the objective numerator and denominator sum over that domain.
+    ``seed_idx`` holds user indices into ``context.graph``; ``active``
+    optionally masks the seed rows (sorted by user index) still in the set.
+    The signals and the base are the context's. The sink domain is fixed at
+    build time to the sinks adjacent to the seed; the objective numerator
+    and denominator sum over that domain.
     """
 
-    def __init__(self, graph, context, seed_idx, active=None):
-        self.graph = graph
+    def __init__(self, context: SignalContext, seed_idx, active=None):
         self.ctx = context
-        cfg = context.config
-        self.base = cfg.base
-        self.use_alpha = cfg.use_alpha
-        self.use_phi = context.use_phi
-        self.use_kappa = context.use_kappa
+        graph = context.graph
 
         seed_idx = np.unique(np.asarray(seed_idx, dtype=np.int64))
         if seed_idx.size == 0:
@@ -177,9 +181,9 @@ class ContrastState:
 
         self.cnt_total = context.sink_event_total[domain]
         self.sigma_d = context.sigma[domain]
-        if self.use_phi:
+        if context.use_phi:
             self.phi_total = context.sink_phi_total[domain]
-        if self.use_kappa:
+        if context.use_kappa:
             self.cat_total = context.sink_cat_counts[domain]
 
         if active is None:
@@ -194,11 +198,11 @@ class ContrastState:
         act_nnz = np.repeat(self.active, row_lens)
         self.cnt_set = np.bincount(self.row_cols[act_nnz],
                                    weights=self.row_vals[act_nnz], minlength=nv)
-        if self.use_phi:
+        if context.use_phi:
             self.phi_set = np.bincount(
                 self.row_cols[act_nnz],
                 weights=context.pair_phi_weight[pids[act_nnz]], minlength=nv)
-        if self.use_kappa:
+        if context.use_kappa:
             # each seed row's (local sink * c + category, count) entries, laid
             # out row by row like row_cols
             c = max(context.n_categories, 1)
@@ -219,21 +223,17 @@ class ContrastState:
         self.kw = np.zeros(nv)
         self.kappa = np.zeros(nv)
         self.P = np.zeros(nv)
+        # the enabled signals in the order contrast_score sums them
+        self._enabled = [x for x, on in ((self.alpha, context.use_alpha),
+                                         (self.phi, context.use_phi),
+                                         (self.kappa, context.use_kappa)) if on]
         self._refresh_signals(None)
-        self.kmax = float(self.kw.max()) if self.use_kappa and nv else 0.0
+        self.kmax = float(self.kw.max()) if context.use_kappa and nv else 0.0
         self._refresh_contrast(None)
         self.S = self._sub @ (self.sigma_d * self.P)
         self.S[~self.active] = np.inf  # removed users never win argmin
         self.num = float((self.sigma_d * self.cnt_set * self.P).sum())
         self.psum = float(self.P.sum())
-
-    # -- construction front door ------------------------------------------
-
-    @classmethod
-    def build(cls, graph: BipartiteGraph, seed_users, context: SignalContext,
-              active=None) -> "ContrastState":
-        idx = _user_indices(graph, seed_users)
-        return cls(graph, context, idx, active=active)
 
     # -- signal recomputation ----------------------------------------------
 
@@ -241,12 +241,12 @@ class ContrastState:
         """Recompute alpha/phi/raw-kappa for the given local sinks (None = all)."""
         sel = slice(None) if cols is None else cols
         self.alpha[sel] = np.clip(self.cnt_set[sel] / self.cnt_total[sel], 0.0, 1.0)
-        if self.use_phi:
+        if self.ctx.use_phi:
             tot = self.phi_total[sel]
             self.phi[sel] = np.where(
                 tot > 0, np.clip(self.phi_set[sel] / np.where(tot > 0, tot, 1.0), 0.0, 1.0),
                 0.0)
-        if self.use_kappa:
+        if self.ctx.use_kappa:
             self.kw[sel] = self._weighted_divergence(sel)
 
     def _weighted_divergence(self, sel):
@@ -271,11 +271,9 @@ class ContrastState:
 
     def _refresh_contrast(self, cols) -> None:
         sel = slice(None) if cols is None else cols
-        if self.use_kappa:
+        if self.ctx.use_kappa:
             self.kappa[sel] = self.kw[sel] / self.kmax if self.kmax > 0 else 0.0
-        self.P[sel] = contrast_score(
-            self.alpha[sel], self.phi[sel], self.kappa[sel], self.base,
-            self.use_alpha, self.use_phi, self.use_kappa)
+        self.P[sel] = contrast_score([x[sel] for x in self._enabled], self.ctx.base)
 
     # -- removal ------------------------------------------------------------
 
@@ -299,9 +297,9 @@ class ContrastState:
         p_old = self.P[cols].copy()
 
         self.cnt_set[cols] -= vals
-        if self.use_phi:
+        if self.ctx.use_phi:
             self.phi_set[cols] -= self.ctx.pair_phi_weight[self.row_pids[lo:hi]]
-        if self.use_kappa:
+        if self.ctx.use_kappa:
             a, b = self.row_cat_indptr[r], self.row_cat_indptr[r + 1]
             # the flat indices are unique within one row
             self.cat_set.reshape(-1)[self.row_cat_flat[a:b]] -= self.row_cat_count[a:b]
@@ -310,7 +308,7 @@ class ContrastState:
 
         # kappa is normalized by the current maximum: a new maximum rescales
         # every sink
-        new_kmax = float(self.kw.max()) if self.use_kappa else self.kmax
+        new_kmax = float(self.kw.max()) if self.ctx.use_kappa else self.kmax
         if new_kmax != self.kmax:
             self.kmax = new_kmax
             self._refresh_contrast(None)
@@ -350,11 +348,3 @@ class ContrastState:
         """Weighted engagement from the active set per domain sink."""
         return self.sigma_d * self.cnt_set
 
-
-def _user_indices(graph: BipartiteGraph, users) -> np.ndarray:
-    if isinstance(users, np.ndarray) and np.issubdtype(users.dtype, np.integer):
-        return users.astype(np.int64)
-    out = []
-    for u in users:
-        out.append(int(u) if isinstance(u, (int, np.integer)) else graph.user_index(u))
-    return np.asarray(out, dtype=np.int64)

@@ -10,13 +10,12 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .contrast import ContrastState, SignalConfig, SignalContext
+from .contrast import ContrastState, SignalContext
 from .graph import BipartiteGraph, DataError
 from .spectral import ConvergenceError, truncated_svd
 
 logger = logging.getLogger(__name__)
 
-SIGNAL_NAMES = ("alpha", "phi", "kappa")
 # Seeds ARPACK's starting vector, so spectral seeds are reproducible.
 SVD_SEED = 42
 
@@ -24,6 +23,10 @@ SVD_SEED = 42
 @dataclass(frozen=True)
 class DetectorConfig:
     """Detection knobs; ``signals=None`` enables whatever the data supports.
+
+    ``base`` must be finite and above 1, ``time_bin`` finite and positive,
+    and ``cap_exponent`` None or finite and positive; anything else is a
+    DataError. Which signals run is decided by ``SignalContext``.
 
     Seeding runs ARPACK at its default (machine-precision) tolerance from a
     starting vector drawn from ``SVD_SEED``, so seeds are reproducible; with
@@ -38,32 +41,15 @@ class DetectorConfig:
     cap_exponent: float | None = 1 / 1.6
     strict_svd: bool = False
 
-
-def resolve_signals(graph: BipartiteGraph, config: DetectorConfig) -> SignalConfig:
-    """Turn the requested signal set into a SignalConfig, validating availability.
-
-    With an explicit request, asking for a signal the data cannot support is
-    an error; the default enables every signal the data carries.
-    """
-    if config.signals is None:
-        use_alpha = True
-        use_phi = graph.has_timestamps
-        use_kappa = graph.has_ratings
-    else:
-        unknown = set(config.signals) - set(SIGNAL_NAMES)
-        if unknown:
-            raise DataError(f"unknown signals: {sorted(unknown)}")
-        if not config.signals:
-            raise DataError("at least one signal must be enabled")
-        use_alpha = "alpha" in config.signals
-        use_phi = "phi" in config.signals
-        use_kappa = "kappa" in config.signals
-        if use_phi and not graph.has_timestamps:
-            raise DataError("signal 'phi' requires timestamps; matricization requires timestamps")
-        if use_kappa and not graph.has_ratings:
-            raise DataError("signal 'kappa' requires ratings")
-    return SignalConfig(base=config.base, use_alpha=use_alpha, use_phi=use_phi,
-                        use_kappa=use_kappa)
+    def __post_init__(self):
+        if not (math.isfinite(self.base) and self.base > 1):
+            raise DataError(f"scaling base must be finite and exceed 1, got {self.base}")
+        if not (math.isfinite(self.time_bin) and self.time_bin > 0):
+            raise DataError(f"time bin must be finite and positive, got {self.time_bin}")
+        if self.cap_exponent is not None and not (
+                math.isfinite(self.cap_exponent) and self.cap_exponent > 0):
+            raise DataError("seed cap exponent must be finite and positive, "
+                            f"got {self.cap_exponent}")
 
 
 @dataclass
@@ -84,15 +70,12 @@ class DetectionResult:
         return [(graph.object_ids[i], float(self.sink_scores[i])) for i in order]
 
 
-def greedy_shaving(graph: BipartiteGraph, seed_users,
-                   config: DetectorConfig | None = None,
-                   context: SignalContext | None = None) -> DetectionResult:
-    """Peel minimum-score users off the seed one at a time, returning the prefix
-    of the trajectory that maximizes the objective."""
-    config = config or DetectorConfig()
-    if context is None:
-        context = SignalContext(graph, resolve_signals(graph, config))
-    state = ContrastState.build(graph, seed_users, context)
+def greedy_shaving(context: SignalContext, seed_idx) -> DetectionResult:
+    """Peel minimum-score users off the seed (user indices into
+    ``context.graph``) one at a time, returning the prefix of the trajectory
+    that maximizes the objective."""
+    graph = context.graph
+    state = ContrastState(context, seed_idx)
     best_obj = state.objective()
     best_removals = 0
     trace: list[tuple[int, float]] = [(state.n_active, best_obj)]
@@ -111,7 +94,7 @@ def greedy_shaving(graph: BipartiteGraph, seed_users,
 
     keep = np.ones(state.seed_idx.size, dtype=bool)
     keep[removal_order[:best_removals]] = False
-    final = ContrastState(graph, context, state.seed_idx, active=keep)
+    final = ContrastState(context, state.seed_idx, active=keep)
     sink_scores = np.zeros(graph.n_objects, dtype=np.float64)
     sink_scores[final.domain] = final.engagement_from_set() * final.P
     users_idx = state.seed_idx[keep]
@@ -172,27 +155,13 @@ def svd_seeds(matrix, num_vectors: int, cap_exponent: float | None = 1 / 1.6,
                    "singular_values": s.tolist(), "cap": cap}
 
 
-def default_rating_clusters(scale):
-    """Cluster ratings into low / neutral / high around the scale's neutral band."""
-    lo = min(scale.neutral)
-    hi = max(scale.neutral)
-
-    def cluster(value: float) -> int:
-        if value < lo:
-            return 0
-        if value > hi:
-            return 2
-        return 1
-
-    return cluster
-
-
 def matricize(graph: BipartiteGraph, time_bin: float = 86400.0,
-              rating_clusters=None, column_weights: np.ndarray | None = None):
+              column_weights: np.ndarray | None = None):
     """Flatten events into a users-by-(object, time-bin, rating-cluster) count matrix.
 
-    Only observed triples become columns; each column inherits its object's
-    suspiciousness weight when ``column_weights`` is given.
+    Ratings cluster into low (0), neutral (1) and high (2) around the scale's
+    neutral band. Only observed triples become columns; each column inherits
+    its object's suspiciousness weight when ``column_weights`` is given.
     """
     if not graph.has_timestamps:
         raise DataError("matricization requires timestamps")
@@ -201,9 +170,10 @@ def matricize(graph: BipartiteGraph, time_bin: float = 86400.0,
     us, vs, ts, ratings = graph.event_arrays()
     bins = ((ts - ts.min()) / float(time_bin)).astype(np.int64)
     if graph.has_ratings:
-        cluster_fn = rating_clusters or default_rating_clusters(graph.scale)
         values, value_of_event = np.unique(ratings, return_inverse=True)
-        lut = np.asarray([cluster_fn(float(v)) for v in values], dtype=np.int64)
+        neutral = graph.scale.neutral
+        # 0 below the neutral band, 1 inside it, 2 above it
+        lut = (values >= min(neutral)).astype(np.int64) + (values > max(neutral))
         clusters = lut[value_of_event]
         n_clusters = int(lut.max()) + 1
     else:
@@ -237,8 +207,7 @@ def fast_greedy(graph: BipartiteGraph, config: DetectorConfig | None = None) -> 
     active, from the plain weighted adjacency otherwise.
     """
     config = config or DetectorConfig()
-    sig = resolve_signals(graph, config)
-    context = SignalContext(graph, sig)
+    context = SignalContext(graph, config)
 
     if context.use_phi:
         design, _ = matricize(graph, time_bin=config.time_bin,
@@ -256,7 +225,7 @@ def fast_greedy(graph: BipartiteGraph, config: DetectorConfig | None = None) -> 
     n_degenerate = 0
     for i, seed in enumerate(seeds):
         try:
-            result = greedy_shaving(graph, seed, config, context)
+            result = greedy_shaving(context, seed)
         except DataError as exc:
             n_degenerate += 1
             logger.debug("seed %d degenerate: %s", i, exc)
@@ -267,6 +236,6 @@ def fast_greedy(graph: BipartiteGraph, config: DetectorConfig | None = None) -> 
         raise DataError("all seeds degenerate")
     best.meta.update(seed_meta)
     best.meta["n_degenerate_seeds"] = n_degenerate
-    best.meta["signals"] = {"alpha": sig.use_alpha, "phi": context.use_phi,
+    best.meta["signals"] = {"alpha": context.use_alpha, "phi": context.use_phi,
                             "kappa": context.use_kappa}
     return best

@@ -1,4 +1,4 @@
-"""Dual-indexed sparse bipartite multigraph over (user, object, timestamp, rating) events."""
+"""Sparse bipartite multigraph over (user, object, timestamp, rating) events."""
 
 from __future__ import annotations
 
@@ -85,13 +85,15 @@ class RatingScale:
 
 
 class BipartiteGraph:
-    """Sparse weighted bipartite multigraph, indexed by both source and sink.
+    """Sparse weighted bipartite multigraph.
 
     Node ids are interned to dense integer indices at construction. Events
     sharing a (user, object) pair are aggregated into one stored pair with a
-    multiplicity count; their timestamps are kept sorted per pair. The graph
-    is not changed after construction; per-run state such as the per-sink
-    suspiciousness weights lives in the run's ``SignalContext``.
+    multiplicity count; pairs are ordered by (source, sink), with an index by
+    source, and their timestamps are kept sorted per pair. With timestamps,
+    the events are also kept in a sink-major view sorted by (sink, time). The
+    graph is not changed after construction; per-run state such as the
+    per-sink suspiciousness weights lives in the run's ``SignalContext``.
     """
 
     def __init__(self, user_ids, object_ids, user_idx, obj_idx, times, ratings,
@@ -129,15 +131,10 @@ class BipartiteGraph:
 
         self.event_time = ts if times is not None else None
         self.event_rating = rat
-        self._event_src = us
         self._event_dst = vs
 
-        # forward index: pairs are already grouped by source
+        # pairs are already grouped by source
         self.src_pair_indptr = np.searchsorted(self.pair_src, np.arange(nu + 1))
-        # reverse index: permutation of pairs ordered by (sink, source)
-        self.sink_pair_order = np.lexsort((self.pair_src, self.pair_dst))
-        self.sink_pair_indptr = np.searchsorted(
-            self.pair_dst[self.sink_pair_order], np.arange(nv + 1))
 
         # sink-major event view, sorted by (sink, time); only needed for temporal work
         if times is not None:

@@ -39,12 +39,11 @@ def _triplets_from_gram_basis(A, Q: np.ndarray):
 
 
 def truncated_svd(matrix, k: int, tol: float = 0.0, max_iter: int | None = None,
-                  seed: int = 42, oversample: int | None = None):
+                  seed: int = 42):
     """Top-k singular triplets (U, s, V), largest first, by implicitly restarted Lanczos.
 
-    ``tol`` is ARPACK's relative accuracy (0: machine precision), ``max_iter``
-    its restart cap (None: ARPACK's default) and ``oversample`` the number of
-    Lanczos vectors beyond k (None: ARPACK's default). Deterministic for a
+    ``tol`` is ARPACK's relative accuracy (0: machine precision) and
+    ``max_iter`` its restart cap (None: ARPACK's default). Deterministic for a
     fixed seed, which draws the starting vector. When k equals the smaller
     dimension ARPACK cannot run and a dense SVD is used. Raises
     ConvergenceError carrying the converged triplets when ARPACK hits the cap.
@@ -63,12 +62,9 @@ def truncated_svd(matrix, k: int, tol: float = 0.0, max_iter: int | None = None,
         U, V = _canonical_signs(U[:, :k], Vt[:k].T.copy())
         return U, s[:k], V
 
-    ncv = None  # ARPACK needs k < ncv < n_small
-    if oversample is not None and k + 1 < n_small:
-        ncv = min(n_small - 1, k + max(oversample, 1))
     v0 = np.random.default_rng(seed).standard_normal(n_small)
     try:
-        U, s, Vt = svds(A, k=k, ncv=ncv, tol=tol, maxiter=max_iter, v0=v0)
+        U, s, Vt = svds(A, k=k, tol=tol, maxiter=max_iter, v0=v0)
     except ArpackNoConvergence as exc:
         U, s, V = _triplets_from_gram_basis(A, exc.eigenvectors)
         U, V = _canonical_signs(U, V)

@@ -167,7 +167,8 @@ def events(graph):
 
 def pairs_of_sink(graph, vi: int) -> np.ndarray:
     """Stored pairs into sink ``vi``, by source."""
-    return graph.sink_pair_order[graph.sink_pair_indptr[vi]:graph.sink_pair_indptr[vi + 1]]
+    # stored pairs are ordered by (source, sink)
+    return np.flatnonzero(graph.pair_dst == vi)
 
 
 def pair_events(graph, pid: int) -> slice:
@@ -189,9 +190,9 @@ def delimited_text(graph) -> str:
 
 
 def pair_counts(graph, by_sink: bool = False) -> list[tuple[str, str, int]]:
-    """(user, object, event count) per stored pair, in source order or, with
-    ``by_sink``, in the order of the graph's sink-side index."""
-    order = graph.sink_pair_order if by_sink else range(graph.n_pairs)
+    """(user, object, event count) per stored pair, in (source, sink) order or,
+    with ``by_sink``, in (sink, source) order."""
+    order = np.lexsort((graph.pair_src, graph.pair_dst)) if by_sink else range(graph.n_pairs)
     return [(graph.user_ids[graph.pair_src[p]], graph.object_ids[graph.pair_dst[p]],
              int(graph.pair_count[p])) for p in order]
 
@@ -226,14 +227,15 @@ def avg_degree_peel(counts) -> set[int]:
 
 def user_scores(state) -> dict[str, float]:
     """Incremental score ``S`` of every active seed user, by user id."""
-    ids = state.graph.user_ids
+    ids = state.ctx.graph.user_ids
     return {ids[state.seed_idx[r]]: float(state.S[r]) for r in np.flatnonzero(state.active)}
 
 
 def seed_row(state, user: str) -> int:
     """Row of ``user`` in the seed block of ``state``."""
-    row = int(np.searchsorted(state.seed_idx, state.graph.user_index(user)))
-    assert state.seed_idx[row] == state.graph.user_index(user), f"{user} not in the seed"
+    ui = state.ctx.graph.user_index(user)
+    row = int(np.searchsorted(state.seed_idx, ui))
+    assert state.seed_idx[row] == ui, f"{user} not in the seed"
     return row
 
 
@@ -245,15 +247,15 @@ class GatherState(ContrastState):
     and subtracts them with np.subtract.at; removed users keep finite scores and
     are masked at argmin."""
 
-    def __init__(self, graph, context, seed_idx, active=None):
-        super().__init__(graph, context, seed_idx, active=active)
+    def __init__(self, context, seed_idx, active=None):
+        super().__init__(context, seed_idx, active=active)
         m0, nv = self.active.size, self.domain.size
         row_of_nnz = np.repeat(np.arange(m0, dtype=np.int64), np.diff(self.row_indptr))
         order = np.lexsort((row_of_nnz, self.row_cols))
         self.col_rows = row_of_nnz[order]
         self.col_vals = self.row_vals[order]
         self.col_indptr = np.searchsorted(self.row_cols[order], np.arange(nv + 1))
-        if self.use_kappa:
+        if context.use_kappa:
             # the category counts of the active pairs, gathered pair by pair
             c = self.cat_set.shape[1]
             act_nnz = self.active[row_of_nnz]
@@ -284,9 +286,9 @@ class GatherState(ContrastState):
         p_old = self.P[cols].copy()
 
         self.cnt_set[cols] -= vals
-        if self.use_phi:
+        if self.ctx.use_phi:
             self.phi_set[cols] -= self.ctx.pair_phi_weight[pids]
-        if self.use_kappa:
+        if self.ctx.use_kappa:
             ci = self.ctx.pair_cat_indptr
             idx = concat_ranges(ci[pids], ci[pids + 1])
             if idx.size:
@@ -295,7 +297,7 @@ class GatherState(ContrastState):
                 np.subtract.at(self.cat_set.reshape(-1), flat, self.ctx.pair_cat_count[idx])
         self._refresh_signals(cols)
 
-        if self.use_kappa:
+        if self.ctx.use_kappa:
             new_kmax = float(self.kw.max())
             if new_kmax != self.kmax:
                 self.kmax = new_kmax
@@ -323,9 +325,10 @@ class GatherState(ContrastState):
         return int(np.argmin(np.where(self.active, self.S, np.inf)))
 
 
-def gather_shave(graph, seed_idx, context):
+def gather_shave(context, seed_idx):
     """greedy_shaving on GatherState: (removal order, trace, sink scores)."""
-    state = GatherState(graph, context, seed_idx)
+    graph = context.graph
+    state = GatherState(context, seed_idx)
     best_obj = state.objective()
     best_removals = 0
     trace = [(state.n_active, best_obj)]
@@ -343,7 +346,7 @@ def gather_shave(graph, seed_idx, context):
             best_removals = len(order)
     keep = np.ones(state.seed_idx.size, dtype=bool)
     keep[order[:best_removals]] = False
-    final = GatherState(graph, context, state.seed_idx, active=keep)
+    final = GatherState(context, state.seed_idx, active=keep)
     sink_scores = np.zeros(graph.n_objects)
     sink_scores[final.domain] = final.engagement_from_set() * final.P
     return order, tuple(trace), sink_scores

@@ -13,7 +13,7 @@ from scipy.linalg import svd as dense_svd
 import fraudsift as fs
 from fraudsift import DetectorConfig, InjectionConfig
 from fraudsift.cli import main as cli_main
-from fraudsift.contrast import ContrastState, SignalConfig, SignalContext
+from fraudsift.contrast import ContrastState, SignalContext
 from fraudsift.evalkit import roc_auc_from_arrays
 from oracles import triplet_matrix
 
@@ -139,16 +139,16 @@ def test_criterion_4_incremental_consistency():
         g = fs.BipartiteGraph([f"u{i}" for i in range(n_u)],
                               [f"o{j}" for j in range(n_v)],
                               us, vs, ts, rats, scale=scale)
-        ctx = SignalContext(g, SignalConfig())
+        ctx = SignalContext(g, DetectorConfig())
         seed = np.arange(n_u)
-        st = ContrastState.build(g, seed, ctx)
+        st = ContrastState(ctx, seed)
         removed: list[int] = []
         for u in rng.permutation(n_u)[: n_u - 1]:
             st._remove_local(int(u))
             removed.append(int(u))
             keep = np.ones(n_u, dtype=bool)
             keep[removed] = False
-            ref = ContrastState(g, ctx, seed, active=keep)
+            ref = ContrastState(ctx, seed, active=keep)
             for name in ("cnt_set", "P", "kw", "kappa", "phi", "alpha"):
                 a, b = getattr(st, name), getattr(ref, name)
                 scale_ref = max(float(np.abs(b).max()), 1.0)
@@ -192,9 +192,9 @@ def test_criterion_5_small_instance_oracles():
         vs = rng.integers(0, 8, 70)
         g = fs.BipartiteGraph([f"u{i}" for i in range(12)],
                               [f"o{j}" for j in range(8)], us, vs, None, None)
-        ctx = SignalContext(g, SignalConfig())
-        res = fs.greedy_shaving(g, np.arange(12), context=ctx)
-        st = ContrastState.build(g, np.arange(12), ctx)
+        ctx = SignalContext(g, DetectorConfig())
+        res = fs.greedy_shaving(ctx, np.arange(12))
+        st = ContrastState(ctx, np.arange(12))
         objs = [st.objective()]
         removed = []
         while st.n_active > 1:
@@ -203,14 +203,14 @@ def test_criterion_5_small_instance_oracles():
             st._remove_local(r)
             keep = np.ones(12, dtype=bool)
             keep[removed] = False
-            objs.append(ContrastState(g, ctx, np.arange(12), active=keep).objective())
+            objs.append(ContrastState(ctx, np.arange(12), active=keep).objective())
         traj_ok &= abs(res.objective - max(objs)) <= 1e-9 * max(objs)
 
     # planted 3x2 block: exhaustive subset maximization agrees
     events = [(f"b{i}", f"x{j}") for i in range(3) for j in range(2)]
     events += [("s0", "w0"), ("s1", "w1")]
     g = fs.ingest(events)
-    res = fs.greedy_shaving(g, g.user_ids)
+    res = fs.greedy_shaving(SignalContext(g, DetectorConfig()), np.arange(g.n_users))
     oracle_hs, oracle_set = brute_force_hs(g)
     block_ok = (set(res.users) == {g.user_ids[i] for i in oracle_set}
                 and abs(res.objective - oracle_hs) <= 1e-9 * oracle_hs)
@@ -234,8 +234,7 @@ def test_criterion_6_spectral_against_dense_oracle():
         cols = rng.integers(0, 150, nnz)
         vals = rng.uniform(0.5, 2.0, nnz)
         m = triplet_matrix(rows, cols, vals, (200, 150))
-        U, s, V = fs.truncated_svd(m, 5, tol=1e-8, max_iter=2000, oversample=15,
-                                   seed=trial)
+        U, s, V = fs.truncated_svd(m, 5, tol=1e-8, max_iter=2000, seed=trial)
         ref = dense_svd(m.toarray(), compute_uv=False)[:5]
         worst_sigma = max(worst_sigma, float(np.abs(s - ref).max() / ref[0]))
         worst_ortho = max(

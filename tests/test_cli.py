@@ -90,6 +90,19 @@ def test_detect_profile_dump_on_timestamp_free_data_is_data_error(tmp_path, caps
     assert not (out / "run.json").exists()  # refused before detection
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--base", "nan"), ("--base", "inf"), ("--time-bin", "nan"), ("--time-bin", "inf"),
+    ("--cap-exponent", "nan"), ("--cap-exponent", "inf")])
+def test_detect_non_finite_setting_is_data_error(tmp_path, capsys, flag, value):
+    data = tmp_path / "data.csv"
+    write_planted_fixture(data)
+    out = tmp_path / "out"
+    rc = main(["detect", "--input", str(data), "--output-dir", str(out), flag, value])
+    assert rc == 3
+    assert "must be finite" in capsys.readouterr().err
+    assert not (out / "run.json").exists()
+
+
 def test_inject_outputs_are_byte_identical_under_fixed_seed(tmp_path):
     base = tmp_path / "base.csv"
     write_timestamped_base(base)

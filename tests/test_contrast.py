@@ -1,13 +1,14 @@
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from fraudsift import (DataError, RatingScale, bench_graph, build_profile, contrast_score,
-                       ingest)
-from fraudsift.contrast import ContrastState, SignalConfig, SignalContext
+from fraudsift import (DataError, DetectorConfig, RatingScale, bench_graph, build_profile,
+                       contrast_score, ingest)
+from fraudsift.contrast import ContrastState, SignalContext
 from fraudsift.temporal import (FRONTIER_MAX_BINS, MAX_BINS, histogram_segments,
                                 sigma_from_drop_weights)
 from oracles import (involvement_ratio, phi_involvement, rating_divergence, seed_row,
@@ -15,9 +16,9 @@ from oracles import (involvement_ratio, phi_involvement, rating_divergence, seed
 
 
 def state_for(graph, seed=None):
-    ctx = SignalContext(graph, SignalConfig())
+    ctx = SignalContext(graph, DetectorConfig())
     seed = seed if seed is not None else np.arange(graph.n_users)
-    return ContrastState.build(graph, seed, ctx)
+    return ContrastState(ctx, seed)
 
 
 # -- scalar signal pieces ----------------------------------------------------
@@ -40,12 +41,11 @@ def test_involvement_ratio_examples():
 
 
 def test_contrast_score_examples():
-    assert contrast_score(1.0, 1.0, 1.0, 32.0) == pytest.approx(1.0)
-    assert contrast_score(0.0, 0.0, 0.0, 32.0) == pytest.approx(1 / 32768)
-    assert contrast_score(1.0, 0.5, 0.0, 32.0) == pytest.approx(0.005524, abs=1e-6)
-    # a signal missing from the data contributes a factor of one
-    assert contrast_score(0.5, 0.0, 0.0, 32.0, use_phi=False, use_kappa=False) \
-        == pytest.approx(32 ** -0.5)
+    assert contrast_score((1.0, 1.0, 1.0), 32.0) == pytest.approx(1.0)
+    assert contrast_score((0.0, 0.0, 0.0), 32.0) == pytest.approx(1 / 32768)
+    assert contrast_score((1.0, 0.5, 0.0), 32.0) == pytest.approx(0.005524, abs=1e-6)
+    # a signal left out contributes a factor of one
+    assert contrast_score((0.5,), 32.0) == pytest.approx(32 ** -0.5)
 
 
 def test_contrast_monotone_in_each_signal():
@@ -55,10 +55,10 @@ def test_contrast_monotone_in_each_signal():
         up = rng.uniform(1e-6, 1 - max(a, p, k)) if max(a, p, k) < 1 else 0.0
         if up == 0.0:
             continue
-        base = contrast_score(a, p, k, 32.0)
-        assert contrast_score(a + up, p, k, 32.0) > base
-        assert contrast_score(a, p + up, k, 32.0) > base
-        assert contrast_score(a, p, k + up, 32.0) > base
+        base = contrast_score((a, p, k), 32.0)
+        assert contrast_score((a + up, p, k), 32.0) > base
+        assert contrast_score((a, p + up, k), 32.0) > base
+        assert contrast_score((a, p, k + up), 32.0) > base
 
 
 def test_contrast_ranking_is_base_invariant():
@@ -70,7 +70,7 @@ def test_contrast_ranking_is_base_invariant():
             continue
         orders = []
         for b in (2.0, 8.0, 32.0, 128.0):
-            orders.append(contrast_score(*x, b) > contrast_score(*y, b))
+            orders.append(contrast_score(x, b) > contrast_score(y, b))
         assert len(set(orders)) == 1
         assert orders[0] == (x.sum() > y.sum())
 
@@ -138,6 +138,47 @@ def test_state_signals_match_scalar_oracles(make_graph):
         assert st.kw[k] == pytest.approx(
             rating_divergence(st.cat_set[k], rest, engaged, total - engaged),
             rel=1e-12, abs=1e-15)
+
+
+def oracle_contrast(graph, users, domain, signals, base):
+    """base ** sum of (x - 1) over ``signals`` for every domain sink, each
+    signal from its scalar oracle with ``users`` as the tracked set."""
+    us, vs, _, ratings = graph.event_arrays()
+    tracked = np.isin(us, users)
+    in_set = np.isin(graph.pair_src[graph.sink_event_pair], users)
+    informative = [r for r in graph.scale.values if r not in graph.scale.neutral]
+    indptr = graph.sink_event_indptr
+    alpha, phi, kw = [], [], []
+    for v in domain:
+        at_v = vs == v
+        total, engaged = float(at_v.sum()), float((at_v & tracked).sum())
+        alpha.append(involvement_ratio(engaged, total))
+        times = graph.sink_event_time[indptr[v]:indptr[v + 1]]
+        _, profile = build_profile(times)
+        phi.append(phi_involvement(profile, times[in_set[indptr[v]:indptr[v + 1]]], times))
+        n_set = [np.count_nonzero(at_v & tracked & (ratings == r)) for r in informative]
+        n_rest = [np.count_nonzero(at_v & ~tracked & (ratings == r)) for r in informative]
+        kw.append(rating_divergence(n_set, n_rest, engaged, total - engaged))
+    kw = np.asarray(kw)
+    kappa = kw / kw.max() if kw.max() > 0 else np.zeros_like(kw)
+    values = {"alpha": np.asarray(alpha), "phi": np.asarray(phi), "kappa": kappa}
+    return base ** sum(values[name] - 1.0 for name in signals)
+
+
+@pytest.mark.parametrize("signals", [s for r in (1, 2, 3) for s in
+                                     itertools.combinations(("alpha", "phi", "kappa"), r)])
+def test_contrast_matches_scalar_oracles_for_every_signal_subset(make_graph, signals):
+    g = make_graph(n_users=40, n_objects=12, n_events=900, seed=12)
+    seed = np.arange(0, 40, 2)
+    ctx = SignalContext(g, DetectorConfig(base=8.0, signals=signals))
+    assert [ctx.use_alpha, ctx.use_phi, ctx.use_kappa] == [
+        name in signals for name in ("alpha", "phi", "kappa")]
+    st = ContrastState(ctx, seed)
+    for r in (None, 3, 7):  # as built, then after two removals
+        if r is not None:
+            st._remove_local(r)
+        want = oracle_contrast(g, st.seed_idx[st.active], st.domain, signals, 8.0)
+        assert st.P == pytest.approx(want, rel=1e-12)
 
 
 # -- objective ----------------------------------------------------------------
@@ -225,7 +266,7 @@ def test_user_scores_match_explicit_summation(make_graph):
 
 def test_remove_user_requires_membership():
     g = ingest([("u1", "v1"), ("u2", "v1")])
-    st = state_for(g, seed=["u1"])
+    st = state_for(g, seed=[g.user_index("u1")])
     # the seed block holds rows for its own users only
     assert st.seed_idx.tolist() == [g.user_index("u1")]
     st._remove_local(0)
@@ -256,7 +297,7 @@ def test_signal_context_matches_per_sink_oracle(make_graph, seed):
         assert np.count_nonzero((n_bins >= 3) & (n_bins <= FRONTIER_MAX_BINS)) > 6000
     else:
         g = make_graph(n_users=60, n_objects=25, n_events=2500, seed=seed)
-    ctx = SignalContext(g, SignalConfig())
+    ctx = SignalContext(g, DetectorConfig())
     pair_w, sink_total, drop_w = signal_arrays(g)
     assert np.count_nonzero(sink_total) > 5 and np.count_nonzero(drop_w) > 5
     assert ctx.pair_phi_weight.tobytes() == pair_w.tobytes()
@@ -291,15 +332,15 @@ def test_incremental_updates_match_rebuild(make_graph):
     rng = np.random.default_rng(3)
     for trial in range(5):
         g = make_graph(n_users=50, n_objects=40, n_events=400, seed=100 + trial)
-        ctx = SignalContext(g, SignalConfig())
+        ctx = SignalContext(g, DetectorConfig())
         seed = np.arange(50)
-        st = ContrastState.build(g, seed, ctx)
+        st = ContrastState(ctx, seed)
         removed = []
         for u in rng.permutation(50)[:30]:
             st._remove_local(int(u))
             removed.append(int(u))
             keep = np.ones(50, dtype=bool)
             keep[removed] = False
-            ref = ContrastState(g, ctx, seed, active=keep)
+            ref = ContrastState(ctx, seed, active=keep)
             _assert_state_matches_rebuild(st, ref)
 

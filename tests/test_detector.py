@@ -13,9 +13,8 @@ from hypothesis import strategies as st
 
 from fraudsift import (BipartiteGraph, DataError, DetectorConfig, RatingScale,
                        bench_graph, fast_greedy, gen_hyperbolic, greedy_shaving, ingest,
-                       inject, InjectionConfig, matricize, resolve_signals,
-                       svd_seeds, f_measure)
-from fraudsift.contrast import ContrastState, SignalConfig, SignalContext
+                       inject, InjectionConfig, matricize, svd_seeds, f_measure)
+from fraudsift.contrast import ContrastState, SignalContext
 from oracles import GatherState, gather_shave
 
 
@@ -39,9 +38,14 @@ def brute_force_best(graph, base=32.0):
 # -- greedy shaving ------------------------------------------------------------
 
 
+def shave(graph, seed_idx):
+    """greedy_shaving from ``seed_idx`` with every signal the graph carries."""
+    return greedy_shaving(SignalContext(graph, DetectorConfig()), seed_idx)
+
+
 def test_single_user_seed_returns_itself():
     g = ingest([("u1", "v1"), ("u2", "v1")])
-    res = greedy_shaving(g, ["u1"])
+    res = shave(g, [g.user_index("u1")])
     assert res.users == ("u1",)
     assert len(res.trace) == 1
 
@@ -50,7 +54,7 @@ def test_degenerate_seed_errors(make_graph):
     g = make_graph(n_users=5, n_objects=4, n_events=20, seed=1,
                    timestamps=False, ratings=False)
     with pytest.raises(DataError, match="empty seed"):
-        greedy_shaving(g, [])
+        shave(g, [])
 
 
 def test_planted_block_matches_subset_brute_force():
@@ -58,7 +62,7 @@ def test_planted_block_matches_subset_brute_force():
     events = [(f"b{i}", f"x{j}") for i in range(3) for j in range(2)]
     events += [("s0", "w0"), ("s1", "w1")]
     g = ingest(events)
-    res = greedy_shaving(g, g.user_ids)
+    res = shave(g, np.arange(g.n_users))
     oracle_hs, oracle_set = brute_force_best(g)
     assert set(res.users) == {g.user_ids[i] for i in oracle_set}
     assert set(res.users) == {"b0", "b1", "b2"}
@@ -68,8 +72,8 @@ def test_planted_block_matches_subset_brute_force():
 def test_shaving_objective_dominates_trajectory(make_graph):
     g = make_graph(n_users=12, n_objects=8, n_events=70, seed=33,
                    timestamps=False, ratings=False)
-    ctx = SignalContext(g, SignalConfig())
-    res = greedy_shaving(g, g.user_ids, context=ctx)
+    ctx = SignalContext(g, DetectorConfig())
+    res = greedy_shaving(ctx, np.arange(12))
     assert res.objective == pytest.approx(max(h for _, h in res.trace), rel=1e-9)
     # oracle: rebuild the state at every trajectory prefix and recompute
     sizes = [n for n, _ in res.trace]
@@ -79,11 +83,11 @@ def test_shaving_objective_dominates_trajectory(make_graph):
 def test_shaving_trajectory_matches_scratch_recompute(make_graph):
     g = make_graph(n_users=12, n_objects=8, n_events=70, seed=34,
                    timestamps=False, ratings=False)
-    ctx = SignalContext(g, SignalConfig())
+    ctx = SignalContext(g, DetectorConfig())
     seed = np.arange(12)
-    res = greedy_shaving(g, seed, context=ctx)
+    res = greedy_shaving(ctx, seed)
     # replay the same shave tracking removals, then recompute each prefix
-    st = ContrastState.build(g, seed, ctx)
+    st = ContrastState(ctx, seed)
     objs = [st.objective()]
     removed = []
     while st.n_active > 1:
@@ -92,15 +96,15 @@ def test_shaving_trajectory_matches_scratch_recompute(make_graph):
         st._remove_local(r)
         keep = np.ones(12, dtype=bool)
         keep[removed] = False
-        ref = ContrastState(g, ctx, seed, active=keep)
+        ref = ContrastState(ctx, seed, active=keep)
         objs.append(ref.objective())
     assert res.objective == pytest.approx(max(objs), rel=1e-9)
 
 
 def test_shaving_is_deterministic(make_graph):
     g = make_graph(n_users=25, n_objects=15, n_events=200, seed=8)
-    a = greedy_shaving(g, g.user_ids)
-    b = greedy_shaving(g, g.user_ids)
+    a = shave(g, np.arange(g.n_users))
+    b = shave(g, np.arange(g.n_users))
     assert a.users == b.users
     assert a.objective == b.objective
 
@@ -131,9 +135,8 @@ def shave_cases(draw):
 def test_shaving_matches_column_gather_oracle_bit_for_bit(case):
     g, seed = case
     for signals in (("alpha",), ("alpha", "phi"), None):
-        config = DetectorConfig(signals=signals)
-        ctx = SignalContext(g, resolve_signals(g, config))
-        state = ContrastState(g, ctx, seed)
+        ctx = SignalContext(g, DetectorConfig(signals=signals))
+        state = ContrastState(ctx, seed)
         # the matvec sums each row in a per-sink gather's order only if
         # the row's columns ascend
         within_row = np.ones(state.row_cols.size - 1, dtype=bool)
@@ -148,15 +151,15 @@ def test_shaving_matches_column_gather_oracle_bit_for_bit(case):
             remove(shaved, r)
 
         with mock.patch.object(ContrastState, "_remove_local", recording):
-            res = greedy_shaving(g, seed, config, ctx)
-        want_order, want_trace, want_scores = gather_shave(g, seed, ctx)
+            res = greedy_shaving(ctx, seed)
+        want_order, want_trace, want_scores = gather_shave(ctx, seed)
         assert order == want_order
         assert np.array(res.trace).tobytes() == np.array(want_trace).tobytes()
         assert res.sink_scores.tobytes() == want_scores.tobytes()
 
         # the scores agree bit for bit at every step, not only where they
         # decide the argmin
-        ref = GatherState(g, ctx, seed)
+        ref = GatherState(ctx, seed)
         for r in order[:-1]:
             state._remove_local(r)
             ref._remove_local(r)
@@ -229,8 +232,11 @@ def test_matricize_matches_group_by_oracle(make_graph):
     m, labels = matricize(g, time_bin=bin_width)
     us, vs, ts, rats = g.event_arrays()
     t0 = ts.min()
-    from fraudsift.detector import default_rating_clusters
-    cl = default_rating_clusters(g.scale)
+    lo, hi = min(g.scale.neutral), max(g.scale.neutral)
+
+    def cl(rating):
+        return 0 if rating < lo else 2 if rating > hi else 1
+
     triples = {(int(v), int((t - t0) // bin_width), cl(float(r)))
                for v, t, r in zip(vs, ts, rats)}
     assert m.shape[1] == len(triples)
@@ -258,22 +264,24 @@ def test_matricize_applies_column_weights():
 # -- signal resolution -----------------------------------------------------------
 
 
-def test_resolve_signals_auto_degrades(make_graph):
+def test_signal_context_auto_degrades(make_graph):
     g = make_graph(n_users=5, n_objects=5, n_events=20, seed=3,
                    timestamps=False, ratings=False)
-    sig = resolve_signals(g, DetectorConfig())
-    assert (sig.use_alpha, sig.use_phi, sig.use_kappa) == (True, False, False)
+    ctx = SignalContext(g, DetectorConfig())
+    assert (ctx.use_alpha, ctx.use_phi, ctx.use_kappa) == (True, False, False)
 
 
-def test_resolve_signals_strict_phi_needs_timestamps(make_graph):
+def test_signal_context_strict_phi_needs_timestamps(make_graph):
     g = make_graph(n_users=5, n_objects=5, n_events=20, seed=3,
                    timestamps=False, ratings=False)
     with pytest.raises(DataError, match="requires timestamps"):
-        resolve_signals(g, DetectorConfig(signals=("phi",)))
+        SignalContext(g, DetectorConfig(signals=("phi",)))
     with pytest.raises(DataError, match="requires ratings"):
-        resolve_signals(g, DetectorConfig(signals=("alpha", "kappa")))
+        SignalContext(g, DetectorConfig(signals=("alpha", "kappa")))
     with pytest.raises(DataError, match="unknown signals"):
-        resolve_signals(g, DetectorConfig(signals=("alpha", "beta")))
+        SignalContext(g, DetectorConfig(signals=("alpha", "beta")))
+    with pytest.raises(DataError, match="at least one signal"):
+        SignalContext(g, DetectorConfig(signals=()))
 
 
 # -- fast greedy ------------------------------------------------------------------
@@ -319,7 +327,7 @@ def test_fast_greedy_neutral_override_changes_rating_tables(make_graph):
     plain = make_graph(n_users=30, n_objects=20, n_events=250, seed=55)
     override = make_graph(n_users=30, n_objects=20, n_events=250, seed=55,
                           scale=RatingScale.from_range(1, 5, 1, neutral=(2.0, 3.0)))
-    contexts = [SignalContext(g, resolve_signals(g, DetectorConfig()))
+    contexts = [SignalContext(g, DetectorConfig())
                 for g in (plain, override)]
     assert contexts[0].category_values.tolist() == [1.0, 2.0, 4.0, 5.0]
     assert contexts[1].category_values.tolist() == [1.0, 4.0, 5.0]
@@ -348,15 +356,15 @@ def test_seeds_do_not_depend_on_other_contexts_built_on_the_graph():
     fresh, _ = bench_graph(2000, seed=1)
     expected = fast_greedy(fresh, alpha).meta["seed_sizes"]
     g, _ = bench_graph(2000, seed=1)
-    SignalContext(g, resolve_signals(g, alpha))
-    SignalContext(g, resolve_signals(g, DetectorConfig()))  # phi: non-unit sigma
+    SignalContext(g, alpha)
+    SignalContext(g, DetectorConfig())  # phi: non-unit sigma
     assert fast_greedy(g, alpha).meta["seed_sizes"] == expected
 
 
 def test_greedy_shaving_isolated_seed_user_is_degenerate():
     g = BipartiteGraph(["u0", "u1", "zz"], ["v0"], [0, 1], [0, 0], None, None)
     with pytest.raises(DataError, match="degenerate seed"):
-        greedy_shaving(g, ["zz"])
+        shave(g, [g.user_index("zz")])
 
 
 def test_svd_seeds_returns_fewer_when_rank_limits():

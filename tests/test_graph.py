@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fraudsift import (BipartiteGraph, DataError, EdgeRecord, RatingScale,
+from fraudsift import (BipartiteGraph, DataError, DetectorConfig, EdgeRecord, RatingScale,
                        ingest, read_delimited, write_delimited)
-from fraudsift.contrast import ContrastState, SignalConfig, SignalContext
+from fraudsift.contrast import ContrastState, SignalContext
 from oracles import delimited_text, events, pair_counts, pair_events
 
 
@@ -131,12 +131,12 @@ def test_engagement_additive_and_monotone(seed):
         assert fa <= engagement(g, users, v)
 
 
-# -- restriction to a seed's edges, as ContrastState builds it ------------------
+# -- restriction to a seed's edges, as a ContrastState holds it -----------------
 
 
 def restricted(graph, users) -> ContrastState:
-    ctx = SignalContext(graph, SignalConfig(use_phi=False, use_kappa=False))
-    return ContrastState.build(graph, users, ctx)
+    ctx = SignalContext(graph, DetectorConfig(signals=("alpha",)))
+    return ContrastState(ctx, [graph.user_index(u) for u in users])
 
 
 def test_restrict_identity_and_degree():

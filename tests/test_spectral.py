@@ -40,14 +40,14 @@ def test_diagonal_matrix_gives_diagonal_spectrum():
 def test_random_sparse_topk_matches_dense_oracle():
     for seed in range(3):
         m = random_sparse(200, 150, 0.03, seed)
-        U, s, V = truncated_svd(m, 5, tol=1e-9, max_iter=600, oversample=15)
+        U, s, V = truncated_svd(m, 5, tol=1e-9, max_iter=600)
         s_ref = dense_svd(m.toarray(), compute_uv=False)[:5]
         assert np.allclose(s, s_ref, rtol=1e-6)
 
 
 def test_factors_are_orthonormal_and_reconstruct():
     m = random_sparse(120, 90, 0.05, 7)
-    U, s, V = truncated_svd(m, 4, tol=1e-9, max_iter=600, oversample=12)
+    U, s, V = truncated_svd(m, 4, tol=1e-9, max_iter=600)
     assert np.allclose(U.T @ U, np.eye(4), atol=1e-6)
     assert np.allclose(V.T @ V, np.eye(4), atol=1e-6)
     # each pair satisfies M v = s u
