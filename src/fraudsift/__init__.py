@@ -15,23 +15,18 @@ from .graph import (BipartiteGraph, DataError, EdgeRecord, RatingScale,
 from .spectral import ConvergenceError, truncated_svd
 from .synth import (GroundTruth, InjectionConfig, bench_graph, gen_hyperbolic,
                     inject, read_labels, write_labels)
-from .temporal import (BurstPair, DropInfo, SpikeProfile, TimeSeriesHist,
-                       build_histogram, build_profile, drop_edge_weight,
-                       extreme_slopes, max_drop, multiburst,
-                       simulate_triangle_attack, time_obstruction_bound)
+from .temporal import (extreme_slopes, simulate_triangle_attack,
+                       time_obstruction_bound)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AccuracyCurve", "BipartiteGraph", "BurstPair", "ContrastState",
-    "ConvergenceError", "DataError", "DetectionResult", "DetectorConfig",
-    "DropInfo", "EdgeRecord", "GroundTruth", "InjectionConfig", "RatingScale",
-    "SignalContext", "SpikeProfile", "SweepResult", "TimeSeriesHist",
-    "avg_degree_baseline", "bench_graph", "build_histogram", "build_profile",
-    "contrast_score", "density_sweep", "drop_edge_weight", "extreme_slopes",
-    "f_measure", "fast_greedy", "gen_hyperbolic", "greedy_shaving", "ingest",
-    "inject", "matricize", "max_drop", "multiburst", "read_delimited",
-    "read_labels", "roc_auc", "simulate_triangle_attack",
-    "svd_seeds", "time_obstruction_bound", "truncated_svd", "write_delimited",
-    "write_labels",
+    "AccuracyCurve", "BipartiteGraph", "ContrastState", "ConvergenceError",
+    "DataError", "DetectionResult", "DetectorConfig", "EdgeRecord", "GroundTruth",
+    "InjectionConfig", "RatingScale", "SignalContext", "SweepResult",
+    "avg_degree_baseline", "bench_graph", "contrast_score", "density_sweep",
+    "extreme_slopes", "f_measure", "fast_greedy", "gen_hyperbolic", "greedy_shaving",
+    "ingest", "inject", "matricize", "read_delimited", "read_labels", "roc_auc",
+    "simulate_triangle_attack", "svd_seeds", "time_obstruction_bound",
+    "truncated_svd", "write_delimited", "write_labels",
 ]

@@ -20,10 +20,10 @@ import numpy as np
 from . import __version__
 from .detector import DetectorConfig, fast_greedy
 from .evalkit import density_sweep
-from .graph import DataError, RatingScale, read_delimited, write_delimited
+from .graph import DataError, RatingScale, concat_ranges, read_delimited, write_delimited
 from .spectral import ConvergenceError
 from .synth import InjectionConfig, bench_graph, inject, write_labels
-from .temporal import build_profile, profile_payload
+from .temporal import profile_payloads
 
 logger = logging.getLogger(__name__)
 
@@ -134,7 +134,7 @@ def cli(verbose: bool) -> None:
 @click.option("--output-dir", required=True, type=click.Path())
 @click.option("--scale", default=None, help="Rating scale: lo:hi:step or comma list.")
 @click.option("--neutral", default=None, help="Comma list of neutral scores.")
-@click.option("--dump-profiles", type=int, default=0, show_default=True,
+@click.option("--dump-profiles", type=click.IntRange(min=0), default=0, show_default=True,
               help="Also write burst/drop profiles for the N top-ranked objects.")
 @_with_options(detector_options)
 def cmd_detect(input_path, output_dir, scale, neutral, dump_profiles, seed, base,
@@ -156,13 +156,12 @@ def cmd_detect(input_path, output_dir, scale, neutral, dump_profiles, seed, base
     timings["detect_s"] = time.perf_counter() - t0
 
     if dump_profiles:
-        indptr = graph.sink_event_indptr
-        payloads = []
-        for oid, _ in result.top_objects(graph, dump_profiles):
-            vi = graph.object_index(oid)
-            times = graph.sink_event_time[indptr[vi]:indptr[vi + 1]]
-            payloads.append(profile_payload(oid, *build_profile(times)))
-        _write_json(out / "profiles.json", {"profiles": payloads})
+        top = [oid for oid, _ in result.top_objects(graph, dump_profiles)]
+        vi = np.asarray([graph.object_index(oid) for oid in top], dtype=np.int64)
+        starts, stops = graph.sink_event_indptr[vi], graph.sink_event_indptr[vi + 1]
+        times = graph.sink_event_time[concat_ranges(starts, stops)].astype(np.float64)
+        indptr = np.concatenate(([0], np.cumsum(stops - starts)))
+        _write_json(out / "profiles.json", {"profiles": profile_payloads(top, times, indptr)})
 
     with open(out / "users.csv", "w", encoding="utf-8") as fh:
         fh.write("user_id\n")

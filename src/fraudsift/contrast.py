@@ -51,11 +51,11 @@ class SignalContext:
     every signal the data carries, and an explicit request for a signal the
     data cannot support is a DataError. ``base`` is ``config.base``.
 
-    The spike profiles take two paths (``temporal.spike_weights``): sinks
-    with at most ``temporal.FRONTIER_MAX_BINS`` bins run the burst/drop
-    recursion together, one level per pass over all their windows; sinks
-    with more bins run ``temporal.spike_profile`` one sink at a time. Both
-    give the bytes of the per-sink definition."""
+    The burst/drop recursion takes two paths (``temporal.spike_weights``):
+    sinks with at most ``temporal.FRONTIER_MAX_BINS`` bins advance together,
+    one level per pass over all their windows; sinks with more bins recurse
+    one at a time. Both emit bin-index triples into one reducer, which gives
+    the bytes of the per-sink definition."""
 
     def __init__(self, graph: BipartiteGraph, config: DetectorConfig):
         signals = config.signals
@@ -90,7 +90,7 @@ class SignalContext:
             times = graph.sink_event_time.astype(np.float64)
             indptr = graph.sink_event_indptr
             hists = temporal.histogram_segments(times, indptr)
-            event_w, self.sink_phi_total, drop_w = temporal.spike_weights(
+            event_w, self.sink_phi_total, drop_w, *_ = temporal.spike_weights(
                 hists, times, indptr)
             # each pair's events sit in one sink, in time order: the sums match
             # a per-sink accumulation exactly
@@ -131,11 +131,9 @@ class SignalContext:
                                      graph.pair_count.astype(np.int64))
             pk = pid_of_event[keep] * max(c, 1) + ev_cat[keep]
             uniq, cnts = np.unique(pk, return_counts=True)
-            self.pair_cat_pair = (uniq // max(c, 1)).astype(np.int64)
             self.pair_cat_id = (uniq % max(c, 1)).astype(np.int64)
             self.pair_cat_count = cnts.astype(np.float64)
-            self.pair_cat_indptr = np.searchsorted(
-                self.pair_cat_pair, np.arange(npairs + 1))
+            self.pair_cat_indptr = np.searchsorted(uniq // max(c, 1), np.arange(npairs + 1))
         else:
             self.n_categories = 0
 

@@ -24,9 +24,10 @@ SVD_SEED = 42
 class DetectorConfig:
     """Detection knobs; ``signals=None`` enables whatever the data supports.
 
-    ``base`` must be finite and above 1, ``time_bin`` finite and positive,
-    and ``cap_exponent`` None or finite and positive; anything else is a
-    DataError. Which signals run is decided by ``SignalContext``.
+    ``base`` must be finite and above 1, ``num_seeds`` at least 1,
+    ``time_bin`` finite and positive, and ``cap_exponent`` None or finite and
+    positive; anything else is a DataError. Which signals run is decided by
+    ``SignalContext``.
 
     Seeding runs ARPACK at its default (machine-precision) tolerance from a
     starting vector drawn from ``SVD_SEED``, so seeds are reproducible; with
@@ -44,6 +45,9 @@ class DetectorConfig:
     def __post_init__(self):
         if not (math.isfinite(self.base) and self.base > 1):
             raise DataError(f"scaling base must be finite and exceed 1, got {self.base}")
+        if self.num_seeds < 1:
+            raise DataError(f"number of seeds (num_seeds) must be at least 1, "
+                            f"got {self.num_seeds}")
         if not (math.isfinite(self.time_bin) and self.time_bin > 0):
             raise DataError(f"time bin must be finite and positive, got {self.time_bin}")
         if self.cap_exponent is not None and not (

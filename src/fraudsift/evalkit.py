@@ -38,8 +38,9 @@ def roc_auc(scores: Mapping, truth: Iterable) -> float:
     """Rank-based AUC (Mann-Whitney, ties averaged) of scored items against a
     positive set; requires both classes present."""
     items = list(scores.keys())
+    positive = set(truth)
     values = np.asarray([scores[i] for i in items], dtype=np.float64)
-    labels = np.asarray([i in set(truth) for i in items], dtype=bool)
+    labels = np.asarray([i in positive for i in items], dtype=bool)
     return roc_auc_from_arrays(values, labels)
 
 

@@ -15,8 +15,8 @@ from .graph import DataError, concat_ranges
 # sinks, which hold 12.8M of the 13.3M bins. Changing this cap, or the bin
 # rule, changes every output that reads the histograms.
 MAX_BINS = 65536
-# Segments with more bins than this keep spike_profile's per-segment
-# recursion; the rest advance through it together, one level per pass.
+# Segments with more bins than this recurse one at a time; the rest advance
+# through the recursion together, one level per pass. Both emit triples.
 # Bin counts are bimodal: a sink of the benchmark graphs has at most 230
 # bins or more than 2048, so any value from 256 to 1024 makes the same split.
 FRONTIER_MAX_BINS = 512
@@ -27,65 +27,12 @@ BURST_SIGNIFICANCE = 0.5
 
 
 @dataclass(frozen=True)
-class TimeSeriesHist:
-    """Uniform-width histogram of one sink's event timestamps."""
-
-    centers: np.ndarray
-    counts: np.ndarray
-    bin_width: float
-
-    def __len__(self) -> int:
-        return int(self.counts.size)
-
-
-@dataclass(frozen=True)
-class BurstPair:
-    """An (awakening, burst) point pair with the rise slope between them."""
-
-    awakening: tuple[float, float]
-    burst: tuple[float, float]
-
-    @property
-    def altitude(self) -> float:
-        return self.burst[1] - self.awakening[1]
-
-    @property
-    def slope(self) -> float:
-        return self.altitude / (self.burst[0] - self.awakening[0])
-
-
-@dataclass(frozen=True)
-class DropInfo:
-    """A (burst, dying) point pair describing one decline."""
-
-    burst: tuple[float, float]
-    dying: tuple[float, float]
-
-    @property
-    def fall(self) -> float:
-        return self.burst[1] - self.dying[1]
-
-    @property
-    def slope(self) -> float:
-        return self.fall / (self.dying[0] - self.burst[0])
-
-
-@dataclass(frozen=True)
-class SpikeProfile:
-    """Significant burst pairs and the maximal drop of one sink's time series."""
-
-    pairs: tuple[BurstPair, ...]
-    max_drop: DropInfo | None
-    phi_denominator: float
-
-
-@dataclass(frozen=True)
 class SegmentHistograms:
     """Histograms of many time-sorted segments, packed end to end.
 
     Segment s owns bins ``bin_indptr[s]:bin_indptr[s + 1]`` of ``counts``;
-    an empty segment owns no bins. Bin centers are built per segment on
-    access, from the segment's first timestamp and bin width.
+    an empty segment owns no bins. A bin's center follows from its index,
+    the segment's first timestamp and its bin width (``_points``).
     """
 
     bin_indptr: np.ndarray
@@ -96,16 +43,6 @@ class SegmentHistograms:
 
     def n_bins(self) -> np.ndarray:
         return np.diff(self.bin_indptr)
-
-    def __getitem__(self, s: int) -> TimeSeriesHist:
-        first, last = self.bin_indptr[s], self.bin_indptr[s + 1]
-        lo, width = float(self.lo[s]), float(self.widths[s])
-        if self.spread[s]:
-            # linspace's edges i * width + lo, shifted by half a bin
-            centers = np.arange(last - first) * width + lo + width / 2.0
-        else:
-            centers = np.full(last - first, lo)
-        return TimeSeriesHist(centers, self.counts[first:last], width)
 
 
 def _quantile_sorted(ts: np.ndarray, starts: np.ndarray, n: np.ndarray, q: float) -> np.ndarray:
@@ -176,18 +113,95 @@ def histogram_segments(times: np.ndarray, indptr: np.ndarray) -> SegmentHistogra
                              spread)
 
 
-def build_histogram(timestamps: Sequence[int] | np.ndarray) -> TimeSeriesHist:
-    """Histogram of one sink's timestamps: the one-segment case of histogram_segments."""
-    ts = np.sort(np.asarray(timestamps, dtype=np.float64))
-    if ts.size == 0:
-        raise DataError("cannot build a histogram from zero timestamps")
-    return histogram_segments(ts, np.array([0, ts.size]))[0]
+def _points(hists: SegmentHistograms, seg, idx) -> tuple[np.ndarray, np.ndarray]:
+    """Center and count, as float64, of global bins ``idx`` of segments ``seg``.
+    A center is linspace's edge (idx - first) * width + lo, shifted by half a bin."""
+    width = hists.widths[seg]
+    return ((idx - hists.bin_indptr[seg]) * width + hists.lo[seg] + width / 2.0,
+            hists.counts[idx].astype(np.float64))
+
+
+def spike_weights(hists: SegmentHistograms, times: np.ndarray, indptr: np.ndarray):
+    """The burst/drop recursion of every segment with >= 3 events and >= 3
+    bins, reduced to what the contrast signals read: the burst weight of each
+    event, and each segment's phi denominator and drop edge weight (zeros
+    elsewhere). Also returns the significant burst triples (segment,
+    awakening, burst) and the max-drop triples (segment, burst, dying), in
+    global bin indices into ``hists.counts``.
+
+    Segments with at most FRONTIER_MAX_BINS bins advance together, one
+    recursion level per pass over a frontier of windows; the rest recurse
+    one segment at a time. Both emit triples, and one reducer turns them
+    into the outputs.
+    """
+    n_bins = hists.n_bins()
+    profiled = (np.diff(indptr) >= 3) & (n_bins >= 3)
+    small = np.flatnonzero(profiled & (n_bins <= FRONTIER_MAX_BINS))
+    cuts = np.flatnonzero(np.diff(np.cumsum(n_bins[small]) // FRONTIER_CHUNK_BINS)) + 1
+    found = [_frontier_triples(hists, part) for part in np.split(small, cuts)]
+    large_bursts, large_drops = [], []
+    for s in np.flatnonzero(profiled & (n_bins > FRONTIER_MAX_BINS)).tolist():
+        _segment_triples(hists, s, large_bursts, large_drops)
+    found.append((_columns(large_bursts), _columns(large_drops)))
+    return _reduce(hists, times, indptr, *(_concat(parts) for parts in zip(*found)))
+
+
+def _columns(rows) -> tuple[np.ndarray, ...]:
+    """A list of triples as three index arrays."""
+    return tuple(np.asarray(rows, dtype=np.int64).reshape(-1, 3).T)
+
+
+def _concat(parts) -> tuple[np.ndarray, ...]:
+    """Triples of index arrays joined end to end."""
+    return tuple(np.concatenate(x) for x in zip(*parts))
+
+
+def _reduce(hists, times, indptr, bursts, drops):
+    """spike_weights' outputs from the burst triples (before the significance
+    filter) and the max-drop triples of every segment."""
+    n = indptr.size - 1
+    event_w = np.zeros(times.size, dtype=np.float64)
+    phi_total = np.zeros(n, dtype=np.float64)
+    drop_w = np.zeros(n, dtype=np.float64)
+
+    seg, a, m = bursts
+    (ta, ca), (tm, cm) = _points(hists, seg, a), _points(hists, seg, m)
+    altitude = cm - ca
+    top = np.zeros(n)
+    np.maximum.at(top, seg, altitude)
+    kept = altitude >= BURST_SIGNIFICANCE * top[seg]
+    seg, a, m, altitude, ta, tm = (x[kept] for x in (seg, a, m, altitude, ta, tm))
+    if seg.size:
+        weight = altitude * (altitude / (tm - ta))
+        ev_lo, ev_hi = indptr[seg], indptr[seg + 1]
+        lo = _bisect(times, ev_lo, ev_hi, ta, right=False)
+        hi = _bisect(times, ev_lo, ev_hi, tm, right=True)
+        # the bursts of one segment cover disjoint spans of time
+        event_w[concat_ranges(lo, hi)] = np.repeat(weight, hi - lo)
+        bursty = np.unique(seg)
+        phi_total[bursty] = _segment_sums(event_w, indptr[bursty], indptr[bursty + 1])
+
+    drop_seg, b, d = drops
+    (tb, cb), (td, cd) = _points(hists, drop_seg, b), _points(hists, drop_seg, d)
+    fall = cb - cd
+    drop_w[drop_seg] = list(map(math.log2, (1.0 + fall * (fall / (td - tb))).tolist()))
+    return event_w, phi_total, drop_w, (seg, a, m), drops
 
 
 def _distances_to_line(tx, cx, t0, c0, t1, c1):
     """Perpendicular distance of points (tx, cx) to the line through (t0,c0)-(t1,c1)."""
     num = np.abs((c1 - c0) * tx - (t1 - t0) * cx + t1 * c0 - c1 * t0)
     return num / math.hypot(c1 - c0, t1 - t0)
+
+
+def _peak(counts, i: int, j: int) -> int | None:
+    """First argmax of the window [i, j], or None for a window the recursion
+    skips: fewer than 3 bins, or all bins equal."""
+    if j - i < 2:
+        return None
+    win = counts[i:j + 1]
+    m = int(win.argmax())
+    return None if win[m] == win.min() else i + m
 
 
 def _awakening_index(centers, counts, i: int, m: int) -> int | None:
@@ -200,10 +214,9 @@ def _awakening_index(centers, counts, i: int, m: int) -> int | None:
     """
     if m - 1 < i:
         return None
-    tx = centers[i:m]
-    cx = counts[i:m]
-    d = _distances_to_line(tx, cx, centers[i], counts[i], centers[m], counts[m])
-    best = i + int(np.argmax(d))
+    d = _distances_to_line(centers[i:m], counts[i:m], centers[i], counts[i],
+                           centers[m], counts[m])
+    best = i + int(d.argmax())
     if d[best - i] == 0.0 and i + 1 <= m - 1:
         best = i + 1
     return best
@@ -213,10 +226,9 @@ def _dying_index(centers, counts, m: int, j: int) -> int | None:
     """Mirror of the awakening search on the decline from m to the window end j."""
     if m + 1 > j:
         return None
-    tx = centers[m + 1:j + 1]
-    cx = counts[m + 1:j + 1]
-    d = _distances_to_line(tx, cx, centers[m], counts[m], centers[j], counts[j])
-    best = m + 1 + int(np.argmax(d))
+    d = _distances_to_line(centers[m + 1:j + 1], counts[m + 1:j + 1], centers[m],
+                           counts[m], centers[j], counts[j])
+    best = m + 1 + int(d.argmax())
     if d[best - m - 1] == 0.0 and m + 1 <= j - 1:
         best = j - 1
     return best
@@ -232,167 +244,56 @@ def _first_local_min(counts, m: int, j: int) -> int | None:
     return j
 
 
-def multiburst(hist: TimeSeriesHist,
-               significance: float = BURST_SIGNIFICANCE) -> tuple[BurstPair, ...]:
-    """Extract all awakening/burst pairs, keeping those whose altitude reaches
-    ``significance`` times the largest altitude found."""
-    centers = np.asarray(hist.centers, dtype=np.float64)
-    counts = np.asarray(hist.counts, dtype=np.float64)
-    pairs: list[BurstPair] = []
-    stack = [(0, len(counts) - 1)]
+def _segment_triples(hists, s: int, bursts: list, drops: list) -> None:
+    """The recursion over segment s one window at a time, for segments too
+    large for the frontier: appends its (s, awakening, burst) triples and its
+    max drop's (s, burst, dying) triple, in global bin indices."""
+    first = int(hists.bin_indptr[s])
+    centers, counts = _points(hists, s, np.arange(first, hists.bin_indptr[s + 1]))
+    stack = [(0, counts.size - 1)]
     while stack:
         i, j = stack.pop()
-        if j - i < 2:
+        m = _peak(counts, i, j)
+        if m is None:
             continue
-        win = counts[i:j + 1]
-        if win.max() == win.min():
-            continue
-        m = i + int(np.argmax(win))
         a = _awakening_index(centers, counts, i, m)
         if a is not None and counts[m] > counts[a]:
-            pairs.append(BurstPair((float(centers[a]), float(counts[a])),
-                                   (float(centers[m]), float(counts[m]))))
+            bursts.append((s, first + a, first + m))
             stack.append((i, a - 1))
         k = _first_local_min(counts, m, j)
         if k is not None:
             stack.append((k, j))
-    if not pairs:
-        return ()
-    top = max(p.altitude for p in pairs)
-    kept = tuple(p for p in pairs if p.altitude >= significance * top)
-    return tuple(sorted(kept, key=lambda p: p.awakening[0]))
-
-
-def max_drop(hist: TimeSeriesHist) -> DropInfo | None:
-    """The drop with the largest fall, found by the recursive dying-point search."""
-    centers = np.asarray(hist.centers, dtype=np.float64)
-    counts = np.asarray(hist.counts, dtype=np.float64)
-    best: DropInfo | None = None
-    stack = [(0, len(counts) - 1)]
+    # the largest fall; of equal falls, the first in depth-first pre-order
+    best, fall = None, 0.0
+    stack = [(0, counts.size - 1)]
     while stack:
         i, j = stack.pop()
-        if j - i < 2:
+        m = _peak(counts, i, j)
+        if m is None:
             continue
-        win = counts[i:j + 1]
-        if win.max() == win.min():
-            continue
-        m = i + int(np.argmax(win))
         d = _dying_index(centers, counts, m, j)
         if d is not None:
-            if counts[m] > counts[d]:
-                cand = DropInfo((float(centers[m]), float(counts[m])),
-                                (float(centers[d]), float(counts[d])))
-                if best is None or cand.fall > best.fall:
-                    best = cand
+            if counts[m] - counts[d] > fall:
+                best, fall = (s, first + m, first + d), counts[m] - counts[d]
             stack.append((d, j))
         stack.append((i, m - 1))
-    return best
+    if best is not None:
+        drops.append(best)
 
 
-def spike_profile(hist: TimeSeriesHist,
-                  sorted_times: np.ndarray) -> tuple[SpikeProfile, np.ndarray | None]:
-    """Spike profile of a histogram with >= 3 bins, and the burst weight of
-    each of its time-sorted events (None without a significant burst)."""
-    pairs = multiburst(hist)
-    drop = max_drop(hist)
-    if not pairs:
-        return SpikeProfile((), drop, 0.0), None
-    w = burst_event_weights(pairs, sorted_times)
-    return SpikeProfile(pairs, drop, float(w.sum())), w
-
-
-def build_profile(timestamps: np.ndarray) -> tuple[TimeSeriesHist | None, SpikeProfile]:
-    """Histogram + spike profile for one sink; sinks with < 3 events get an empty profile."""
-    ts = np.sort(np.asarray(timestamps, dtype=np.float64))
-    if ts.size < 3:
-        return None, SpikeProfile((), None, 0.0)
-    hist = build_histogram(ts)
-    if len(hist) < 3:
-        return hist, SpikeProfile((), None, 0.0)
-    return hist, spike_profile(hist, ts)[0]
-
-
-def burst_event_weights(pairs: Sequence[BurstPair], sorted_times: np.ndarray) -> np.ndarray:
-    """Per-event burst weight over a time-sorted array: each event inside a
-    pair's awakening-to-burst window adds the pair's altitude times slope.
-    Summed, it is the sink's phi denominator."""
-    w = np.zeros(sorted_times.size, dtype=np.float64)
-    for p in pairs:
-        lo = np.searchsorted(sorted_times, p.awakening[0], side="left")
-        hi = np.searchsorted(sorted_times, p.burst[0], side="right")
-        w[lo:hi] += p.altitude * p.slope
-    return w
-
-
-def drop_edge_weight(drop: DropInfo | None) -> float:
-    """Log-smoothed fall-times-slope weight of a drop; 0 when absent."""
-    if drop is None:
-        return 0.0
-    return math.log2(1.0 + drop.fall * drop.slope)
-
-
-def spike_weights(hists: SegmentHistograms, times: np.ndarray,
-                  indptr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """spike_profile of every segment with >= 3 events and >= 3 bins, reduced
-    to what the contrast signals read: the burst weight of each event, and
-    each segment's phi denominator and drop edge weight (zeros elsewhere).
-
-    Segments with at most FRONTIER_MAX_BINS bins run multiburst and max_drop
-    together, one recursion level per pass over a frontier of windows; the
-    rest call spike_profile one at a time. Both give the same bytes.
-    """
-    n_events = np.diff(indptr)
-    n_bins = hists.n_bins()
-    profiled = (n_events >= 3) & (n_bins >= 3)
-    event_w = np.zeros(times.size, dtype=np.float64)
-    phi_total = np.zeros(n_events.size, dtype=np.float64)
-    drop_w = np.zeros(n_events.size, dtype=np.float64)
-    small = np.flatnonzero(profiled & (n_bins <= FRONTIER_MAX_BINS))
-    cuts = np.flatnonzero(np.diff(np.cumsum(n_bins[small]) // FRONTIER_CHUNK_BINS)) + 1
-    for part in np.split(small, cuts):
-        _frontier_weights(hists, times, indptr, part, event_w, phi_total, drop_w)
-    for v in np.flatnonzero(profiled & (n_bins > FRONTIER_MAX_BINS)).tolist():
-        lo, hi = indptr[v], indptr[v + 1]
-        profile, w = spike_profile(hists[v], times[lo:hi])
-        if w is not None:
-            phi_total[v] = profile.phi_denominator
-            event_w[lo:hi] = w
-        drop_w[v] = drop_edge_weight(profile.max_drop)
-    return event_w, phi_total, drop_w
-
-
-def _frontier_weights(hists, times, indptr, segs, event_w, phi_total, drop_w) -> None:
-    """spike_weights of the segments ``segs``, written into its outputs."""
+def _frontier_triples(hists, segs):
+    """The burst triples and max-drop triples of the segments ``segs``, their
+    windows advancing together, one recursion level per pass."""
     first, last = hists.bin_indptr[segs], hists.bin_indptr[segs + 1]
     n_bins = last - first
-    # the segments' bins packed end to end, with __getitem__'s centers
+    # the segments' bins packed end to end; bins maps back to global indices
+    bins = concat_ranges(first, last)
+    centers, counts = _points(hists, np.repeat(segs, n_bins), bins)
     start = np.cumsum(n_bins) - n_bins
-    counts = hists.counts[concat_ranges(first, last)].astype(np.float64)
-    local = np.arange(counts.size) - np.repeat(start, n_bins)
-    width = np.repeat(hists.widths[segs], n_bins)
-    centers = local * width + np.repeat(hists.lo[segs], n_bins) + width / 2.0
     windows = (np.arange(segs.size), start, start + n_bins - 1)
-
     seg, a, m = _burst_pairs(centers, counts, *windows)
-    if seg.size:
-        altitude = counts[m] - counts[a]
-        top = np.zeros(segs.size)
-        np.maximum.at(top, seg, altitude)
-        kept = altitude >= BURST_SIGNIFICANCE * top[seg]
-        seg, a, m, altitude = seg[kept], a[kept], m[kept], altitude[kept]
-        weight = altitude * (altitude / (centers[m] - centers[a]))
-        ev_lo, ev_hi = indptr[segs[seg]], indptr[segs[seg] + 1]
-        lo = _bisect(times, ev_lo, ev_hi, centers[a], right=False)
-        hi = _bisect(times, ev_lo, ev_hi, centers[m], right=True)
-        # the bursts of one segment cover disjoint spans of time
-        event_w[concat_ranges(lo, hi)] = np.repeat(weight, hi - lo)
-        bursty = segs[np.unique(seg)]
-        phi_total[bursty] = _segment_sums(event_w, indptr[bursty], indptr[bursty + 1])
-
-    seg, m, d = _max_drops(centers, counts, *windows)
-    fall = counts[m] - counts[d]
-    edge = 1.0 + fall * (fall / (centers[d] - centers[m]))
-    drop_w[segs[seg]] = list(map(math.log2, edge.tolist()))
+    ds, dm, dd = _max_drops(centers, counts, *windows)
+    return (segs[seg], bins[a], bins[m]), (segs[ds], bins[dm], bins[dd])
 
 
 def _gather(starts: np.ndarray, stops: np.ndarray):
@@ -440,7 +341,7 @@ def _farthest(centers, counts, starts, stops, p, q):
 
 
 def _burst_pairs(centers, counts, seg, i, j):
-    """multiburst's (segment, awakening, burst) index triples over the
+    """_segment_triples' (segment, awakening, burst) index triples over the
     frontier of windows (i, j) of each segment, one recursion level per pass."""
     # the candidates k of _first_local_min
     rising = np.append(np.flatnonzero(counts[:-1] <= counts[1:]), counts.size)
@@ -466,8 +367,8 @@ def _burst_pairs(centers, counts, seg, i, j):
 
 
 def _max_drops(centers, counts, seg, i, j):
-    """max_drop's (segment, burst, dying) index triple of each segment with a
-    drop, over the frontier of windows (i, j), one recursion level per pass."""
+    """_segment_triples' (segment, burst, dying) index triple of each segment
+    with a drop, over the frontier of windows (i, j), one recursion level per pass."""
     found = []
     while seg.size:
         seg, i, j, m = _live_windows(counts, seg, i, j)
@@ -483,7 +384,7 @@ def _max_drops(centers, counts, seg, i, j):
     if not found:
         return (np.zeros(0, dtype=np.int64),) * 3
     seg, i, j, m, d = (np.concatenate(x) for x in zip(*found))
-    # max_drop keeps the first of equal falls in its depth-first pre-order:
+    # the recursion keeps the first of equal falls in its depth-first pre-order:
     # a window comes before the windows inside it, and disjoint windows go
     # left to right
     order = np.lexsort((-j, i, counts[d] - counts[m], seg))
@@ -570,20 +471,40 @@ def extreme_slopes(counts: np.ndarray, bin_width: float) -> tuple[float, float]:
     return max_rise, max_fall
 
 
-def profile_payload(sink_id: str, hist: TimeSeriesHist | None,
-                    profile: SpikeProfile) -> dict:
-    """JSON-ready debug dump of one sink's bins, burst pairs, and drop."""
-    payload: dict = {"sink": sink_id, "pairs": [], "drop": None,
-                     "phi_denominator": profile.phi_denominator}
-    if hist is not None:
-        payload["bin_width"] = hist.bin_width
-        payload["bins"] = [[float(t), int(c)] for t, c in zip(hist.centers, hist.counts)]
-    for p in profile.pairs:
-        payload["pairs"].append({
-            "awakening": list(p.awakening), "burst": list(p.burst),
-            "slope": p.slope, "altitude": p.altitude})
-    if profile.max_drop is not None:
-        d = profile.max_drop
-        payload["drop"] = {"burst": list(d.burst), "dying": list(d.dying),
-                           "slope": d.slope, "fall": d.fall}
-    return payload
+def profile_payloads(sink_ids: Sequence[str], times: np.ndarray,
+                     indptr: np.ndarray) -> list[dict]:
+    """JSON-ready debug dump of each time-sorted segment
+    ``times[indptr[s]:indptr[s + 1]]``: its bins, its significant burst pairs
+    by awakening time, its max drop and its phi denominator. A segment with
+    fewer than 3 events gets no bins."""
+    hists = histogram_segments(times, indptr)
+    _, phi_total, _, bursts, drops = spike_weights(hists, times, indptr)
+    seg, a, m = (x[np.lexsort((bursts[1], bursts[0]))] for x in bursts)
+    pair_rows = np.searchsorted(seg, np.arange(len(sink_ids) + 1))
+    ta, ca, tb, cb = (x.tolist() for idx in (a, m) for x in _points(hists, seg, idx))
+    drop_seg, burst, dying = drops
+    tm, cm, td, cd = (x.tolist() for idx in (burst, dying)
+                      for x in _points(hists, drop_seg, idx))
+    drop_row = dict(zip(drop_seg.tolist(), range(drop_seg.size)))
+    payloads = []
+    for s, sink in enumerate(sink_ids):
+        payload: dict = {"sink": sink, "phi_denominator": float(phi_total[s]), "pairs": [],
+                         "drop": None}
+        if indptr[s + 1] - indptr[s] >= 3:
+            first, last = hists.bin_indptr[s], hists.bin_indptr[s + 1]
+            centers = (_points(hists, s, np.arange(first, last))[0].tolist()
+                       if hists.spread[s] else [float(hists.lo[s])])
+            payload["bin_width"] = float(hists.widths[s])
+            payload["bins"] = [[t, int(c)] for t, c in zip(centers, hists.counts[first:last])]
+        for p in range(pair_rows[s], pair_rows[s + 1]):
+            altitude = cb[p] - ca[p]
+            payload["pairs"].append({"awakening": [ta[p], ca[p]], "burst": [tb[p], cb[p]],
+                                     "slope": altitude / (tb[p] - ta[p]),
+                                     "altitude": altitude})
+        r = drop_row.get(s)
+        if r is not None:
+            fall = cm[r] - cd[r]
+            payload["drop"] = {"burst": [tm[r], cm[r]], "dying": [td[r], cd[r]],
+                               "slope": fall / (td[r] - tm[r]), "fall": fall}
+        payloads.append(payload)
+    return payloads

@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+import math
 from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from fraudsift import DataError, EdgeRecord, temporal
+from fraudsift import DataError, EdgeRecord
 from fraudsift.contrast import ContrastState
 from fraudsift.graph import concat_ranges
-from fraudsift.temporal import MAX_BINS, SpikeProfile, TimeSeriesHist
+from fraudsift.temporal import BURST_SIGNIFICANCE, MAX_BINS
 
 
 # -- scalar signal quantities ------------------------------------------------
@@ -62,7 +64,7 @@ def awakening_point(hist: TimeSeriesHist, i: int, j: int) -> tuple[float, float]
         raise DataError("window too short")
     counts = np.asarray(hist.counts, dtype=np.float64)
     m = i + int(np.argmax(counts[i:j + 1]))
-    a = temporal._awakening_index(hist.centers, counts, i, m)
+    a = _awakening_index(hist.centers, counts, i, m)
     if a is None:
         return None
     return (float(hist.centers[a]), float(counts[a]))
@@ -103,6 +105,62 @@ def triplet_matrix(rows, cols, values, shape) -> sp.csr_matrix:
     return csr
 
 
+# -- the per-sink spike object model -------------------------------------------
+
+
+@dataclass(frozen=True)
+class TimeSeriesHist:
+    """Uniform-width histogram of one sink's event timestamps."""
+
+    centers: np.ndarray
+    counts: np.ndarray
+    bin_width: float
+
+    def __len__(self) -> int:
+        return int(self.counts.size)
+
+
+@dataclass(frozen=True)
+class BurstPair:
+    """An (awakening, burst) point pair with the rise slope between them."""
+
+    awakening: tuple[float, float]
+    burst: tuple[float, float]
+
+    @property
+    def altitude(self) -> float:
+        return self.burst[1] - self.awakening[1]
+
+    @property
+    def slope(self) -> float:
+        return self.altitude / (self.burst[0] - self.awakening[0])
+
+
+@dataclass(frozen=True)
+class DropInfo:
+    """A (burst, dying) point pair describing one decline."""
+
+    burst: tuple[float, float]
+    dying: tuple[float, float]
+
+    @property
+    def fall(self) -> float:
+        return self.burst[1] - self.dying[1]
+
+    @property
+    def slope(self) -> float:
+        return self.fall / (self.dying[0] - self.burst[0])
+
+
+@dataclass(frozen=True)
+class SpikeProfile:
+    """Significant burst pairs and the maximal drop of one sink's time series."""
+
+    pairs: tuple[BurstPair, ...]
+    max_drop: DropInfo | None
+    phi_denominator: float
+
+
 def histogram(timestamps) -> TimeSeriesHist:
     """One sink's histogram straight from np.percentile and np.histogram."""
     ts = np.asarray(timestamps, dtype=np.float64)
@@ -125,7 +183,177 @@ def histogram(timestamps) -> TimeSeriesHist:
     return TimeSeriesHist(centers, counts.astype(np.int64), width)
 
 
-def signal_arrays(graph, significance: float = 0.5):
+def segment_hist(hists, s: int) -> TimeSeriesHist:
+    """Segment ``s`` of a SegmentHistograms as a TimeSeriesHist."""
+    first, last = hists.bin_indptr[s], hists.bin_indptr[s + 1]
+    lo, width = float(hists.lo[s]), float(hists.widths[s])
+    if hists.spread[s]:
+        # linspace's edges i * width + lo, shifted by half a bin
+        centers = np.arange(last - first) * width + lo + width / 2.0
+    else:
+        centers = np.full(last - first, lo)
+    return TimeSeriesHist(centers, hists.counts[first:last], width)
+
+
+def _distances_to_line(tx, cx, t0, c0, t1, c1):
+    """Perpendicular distance of points (tx, cx) to the line through (t0,c0)-(t1,c1)."""
+    num = np.abs((c1 - c0) * tx - (t1 - t0) * cx + t1 * c0 - c1 * t0)
+    return num / math.hypot(c1 - c0, t1 - t0)
+
+
+def _awakening_index(centers, counts, i: int, m: int) -> int | None:
+    """Farthest point from the line (i)-(m) among i..m-1; on a line, the first
+    interior point."""
+    if m - 1 < i:
+        return None
+    d = _distances_to_line(centers[i:m], counts[i:m], centers[i], counts[i],
+                           centers[m], counts[m])
+    best = i + int(np.argmax(d))
+    if d[best - i] == 0.0 and i + 1 <= m - 1:
+        best = i + 1
+    return best
+
+
+def _dying_index(centers, counts, m: int, j: int) -> int | None:
+    """Mirror of the awakening search on the decline from m to the window end j."""
+    if m + 1 > j:
+        return None
+    d = _distances_to_line(centers[m + 1:j + 1], counts[m + 1:j + 1], centers[m],
+                           counts[m], centers[j], counts[j])
+    best = m + 1 + int(np.argmax(d))
+    if d[best - m - 1] == 0.0 and m + 1 <= j - 1:
+        best = j - 1
+    return best
+
+
+def _first_local_min(counts, m: int, j: int) -> int | None:
+    """First k > m with counts[k] <= counts[k+1]; plateaus count at their left edge."""
+    if m + 1 > j:
+        return None
+    for k in range(m + 1, j):
+        if counts[k] <= counts[k + 1]:
+            return k
+    return j
+
+
+def multiburst(hist: TimeSeriesHist,
+               significance: float = BURST_SIGNIFICANCE) -> tuple[BurstPair, ...]:
+    """All awakening/burst pairs, keeping those whose altitude reaches
+    ``significance`` times the largest altitude found, by awakening time."""
+    centers = np.asarray(hist.centers, dtype=np.float64)
+    counts = np.asarray(hist.counts, dtype=np.float64)
+    pairs: list[BurstPair] = []
+    stack = [(0, len(counts) - 1)]
+    while stack:
+        i, j = stack.pop()
+        if j - i < 2:
+            continue
+        win = counts[i:j + 1]
+        if win.max() == win.min():
+            continue
+        m = i + int(np.argmax(win))
+        a = _awakening_index(centers, counts, i, m)
+        if a is not None and counts[m] > counts[a]:
+            pairs.append(BurstPair((float(centers[a]), float(counts[a])),
+                                   (float(centers[m]), float(counts[m]))))
+            stack.append((i, a - 1))
+        k = _first_local_min(counts, m, j)
+        if k is not None:
+            stack.append((k, j))
+    if not pairs:
+        return ()
+    top = max(p.altitude for p in pairs)
+    kept = tuple(p for p in pairs if p.altitude >= significance * top)
+    return tuple(sorted(kept, key=lambda p: p.awakening[0]))
+
+
+def max_drop(hist: TimeSeriesHist) -> DropInfo | None:
+    """The drop with the largest fall, found by the recursive dying-point search."""
+    centers = np.asarray(hist.centers, dtype=np.float64)
+    counts = np.asarray(hist.counts, dtype=np.float64)
+    best: DropInfo | None = None
+    stack = [(0, len(counts) - 1)]
+    while stack:
+        i, j = stack.pop()
+        if j - i < 2:
+            continue
+        win = counts[i:j + 1]
+        if win.max() == win.min():
+            continue
+        m = i + int(np.argmax(win))
+        d = _dying_index(centers, counts, m, j)
+        if d is not None:
+            if counts[m] > counts[d]:
+                cand = DropInfo((float(centers[m]), float(counts[m])),
+                                (float(centers[d]), float(counts[d])))
+                if best is None or cand.fall > best.fall:
+                    best = cand
+            stack.append((d, j))
+        stack.append((i, m - 1))
+    return best
+
+
+def burst_event_weights(pairs, sorted_times: np.ndarray) -> np.ndarray:
+    """Per-event burst weight over a time-sorted array: each event inside a
+    pair's awakening-to-burst window adds the pair's altitude times slope."""
+    w = np.zeros(sorted_times.size, dtype=np.float64)
+    for p in pairs:
+        lo = np.searchsorted(sorted_times, p.awakening[0], side="left")
+        hi = np.searchsorted(sorted_times, p.burst[0], side="right")
+        w[lo:hi] += p.altitude * p.slope
+    return w
+
+
+def drop_edge_weight(drop: DropInfo | None) -> float:
+    """Log-smoothed fall-times-slope weight of a drop; 0 when absent."""
+    if drop is None:
+        return 0.0
+    return math.log2(1.0 + drop.fall * drop.slope)
+
+
+def spike_profile(hist: TimeSeriesHist,
+                  sorted_times: np.ndarray) -> tuple[SpikeProfile, np.ndarray | None]:
+    """Spike profile of a histogram with >= 3 bins, and the burst weight of
+    each of its time-sorted events (None without a significant burst)."""
+    pairs = multiburst(hist)
+    drop = max_drop(hist)
+    if not pairs:
+        return SpikeProfile((), drop, 0.0), None
+    w = burst_event_weights(pairs, sorted_times)
+    return SpikeProfile(pairs, drop, float(w.sum())), w
+
+
+def build_profile(timestamps) -> tuple[TimeSeriesHist | None, SpikeProfile]:
+    """Histogram + spike profile for one sink; sinks with < 3 events get an empty profile."""
+    ts = np.sort(np.asarray(timestamps, dtype=np.float64))
+    if ts.size < 3:
+        return None, SpikeProfile((), None, 0.0)
+    hist = histogram(ts)
+    if len(hist) < 3:
+        return hist, SpikeProfile((), None, 0.0)
+    return hist, spike_profile(hist, ts)[0]
+
+
+def profile_payload(sink_id: str, timestamps) -> dict:
+    """One sink's entry of ``detect --dump-profiles``, from its build_profile."""
+    hist, profile = build_profile(timestamps)
+    payload: dict = {"sink": sink_id, "pairs": [], "drop": None,
+                     "phi_denominator": profile.phi_denominator}
+    if hist is not None:
+        payload["bin_width"] = hist.bin_width
+        payload["bins"] = [[float(t), int(c)] for t, c in zip(hist.centers, hist.counts)]
+    for p in profile.pairs:
+        payload["pairs"].append({
+            "awakening": list(p.awakening), "burst": list(p.burst),
+            "slope": p.slope, "altitude": p.altitude})
+    if profile.max_drop is not None:
+        d = profile.max_drop
+        payload["drop"] = {"burst": list(d.burst), "dying": list(d.dying),
+                           "slope": d.slope, "fall": d.fall}
+    return payload
+
+
+def signal_arrays(graph):
     """(pair_phi_weight, sink_phi_total, drop_weights) from one sink at a time."""
     pair_w = np.zeros(graph.n_pairs)
     sink_total = np.zeros(graph.n_objects)
@@ -139,16 +367,11 @@ def signal_arrays(graph, significance: float = 0.5):
         hist = histogram(times)
         if len(hist) < 3:
             continue
-        pairs = temporal.multiburst(hist, significance=significance)
-        if pairs:
-            w = np.zeros(times.size)
-            for p in pairs:
-                a = np.searchsorted(times, p.awakening[0], side="left")
-                b = np.searchsorted(times, p.burst[0], side="right")
-                w[a:b] += p.altitude * p.slope
-            sink_total[v] = w.sum()
+        profile, w = spike_profile(hist, times)
+        if w is not None:
+            sink_total[v] = profile.phi_denominator
             np.add.at(pair_w, graph.sink_event_pair[lo:hi], w)
-        drop_w[v] = temporal.drop_edge_weight(temporal.max_drop(hist))
+        drop_w[v] = drop_edge_weight(profile.max_drop)
     return pair_w, sink_total, drop_w
 
 

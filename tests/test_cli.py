@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+import csv
 import json
+from collections import defaultdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fraudsift import gen_hyperbolic, write_delimited
+import oracles
+from fraudsift import cli, gen_hyperbolic, write_delimited
 from fraudsift.cli import main
+from fraudsift.temporal import FRONTIER_MAX_BINS, MAX_BINS
 
 
 def write_planted_fixture(path: Path) -> set[str]:
@@ -92,15 +96,35 @@ def test_detect_profile_dump_on_timestamp_free_data_is_data_error(tmp_path, caps
 
 @pytest.mark.parametrize("flag,value", [
     ("--base", "nan"), ("--base", "inf"), ("--time-bin", "nan"), ("--time-bin", "inf"),
-    ("--cap-exponent", "nan"), ("--cap-exponent", "inf")])
-def test_detect_non_finite_setting_is_data_error(tmp_path, capsys, flag, value):
+    ("--cap-exponent", "nan"), ("--cap-exponent", "inf"),
+    ("--num-seeds", "0"), ("--num-seeds", "-2")])
+def test_detect_non_finite_setting_is_data_error(tmp_path, capsys, flag, value, monkeypatch):
     data = tmp_path / "data.csv"
     write_planted_fixture(data)
     out = tmp_path / "out"
+
+    def unread(*args, **kwargs):
+        raise AssertionError("the input was read before the settings were checked")
+
+    monkeypatch.setattr(cli, "_load_graph", unread)
     rc = main(["detect", "--input", str(data), "--output-dir", str(out), flag, value])
     assert rc == 3
-    assert "must be finite" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    if flag == "--num-seeds":
+        assert f"num_seeds) must be at least 1, got {value}" in err
+    else:
+        assert "must be finite" in err
     assert not (out / "run.json").exists()
+
+
+def test_detect_negative_profile_count_is_usage_error(tmp_path):
+    data = tmp_path / "data.csv"
+    write_timestamped_base(data)
+    out = tmp_path / "out"
+    rc = main(["detect", "--input", str(data), "--output-dir", str(out),
+               "--dump-profiles", "-3"])
+    assert rc == 2
+    assert not (out / "profiles.json").exists()
 
 
 def test_inject_outputs_are_byte_identical_under_fixed_seed(tmp_path):
@@ -221,3 +245,34 @@ def test_inject_refuses_priors_as_data_error(tmp_path, capsys):
                "--n-fraudsters", "4", "--n-objects", "2", "--ratings-per-object", "2"])
     assert rc == 3
     assert "priors" in capsys.readouterr().err
+
+
+def test_detect_profile_dump_matches_oracle_for_every_sink(tmp_path):
+    data = tmp_path / "data.csv"
+    write_timestamped_base(data)
+    # two sinks whose bursts sit in a tight cluster next to one far outlier:
+    # one burst hits the MAX_BINS cap, two bursts still give over 10k bins
+    rng = np.random.default_rng(4)
+    t0 = 1_330_000_000
+    rows = []
+    for k, bursts in enumerate(([0.0], [0.0, 1e5])):
+        ts = np.concatenate([rng.normal(t0 + b, 500, 300) for b in bursts]
+                            + [rng.uniform(t0 - 2e5, t0 + 3e5, 120), [t0 + 3e8]])
+        rows += [f"s{k}_{i},spike{k},{int(t)},4.5\n" for i, t in enumerate(ts)]
+    with open(data, "a", encoding="utf-8") as fh:
+        fh.writelines(rows)
+    out = tmp_path / "out"
+    rc = main(["detect", "--input", str(data), "--output-dir", str(out),
+               "--dump-profiles", "1000", "--num-seeds", "3"])
+    assert rc == 0
+    times = defaultdict(list)
+    with open(data, encoding="utf-8") as fh:
+        for _, sink, t, _ in csv.reader(fh):
+            times[sink].append(int(t))
+    profiles = json.loads((out / "profiles.json").read_text())["profiles"]
+    assert sorted(p["sink"] for p in profiles) == sorted(times)
+    n_bins = {p["sink"]: len(p.get("bins", [])) for p in profiles}
+    assert n_bins["spike0"] == MAX_BINS > n_bins["spike1"] > 10_000
+    assert sum(n > FRONTIER_MAX_BINS for n in n_bins.values()) == 2
+    for p in profiles:
+        assert p == oracles.profile_payload(p["sink"], times[p["sink"]]), p["sink"]

@@ -6,13 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from fraudsift import (DataError, DetectorConfig, RatingScale, bench_graph, build_profile,
-                       contrast_score, ingest)
+from fraudsift import (DataError, DetectorConfig, RatingScale, bench_graph, contrast_score,
+                       ingest)
 from fraudsift.contrast import ContrastState, SignalContext
 from fraudsift.temporal import (FRONTIER_MAX_BINS, MAX_BINS, histogram_segments,
                                 sigma_from_drop_weights)
-from oracles import (involvement_ratio, phi_involvement, rating_divergence, seed_row,
-                     signal_arrays, suspicion_scale, user_scores)
+from oracles import (build_profile, involvement_ratio, phi_involvement, rating_divergence,
+                     seed_row, signal_arrays, suspicion_scale, user_scores)
 
 
 def state_for(graph, seed=None):

@@ -61,6 +61,11 @@ def test_auc_separable_is_one():
     assert roc_auc(scores, {"a", "b"}) == 1.0
 
 
+def test_auc_reads_an_iterator_truth_once():
+    scores = {"a": 1.0, "b": 3.0, "c": 2.0}
+    assert roc_auc(scores, iter(["a", "b"])) == roc_auc(scores, {"a", "b"}) == 0.5
+
+
 def test_auc_random_scores_near_half():
     rng = np.random.default_rng(0)
     values = rng.normal(size=4000)

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from fraudsift import (DataError, EdgeRecord, GroundTruth, InjectionConfig, RatingScale,
-                       build_profile, gen_hyperbolic, ingest, inject, read_labels,
-                       write_labels)
-from oracles import pair_events, pairs_of_sink
+                       gen_hyperbolic, ingest, inject, read_labels, write_labels)
+from oracles import build_profile, pair_events, pairs_of_sink
 
 
 def small_base(seed=0, **kwargs):

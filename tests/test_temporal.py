@@ -10,18 +10,65 @@ from hypothesis import strategies as st
 
 import oracles
 from fraudsift import DataError, temporal
-from fraudsift.temporal import (FRONTIER_CHUNK_BINS, FRONTIER_MAX_BINS, MAX_BINS,
-                                BurstPair, DropInfo, SegmentHistograms, SpikeProfile,
-                                TimeSeriesHist, build_histogram, build_profile,
-                                drop_edge_weight, extreme_slopes, histogram_segments,
-                                max_drop, multiburst, simulate_triangle_attack,
-                                spike_profile, spike_weights, time_obstruction_bound)
-from oracles import awakening_point, burst_mass, phi_involvement
+from fraudsift.temporal import (BURST_SIGNIFICANCE, FRONTIER_CHUNK_BINS, FRONTIER_MAX_BINS,
+                                MAX_BINS, SegmentHistograms, extreme_slopes,
+                                histogram_segments, profile_payloads,
+                                simulate_triangle_attack, spike_weights,
+                                time_obstruction_bound)
+from oracles import (BurstPair, DropInfo, SpikeProfile, TimeSeriesHist, awakening_point,
+                     burst_mass, drop_edge_weight, phi_involvement)
 
 
 def hist_from_counts(counts) -> TimeSeriesHist:
     counts = np.asarray(counts, dtype=np.int64)
     return TimeSeriesHist(np.arange(len(counts), dtype=np.float64), counts, 1.0)
+
+
+def build_histogram(timestamps) -> TimeSeriesHist:
+    """histogram_segments of one sink's timestamps."""
+    ts = np.sort(np.asarray(timestamps, dtype=np.float64))
+    return oracles.segment_hist(histogram_segments(ts, np.array([0, ts.size])), 0)
+
+
+def unit_segment(counts):
+    """One segment of the given bin counts with centers 0, 1, 2, ..., and its
+    events placed on the bin centers."""
+    counts = np.asarray(counts, dtype=np.int64)
+    hists = SegmentHistograms(np.array([0, counts.size]), counts, np.array([-0.5]),
+                              np.array([1.0]), np.array([True]))
+    return hists, np.repeat(np.arange(counts.size, dtype=np.float64), counts), \
+        np.array([0, counts.sum()])
+
+
+def spikes(counts, significance=BURST_SIGNIFICANCE):
+    """The oracle's multiburst and max_drop of a histogram with centers 0, 1,
+    2, ..., after checking that spike_weights keeps the same burst pairs and
+    drop through the frontier and through the one-segment recursion."""
+    hist = hist_from_counts(counts)
+    pairs, drop = oracles.multiburst(hist, significance), oracles.max_drop(hist)
+    profiled = len(hist) >= 3 and hist.counts.sum() >= 3
+
+    def points(starts, ends):
+        return [((float(x), float(hist.counts[x])), (float(y), float(hist.counts[y])))
+                for x, y in zip(starts.tolist(), ends.tolist())]
+
+    for cutoff in (len(hist), 0):
+        with mock.patch.object(temporal, "BURST_SIGNIFICANCE", significance), \
+                mock.patch.object(temporal, "FRONTIER_MAX_BINS", cutoff):
+            *_, (_, a, m), (_, b, d) = spike_weights(*unit_segment(counts))
+        assert sorted(points(a, m)) == [(p.awakening, p.burst) for p in pairs if profiled]
+        assert points(b, d) == ([(drop.burst, drop.dying)] if profiled and drop else [])
+    return pairs, drop
+
+
+def multiburst(hist, significance=BURST_SIGNIFICANCE):
+    """The oracle's burst pairs of a unit-spaced histogram, checked against spike_weights."""
+    return spikes(hist.counts, significance)[0]
+
+
+def max_drop(hist):
+    """The oracle's max drop of a unit-spaced histogram, checked against spike_weights."""
+    return spikes(hist.counts)[1]
 
 
 def oracle_bin_count(ts: np.ndarray) -> int:
@@ -63,11 +110,6 @@ def test_histogram_identical_timestamps_single_bin():
     assert len(h) == 1 and h.counts[0] == 3
 
 
-def test_histogram_empty_errors():
-    with pytest.raises(DataError):
-        build_histogram([])
-
-
 def test_histogram_two_gaussians_matches_rule_oracle():
     rng = np.random.default_rng(42)
     ts = np.concatenate((rng.normal(10_000, 500, 5000),
@@ -99,7 +141,7 @@ def test_segmented_histograms_match_per_segment_oracle(segments):
     hists = histogram_segments(times, indptr)
     assert hists.bin_indptr[-1] == hists.counts.size
     for s, seg in enumerate(segments):
-        got = hists[s]
+        got = oracles.segment_hist(hists, s)
         if not seg:
             assert len(got) == 0
             continue
@@ -257,21 +299,23 @@ def packed_histograms(segments):
     bin_indptr = np.concatenate(([0], np.cumsum([c.size for c in counts])))
     hists = SegmentHistograms(bin_indptr, np.concatenate(counts), lo, width,
                               np.ones(len(counts), dtype=bool))
-    times = np.concatenate([np.repeat(hists[s].centers + offset[s] * width[s], c)
+    times = np.concatenate([np.repeat(oracles.segment_hist(hists, s).centers
+                                      + offset[s] * width[s], c)
                             for s, c in enumerate(counts)])
     indptr = np.concatenate(([0], np.cumsum([c.sum() for c in counts])))
     return hists, times, indptr
 
 
 def per_segment_weights(hists, times, indptr):
-    """spike_weights' outputs from spike_profile, one segment at a time."""
+    """spike_weights' outputs from the oracle's spike_profile, one segment at a time."""
     n = indptr.size - 1
     event_w, phi_total, drop_w = np.zeros(times.size), np.zeros(n), np.zeros(n)
     for s in range(n):
         lo, hi = indptr[s], indptr[s + 1]
-        if hi - lo < 3 or len(hists[s]) < 3:
+        hist = oracles.segment_hist(hists, s)
+        if hi - lo < 3 or len(hist) < 3:
             continue
-        profile, w = spike_profile(hists[s], times[lo:hi])
+        profile, w = oracles.spike_profile(hist, times[lo:hi])
         if w is not None:
             event_w[lo:hi] = w
             phi_total[s] = profile.phi_denominator
@@ -280,23 +324,41 @@ def per_segment_weights(hists, times, indptr):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(small_segment, min_size=1, max_size=8), large_segment,
+@given(st.lists(small_segment, min_size=1, max_size=8),
+       st.lists(large_segment, min_size=2, max_size=3),
        st.sampled_from([1, 64, FRONTIER_CHUNK_BINS]))
 # max_drop's tie: falls of 2 at slopes 2 and 1; the first in pre-order wins
-@example([([2, 0, 2, 1, 0, 1], (0.0, 1.0, 0.0))], ([0, 5] * 300, (0.0, 1.0, 0.0)),
+@example([([2, 0, 2, 1, 0, 1], (0.0, 1.0, 0.0))],
+         [([0, 5] * 300, (0.0, 1.0, 0.0)), ([5, 0, 5, 3, 0, 3] * 100, (0.0, 1.0, 0.0))],
          FRONTIER_CHUNK_BINS)
 @example([([1, 2, 3, 4, 5, 4, 3, 2, 1], (0.0, 1.0, 0.0)), ([3, 3, 3], (0.0, 1.0, 0.0)),
           ([9, 0, 9, 0, 9], (1.5e9 + 17, 0.37, -0.5)),
           ([(k * 7) % 11 for k in range(FRONTIER_MAX_BINS)], (0.0, 0.37, 0.25))],
-         ([1] * (FRONTIER_MAX_BINS + 1), (0.0, 1.0, -0.25)), 64)
+         [([1] * (FRONTIER_MAX_BINS + 1), (0.0, 1.0, -0.25)),
+          ([(k * 7) % 11 for k in range(FRONTIER_MAX_BINS + 1)], (1.5e9 + 17, 0.37, 0.25))],
+         64)
 def test_spike_weights_match_per_segment_spike_profile(small, large, chunk_bins):
-    hists, times, indptr = packed_histograms(small + [large])
-    assert hists.n_bins()[-1] > FRONTIER_MAX_BINS >= hists.n_bins()[:-1].max()
+    # the small segments take the frontier, the large ones the one-segment
+    # recursion; both are checked against the oracle's object model
+    hists, times, indptr = packed_histograms(small + large)
+    n_bins = hists.n_bins()
+    assert n_bins[len(small):].min() > FRONTIER_MAX_BINS >= n_bins[:len(small)].max()
     with mock.patch.object(temporal, "FRONTIER_CHUNK_BINS", chunk_bins):
         got = spike_weights(hists, times, indptr)
     want = per_segment_weights(hists, times, indptr)
     for name, g, w in zip(("event_w", "phi_total", "drop_w"), got, want):
         assert g.tobytes() == w.tobytes(), name
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(segment, min_size=1, max_size=6))
+@example([[], [42], [1, 2], [7, 7, 7], [0, 1, 5], [0, 0, 3, 3, 3, 9, 9, 12, 40]])
+def test_profile_payloads_match_oracle(segments):
+    times = np.concatenate([np.sort(np.asarray(seg, dtype=np.float64)) for seg in segments])
+    indptr = np.concatenate(([0], np.cumsum([len(seg) for seg in segments])))
+    ids = [f"v{s}" for s in range(len(segments))]
+    got = profile_payloads(ids, times, indptr)
+    assert got == [oracles.profile_payload(i, seg) for i, seg in zip(ids, segments)]
 
 
 # -- involvement -----------------------------------------------------------
@@ -362,6 +424,9 @@ def test_drop_edge_weight_examples():
     d = DropInfo((0.0, 95.0), (3600.0, 0.0))  # fall 95 over one hour
     assert drop_edge_weight(d) == pytest.approx(math.log2(1 + 95 * 95 / 3600))
     assert drop_edge_weight(d) == pytest.approx(1.810, abs=1e-3)
+    # spike_weights' drop weight of a fall of 95 over one bin
+    drop_w = spike_weights(*unit_segment([2, 100, 5, 4, 4, 4]))[2]
+    assert drop_w.tolist() == [math.log2(1 + 95 * 95)]
 
 
 # -- time shift invariance ------------------------------------------------------
@@ -371,20 +436,23 @@ def test_time_shift_invariance():
     rng = np.random.default_rng(17)
     ts = np.sort(rng.integers(0, 50_000, 500))
     shift = 123_456
-    h1, p1 = build_profile(ts)
-    h2, p2 = build_profile(ts + shift)
-    assert np.array_equal(h1.counts, h2.counts)
-    assert h1.bin_width == pytest.approx(h2.bin_width)
-    assert len(p1.pairs) == len(p2.pairs)
-    for a, b in zip(p1.pairs, p2.pairs):
-        assert a.altitude == pytest.approx(b.altitude)
-        assert a.slope == pytest.approx(b.slope)
-        assert b.awakening[0] - a.awakening[0] == pytest.approx(shift, rel=1e-9)
-    assert drop_edge_weight(p1.max_drop) == pytest.approx(drop_edge_weight(p2.max_drop))
-    assert p1.phi_denominator == pytest.approx(p2.phi_denominator)
+    p1, p2 = profile_payloads(["a", "b"], np.concatenate((ts, ts + shift)).astype(np.float64),
+                              np.array([0, ts.size, 2 * ts.size]))
+    assert [c for _, c in p1["bins"]] == [c for _, c in p2["bins"]]
+    assert p1["bin_width"] == pytest.approx(p2["bin_width"])
+    assert len(p1["pairs"]) == len(p2["pairs"]) > 0
+    for a, b in zip(p1["pairs"], p2["pairs"]):
+        assert a["altitude"] == pytest.approx(b["altitude"])
+        assert a["slope"] == pytest.approx(b["slope"])
+        assert b["awakening"][0] - a["awakening"][0] == pytest.approx(shift, rel=1e-9)
+    assert p1["drop"]["fall"] == pytest.approx(p2["drop"]["fall"])
+    assert p1["drop"]["slope"] == pytest.approx(p2["drop"]["slope"])
+    assert p1["phi_denominator"] == pytest.approx(p2["phi_denominator"])
     sub = ts[::3]
-    assert phi_involvement(p1, sub, ts) == pytest.approx(
-        phi_involvement(p2, sub + shift, ts + shift))
+    _, o1 = oracles.build_profile(ts)
+    _, o2 = oracles.build_profile(ts + shift)
+    assert phi_involvement(o1, sub, ts) == pytest.approx(
+        phi_involvement(o2, sub + shift, ts + shift))
 
 
 # -- time obstruction bound -------------------------------------------------------
