@@ -10,8 +10,8 @@ from .detector import (DetectionResult, DetectorConfig, fast_greedy,
                        greedy_shaving, matricize, svd_seeds)
 from .evalkit import (AccuracyCurve, SweepResult, avg_degree_baseline,
                       density_sweep, f_measure, roc_auc)
-from .graph import (BipartiteGraph, DataError, EdgeRecord, RatingScale,
-                    ingest, read_delimited, write_delimited)
+from .graph import (BipartiteGraph, DataError, RatingScale, ingest, read_delimited,
+                    write_delimited)
 from .spectral import ConvergenceError, truncated_svd
 from .synth import (GroundTruth, InjectionConfig, bench_graph, gen_hyperbolic,
                     inject, read_labels, write_labels)
@@ -22,7 +22,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AccuracyCurve", "BipartiteGraph", "ContrastState", "ConvergenceError",
-    "DataError", "DetectionResult", "DetectorConfig", "EdgeRecord", "GroundTruth",
+    "DataError", "DetectionResult", "DetectorConfig", "GroundTruth",
     "InjectionConfig", "RatingScale", "SignalContext", "SweepResult",
     "avg_degree_baseline", "bench_graph", "contrast_score", "density_sweep",
     "extreme_slopes", "f_measure", "fast_greedy", "gen_hyperbolic", "greedy_shaving",

@@ -264,13 +264,12 @@ def cmd_sweep(input_path, output_dir, densities, n_objects, ratings_per_object,
                                      neutral=_neutral_echo(graph))
     _write_json(out / "summary.json", summary)
 
-    def show(x):
-        return "—" if x is None else f"{x:.4g}"
+    def show(key):
+        return f"{key}={'—' if summary[key] is None else format(summary[key], '.4g')}"
 
-    click.echo(f"users_auc={summary['users_auc']:.4f} "
-               f"sinks_auc={summary['sinks_auc']:.4f} "
-               f"lowest_density_users={show(result.lowest_density_users)} "
-               f"lowest_density_sinks={show(result.lowest_density_sinks)}")
+    click.echo(f"users_auc={summary['users_auc']:.4f} sinks_auc={summary['sinks_auc']:.4f} "
+               f"{show('lowest_detection_density_users')} "
+               f"{show('lowest_detection_density_sinks')}")
 
 
 @cli.command("bench")

@@ -109,33 +109,19 @@ class SignalContext:
             scale = graph.scale
             if scale is None:
                 raise DataError("rating signal requires a declared or inferred scale")
-            informative = [v for v in scale.values if v not in scale.neutral]
-            self.category_values = np.asarray(informative, dtype=np.float64)
-            c = len(informative)
-            self.n_categories = c
-            cat_of_value = {v: i for i, v in enumerate(informative)}
-            ev_rating = graph.event_rating
-            ev_cat = np.full(ev_rating.size, -1, dtype=np.int64)
-            for value, i in cat_of_value.items():
-                ev_cat[ev_rating == value] = i
-            ev_dst = graph._event_dst
-            keep = ev_cat >= 0
-            if c > 0 and keep.any():
-                flat = ev_dst[keep] * c + ev_cat[keep]
-                self.sink_cat_counts = np.bincount(
-                    flat, minlength=nv * c).reshape(nv, c).astype(np.float64)
-            else:
-                self.sink_cat_counts = np.zeros((nv, max(c, 1)), dtype=np.float64)
-            # per-pair sparse (category, count) rows for incremental updates
-            pid_of_event = np.repeat(np.arange(npairs, dtype=np.int64),
-                                     graph.pair_count.astype(np.int64))
-            pk = pid_of_event[keep] * max(c, 1) + ev_cat[keep]
-            uniq, cnts = np.unique(pk, return_counts=True)
-            self.pair_cat_id = (uniq % max(c, 1)).astype(np.int64)
-            self.pair_cat_count = cnts.astype(np.float64)
-            self.pair_cat_indptr = np.searchsorted(uniq // max(c, 1), np.arange(npairs + 1))
-        else:
-            self.n_categories = 0
+            self.category_values = np.asarray(
+                [v for v in scale.values if v not in scale.neutral], dtype=np.float64)
+            c = max(self.category_values.size, 1)
+            # per-pair (category, count) rows for incremental updates; neutral
+            # and off-scale ratings carry no category
+            rated = np.isin(graph.event_rating, self.category_values)
+            pair = np.repeat(np.arange(npairs, dtype=np.int64),
+                             graph.pair_count.astype(np.int64))[rated]
+            cat = np.searchsorted(self.category_values, graph.event_rating[rated])
+            ones = np.ones(pair.size)
+            self.pair_cats = sp.csr_matrix((ones, (pair, cat)), shape=(npairs, c))
+            self.sink_cat_counts = sp.coo_matrix(
+                (ones, (graph.pair_dst[pair], cat)), shape=(nv, c)).toarray()
 
 
 class ContrastState:
@@ -164,13 +150,12 @@ class ContrastState:
         pids = concat_ranges(starts, stops)
         if pids.size == 0:
             raise DataError("degenerate seed: no incident edges")
-        row_lens = (stops - starts).astype(np.int64)
         cols_global = graph.pair_dst[pids]
         domain = np.unique(cols_global)
         self.domain = domain
         nv = domain.size
 
-        self.row_indptr = np.concatenate(([0], np.cumsum(row_lens))).astype(np.int64)
+        self.row_indptr = np.concatenate(([0], np.cumsum(stops - starts))).astype(np.int64)
         self.row_cols = np.searchsorted(domain, cols_global).astype(np.int64)
         self.row_vals = graph.pair_count[pids].astype(np.float64)
         self.row_pids = pids
@@ -193,28 +178,24 @@ class ContrastState:
         self.n_active = int(self.active.sum())
         self.n_rescales = 0
 
-        act_nnz = np.repeat(self.active, row_lens)
-        self.cnt_set = np.bincount(self.row_cols[act_nnz],
-                                   weights=self.row_vals[act_nnz], minlength=nv)
+        # each per-sink sum over the active rows adds their entries in row
+        # order; an inactive row adds +0.0
+        act = self.active.astype(np.float64)
+        self.cnt_set = self._sub.T @ act
         if context.use_phi:
-            self.phi_set = np.bincount(
-                self.row_cols[act_nnz],
-                weights=context.pair_phi_weight[pids[act_nnz]], minlength=nv)
+            self.phi_set = sp.csr_matrix((context.pair_phi_weight[pids], self.row_cols,
+                                          self.row_indptr), shape=(m0, nv)).T @ act
         if context.use_kappa:
             # each seed row's (local sink * c + category, count) entries, laid
             # out row by row like row_cols
-            c = max(context.n_categories, 1)
-            ci = context.pair_cat_indptr
-            reps = (ci[pids + 1] - ci[pids]).astype(np.int64)
-            idx = concat_ranges(ci[pids], ci[pids + 1])
-            self.row_cat_flat = np.repeat(self.row_cols, reps) * c + context.pair_cat_id[idx]
-            self.row_cat_count = context.pair_cat_count[idx]
-            self.row_cat_indptr = np.concatenate(([0], np.cumsum(reps)))[self.row_indptr]
-            act_cat = np.repeat(act_nnz, reps)
-            # an empty bincount is int64
-            self.cat_set = np.bincount(
-                self.row_cat_flat[act_cat], weights=self.row_cat_count[act_cat],
-                minlength=nv * c).reshape(nv, c).astype(np.float64, copy=False)
+            cats = context.pair_cats[pids]
+            c = cats.shape[1]
+            self.row_cat_flat = np.repeat(self.row_cols, np.diff(cats.indptr)) * c + cats.indices
+            self.row_cat_count = cats.data
+            self.row_cat_indptr = cats.indptr[self.row_indptr]
+            self.cat_set = (sp.csr_matrix((self.row_cat_count, self.row_cat_flat,
+                                           self.row_cat_indptr), shape=(m0, nv * c)).T
+                            @ act).reshape(nv, c)
 
         self.alpha = np.zeros(nv)
         self.phi = np.zeros(nv)
@@ -341,8 +322,4 @@ class ContrastState:
     def argmin_active_score(self) -> int:
         """Active row of least score; removed rows hold +inf."""
         return int(np.argmin(self.S))
-
-    def engagement_from_set(self) -> np.ndarray:
-        """Weighted engagement from the active set per domain sink."""
-        return self.sigma_d * self.cnt_set
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,7 +25,7 @@ SVD_SEED = 42
 class DetectorConfig:
     """Detection knobs; ``signals=None`` enables whatever the data supports.
 
-    ``base`` must be finite and above 1, ``num_seeds`` at least 1,
+    ``base`` must be finite and above 1, ``num_seeds`` an integer of at least 1,
     ``time_bin`` finite and positive, and ``cap_exponent`` None or finite and
     positive; anything else is a DataError. Which signals run is decided by
     ``SignalContext``.
@@ -45,6 +46,9 @@ class DetectorConfig:
     def __post_init__(self):
         if not (math.isfinite(self.base) and self.base > 1):
             raise DataError(f"scaling base must be finite and exceed 1, got {self.base}")
+        if not isinstance(self.num_seeds, numbers.Integral):
+            raise DataError(f"number of seeds (num_seeds) must be an integer, "
+                            f"got {self.num_seeds!r}")
         if self.num_seeds < 1:
             raise DataError(f"number of seeds (num_seeds) must be at least 1, "
                             f"got {self.num_seeds}")
@@ -70,6 +74,8 @@ class DetectionResult:
     def top_objects(self, graph: BipartiteGraph, n: int | None = None):
         order = np.argsort(-self.sink_scores, kind="stable")
         if n is not None:
+            if n < 0:
+                raise DataError(f"number of objects must be non-negative, got {n}")
             order = order[:n]
         return [(graph.object_ids[i], float(self.sink_scores[i])) for i in order]
 
@@ -100,7 +106,7 @@ def greedy_shaving(context: SignalContext, seed_idx) -> DetectionResult:
     keep[removal_order[:best_removals]] = False
     final = ContrastState(context, state.seed_idx, active=keep)
     sink_scores = np.zeros(graph.n_objects, dtype=np.float64)
-    sink_scores[final.domain] = final.engagement_from_set() * final.P
+    sink_scores[final.domain] = final.sigma_d * final.cnt_set * final.P
     users_idx = state.seed_idx[keep]
     users = tuple(sorted(graph.user_ids[i] for i in users_idx))
     return DetectionResult(
@@ -111,7 +117,7 @@ def greedy_shaving(context: SignalContext, seed_idx) -> DetectionResult:
 
 
 def svd_seeds(matrix, num_vectors: int, cap_exponent: float | None = 1 / 1.6,
-              tol: float = 0.0, max_iter: int | None = None, seed: int = SVD_SEED,
+              tol: float = 0.0, max_iter: int | None = None,
               strict: bool = False) -> tuple[list[np.ndarray], dict]:
     """Candidate user sets from the top left singular vectors of a users-by-X matrix.
 
@@ -126,7 +132,7 @@ def svd_seeds(matrix, num_vectors: int, cap_exponent: float | None = 1 / 1.6,
     if k < num_vectors:
         logger.warning("rank limits seeds to %d of %d requested vectors", k, num_vectors)
     try:
-        U, s, _ = truncated_svd(matrix, k, tol=tol, max_iter=max_iter, seed=seed)
+        U, s, _ = truncated_svd(matrix, k, tol=tol, max_iter=max_iter, seed=SVD_SEED)
     except ConvergenceError as exc:
         if strict:
             raise

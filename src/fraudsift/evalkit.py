@@ -98,15 +98,13 @@ class SweepResult:
     points: list[SweepPoint]
     users_curve: AccuracyCurve
     sinks_curve: AccuracyCurve
-    lowest_density_users: float | None
-    lowest_density_sinks: float | None
 
     def summary(self) -> dict:
         return {
             "users_auc": self.users_curve.area if self.users_curve.points else 0.0,
             "sinks_auc": self.sinks_curve.area if self.sinks_curve.points else 0.0,
-            "lowest_detection_density_users": self.lowest_density_users,
-            "lowest_detection_density_sinks": self.lowest_density_sinks,
+            "lowest_detection_density_users": self.users_curve.lowest_detection_density(),
+            "lowest_detection_density_sinks": self.sinks_curve.lowest_detection_density(),
             "points": [
                 {"density": p.density, "n_fraudsters": p.n_fraudsters,
                  "user_f1": p.user_f1, "sink_auc": p.sink_auc, "error": p.error}
@@ -165,10 +163,7 @@ def density_sweep(base: BipartiteGraph, densities: Sequence[float],
         (p.density, p.user_f1) for p in points if p.user_f1 is not None))
     sinks_curve = AccuracyCurve(tuple(
         (p.density, p.sink_auc) for p in points if p.sink_auc is not None))
-    return SweepResult(
-        points, users_curve, sinks_curve,
-        users_curve.lowest_detection_density(),
-        sinks_curve.lowest_detection_density())
+    return SweepResult(points, users_curve, sinks_curve)
 
 
 def avg_degree_baseline(graph: BipartiteGraph) -> frozenset[str]:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
@@ -29,17 +28,6 @@ def concat_ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
     return np.repeat(starts - offsets, lens) + np.arange(total, dtype=np.int64)
 
 
-@dataclass(frozen=True)
-class EdgeRecord:
-    """One rating/retweet event. Timestamp (epoch seconds) and rating are optional."""
-
-    user: str
-    object: str
-    timestamp: int | None = None
-    rating: float | None = None
-    prior: float | None = None
-
-
 class RatingScale:
     """Declared categorical rating scale plus the set of neutral scores.
 
@@ -60,7 +48,6 @@ class RatingScale:
         unknown = self.neutral - set(vals)
         if unknown:
             raise DataError(f"neutral scores {sorted(unknown)} are not on the scale")
-        self._index = {v: i for i, v in enumerate(vals)}
 
     @classmethod
     def from_range(cls, lo: float, hi: float, step: float,
@@ -69,16 +56,7 @@ class RatingScale:
         return cls([lo + i * step for i in range(n)], neutral=neutral)
 
     def __contains__(self, value: float) -> bool:
-        return float(value) in self._index
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def category(self, value: float) -> int:
-        try:
-            return self._index[float(value)]
-        except KeyError:
-            raise DataError(f"rating {value!r} is not on the declared scale") from None
+        return float(value) in self.values
 
     def __repr__(self) -> str:
         return f"RatingScale({self.values}, neutral={sorted(self.neutral)})"
@@ -131,7 +109,6 @@ class BipartiteGraph:
 
         self.event_time = ts if times is not None else None
         self.event_rating = rat
-        self._event_dst = vs
 
         # pairs are already grouped by source
         self.src_pair_indptr = np.searchsorted(self.pair_src, np.arange(nu + 1))
@@ -262,16 +239,10 @@ def _coerce_timestamp(ts) -> int:
 
 
 def _coerce_record(rec):
-    if isinstance(rec, EdgeRecord):
-        user, obj, ts, rating, prior = rec.user, rec.object, rec.timestamp, rec.rating, rec.prior
-    else:
-        parts = tuple(rec)
-        if not 2 <= len(parts) <= 5:
-            raise DataError(f"wrong arity {len(parts)}")
-        user, obj = parts[0], parts[1]
-        ts = parts[2] if len(parts) > 2 else None
-        rating = parts[3] if len(parts) > 3 else None
-        prior = parts[4] if len(parts) > 4 else None
+    parts = tuple(rec)
+    if not 2 <= len(parts) <= 5:
+        raise DataError(f"wrong arity {len(parts)}")
+    user, obj, ts, rating, prior = parts + (None,) * (5 - len(parts))
     user, obj = str(user), str(obj)
     if not user or not obj:
         raise DataError("empty node id")
@@ -296,7 +267,7 @@ def _coerce_record(rec):
 
 def ingest(records: Iterable, scale: RatingScale | None = None,
            diagnostics: list[str] | None = None) -> BipartiteGraph:
-    """Aggregate an event stream into a BipartiteGraph.
+    """Aggregate (user, object[, timestamp[, rating[, prior]]]) tuples into a graph.
 
     Malformed records are rejected with a diagnostic naming the record's
     position (collected in ``diagnostics`` when given, logged otherwise); the
@@ -314,10 +285,9 @@ def _ingest(numbered: Iterable[tuple[int, object]], unit: str,
     times: list[int] = []
     ratings: list[float] = []
     priors: list[float] = []
+    # ids in order of first appearance
     uindex: dict[str, int] = {}
     oindex: dict[str, int] = {}
-    uids: list[str] = []
-    oids: list[str] = []
     n_ts = n_rated = n_prior = 0
 
     def report(msg: str) -> None:
@@ -334,14 +304,8 @@ def _ingest(numbered: Iterable[tuple[int, object]], unit: str,
         except DataError as exc:
             report(f"{unit} {pos}: {exc}")
             continue
-        ui = uindex.setdefault(user, len(uids))
-        if ui == len(uids):
-            uids.append(user)
-        oi = oindex.setdefault(obj, len(oids))
-        if oi == len(oids):
-            oids.append(obj)
-        users.append(ui)
-        objs.append(oi)
+        users.append(uindex.setdefault(user, len(uindex)))
+        objs.append(oindex.setdefault(obj, len(oindex)))
         times.append(ts if ts is not None else -1)
         n_ts += ts is not None
         ratings.append(rating if rating is not None else np.nan)
@@ -361,7 +325,7 @@ def _ingest(numbered: Iterable[tuple[int, object]], unit: str,
     if rat_arr is not None and scale is None:
         scale = RatingScale(np.unique(rat_arr))
     return BipartiteGraph(
-        uids, oids, users, objs,
+        list(uindex), list(oindex), users, objs,
         times if n_ts else None, rat_arr,
         priors=priors if n_prior else None, scale=scale)
 

@@ -58,7 +58,6 @@ def gen_hyperbolic(n_sources: int, n_sinks: int, power_exponent: float,
                    block_shape: tuple[int, int] | None = None,
                    noise_avg_degree: float = 2.0,
                    timestamps: bool = False,
-                   time_span: tuple[int, int] = DEFAULT_SPAN,
                    ratings: bool = False,
                    scale: RatingScale | None = None) -> tuple[BipartiteGraph, dict]:
     """Background graph containing a hyperbolic (staircase) community block.
@@ -100,7 +99,7 @@ def gen_hyperbolic(n_sources: int, n_sinks: int, power_exponent: float,
 
     times = None
     if timestamps:
-        times = rng.integers(time_span[0], time_span[1], us.size)
+        times = rng.integers(DEFAULT_SPAN[0], DEFAULT_SPAN[1], us.size)
     rats = None
     if ratings:
         scale = scale or DEFAULT_SCALE

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from fraudsift import DataError, EdgeRecord
+from fraudsift import DataError
 from fraudsift.contrast import ContrastState
 from fraudsift.graph import concat_ranges
 from fraudsift.temporal import BURST_SIGNIFICANCE, MAX_BINS
@@ -376,16 +376,15 @@ def signal_arrays(graph):
 
 
 def events(graph):
-    """All events as EdgeRecords in pair-major order (timestamps sorted within
-    each pair)."""
+    """All events as (user, object, timestamp, rating) tuples in pair-major
+    order (timestamps sorted within each pair)."""
     for p in range(graph.n_pairs):
         u = graph.user_ids[graph.pair_src[p]]
         o = graph.object_ids[graph.pair_dst[p]]
         for e in range(graph.pair_event_indptr[p], graph.pair_event_indptr[p + 1]):
-            yield EdgeRecord(
-                u, o,
-                int(graph.event_time[e]) if graph.has_timestamps else None,
-                float(graph.event_rating[e]) if graph.has_ratings else None)
+            yield (u, o,
+                   int(graph.event_time[e]) if graph.has_timestamps else None,
+                   float(graph.event_rating[e]) if graph.has_ratings else None)
 
 
 def pairs_of_sink(graph, vi: int) -> np.ndarray:
@@ -402,12 +401,12 @@ def pair_events(graph, pid: int) -> slice:
 def delimited_text(graph) -> str:
     """The CSV layout of write_delimited, one event record at a time."""
     lines = []
-    for rec in events(graph):
-        fields = [rec.user, rec.object]
-        if rec.timestamp is not None:
-            fields.append(str(rec.timestamp))
-        if rec.rating is not None:
-            fields.append(np.format_float_positional(rec.rating, unique=True, trim="-"))
+    for user, obj, ts, rating in events(graph):
+        fields = [user, obj]
+        if ts is not None:
+            fields.append(str(ts))
+        if rating is not None:
+            fields.append(np.format_float_positional(rating, unique=True, trim="-"))
         lines.append(",".join(fields) + "\n")
     return "".join(lines)
 
@@ -483,13 +482,13 @@ class GatherState(ContrastState):
             c = self.cat_set.shape[1]
             act_nnz = self.active[row_of_nnz]
             apids = self.row_pids[act_nnz]
-            ci = context.pair_cat_indptr
+            ci = context.pair_cats.indptr
             idx = concat_ranges(ci[apids], ci[apids + 1])
             self.cat_set = np.zeros((nv, c), dtype=np.float64)
             if idx.size:
                 flat = (np.repeat(self.row_cols[act_nnz], ci[apids + 1] - ci[apids]) * c
-                        + context.pair_cat_id[idx])
-                self.cat_set += np.bincount(flat, weights=context.pair_cat_count[idx],
+                        + context.pair_cats.indices[idx])
+                self.cat_set += np.bincount(flat, weights=context.pair_cats.data[idx],
                                             minlength=nv * c).reshape(nv, c)
             self._refresh_signals(None)
             self.kmax = float(self.kw.max())
@@ -512,12 +511,13 @@ class GatherState(ContrastState):
         if self.ctx.use_phi:
             self.phi_set[cols] -= self.ctx.pair_phi_weight[pids]
         if self.ctx.use_kappa:
-            ci = self.ctx.pair_cat_indptr
+            pc = self.ctx.pair_cats
+            ci = pc.indptr
             idx = concat_ranges(ci[pids], ci[pids + 1])
             if idx.size:
                 c = self.cat_set.shape[1]
-                flat = np.repeat(cols, ci[pids + 1] - ci[pids]) * c + self.ctx.pair_cat_id[idx]
-                np.subtract.at(self.cat_set.reshape(-1), flat, self.ctx.pair_cat_count[idx])
+                flat = np.repeat(cols, ci[pids + 1] - ci[pids]) * c + pc.indices[idx]
+                np.subtract.at(self.cat_set.reshape(-1), flat, pc.data[idx])
         self._refresh_signals(cols)
 
         if self.ctx.use_kappa:
@@ -571,5 +571,5 @@ def gather_shave(context, seed_idx):
     keep[order[:best_removals]] = False
     final = GatherState(context, state.seed_idx, active=keep)
     sink_scores = np.zeros(graph.n_objects)
-    sink_scores[final.domain] = final.engagement_from_set() * final.P
+    sink_scores[final.domain] = final.sigma_d * final.cnt_set * final.P
     return order, tuple(trace), sink_scores

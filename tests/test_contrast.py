@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 from fraudsift import (DataError, DetectorConfig, RatingScale, bench_graph, contrast_score,
-                       ingest)
+                       fast_greedy, ingest)
 from fraudsift.contrast import ContrastState, SignalContext
 from fraudsift.temporal import (FRONTIER_MAX_BINS, MAX_BINS, histogram_segments,
                                 sigma_from_drop_weights)
-from oracles import (build_profile, involvement_ratio, phi_involvement, rating_divergence,
-                     seed_row, signal_arrays, suspicion_scale, user_scores)
+from oracles import (build_profile, events, involvement_ratio, phi_involvement,
+                     rating_divergence, seed_row, signal_arrays, suspicion_scale, user_scores)
 
 
 def state_for(graph, seed=None):
@@ -304,6 +304,37 @@ def test_signal_context_matches_per_sink_oracle(make_graph, seed):
     assert ctx.sink_phi_total.tobytes() == sink_total.tobytes()
     assert ctx.drop_weights.tobytes() == drop_w.tobytes()
     assert ctx.sigma.tobytes() == sigma_from_drop_weights(drop_w).tobytes()
+
+
+@pytest.mark.parametrize("seed", [6, 7, 8])
+@pytest.mark.parametrize("all_neutral", [False, True])
+def test_rating_tables_match_an_event_count(make_graph, seed, all_neutral):
+    # the default neutral band (3.0) holds about a fifth of the events
+    scale = RatingScale.from_range(1, 5, 1)
+    if all_neutral:
+        scale = RatingScale(scale.values, neutral=scale.values)
+    g = make_graph(n_users=30, n_objects=12, n_events=300, seed=seed, scale=scale)
+    ctx = SignalContext(g, DetectorConfig())
+    cats = [v for v in scale.values if v not in scale.neutral]
+    assert ctx.category_values.tolist() == cats
+    pair_of = {(g.user_ids[g.pair_src[p]], g.object_ids[g.pair_dst[p]]): p
+               for p in range(g.n_pairs)}
+    pair_counts = np.zeros((g.n_pairs, max(len(cats), 1)))
+    sink_counts = np.zeros((g.n_objects, max(len(cats), 1)))
+    for user, obj, _, rating in events(g):
+        if rating in cats:
+            pair_counts[pair_of[user, obj], cats.index(rating)] += 1
+            sink_counts[g.object_index(obj), cats.index(rating)] += 1
+    assert ctx.pair_cats.toarray().tolist() == pair_counts.tolist()
+    assert ctx.sink_cat_counts.tolist() == sink_counts.tolist()
+    st = ContrastState(ctx, np.arange(g.n_users // 2))
+    if all_neutral:
+        # one all-zero column: no sink carries rating signal, yet detection runs
+        assert pair_counts.shape[1] == 1 and not pair_counts.any()
+        assert not st.kappa.any()
+        assert fast_greedy(g, DetectorConfig(num_seeds=2)).users
+    else:
+        assert st.kappa.max() == 1.0
 
 
 def test_degrades_to_topology_only_without_attributes(make_graph):

@@ -336,6 +336,19 @@ def test_fast_greedy_neutral_override_changes_rating_tables(make_graph):
     assert override.scale.neutral == frozenset({2.0, 3.0})
 
 
+def test_detector_config_rejects_a_fractional_num_seeds():
+    with pytest.raises(DataError, match=r"num_seeds\) must be an integer, got 2\.5"):
+        DetectorConfig(num_seeds=2.5)
+
+
+def test_top_objects_rejects_a_negative_count(make_graph):
+    g = make_graph(n_users=30, n_objects=20, n_events=250, seed=55)
+    res = fast_greedy(g, DetectorConfig(num_seeds=2))
+    assert [oid for oid, _ in res.top_objects(g, 3)] == [oid for oid, _ in res.top_objects(g)[:3]]
+    with pytest.raises(DataError, match="non-negative, got -3"):
+        res.top_objects(g, -3)
+
+
 def test_fast_greedy_leaves_graph_unchanged(make_graph):
     g = make_graph(n_users=30, n_objects=20, n_events=250, seed=55)
     scale = g.scale

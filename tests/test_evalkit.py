@@ -217,7 +217,7 @@ def test_density_sweep_perfect_stub_reaches_ideal_area():
     assert all(p.error is None for p in res.points)
     assert res.users_curve.area == pytest.approx(0.995, abs=1e-9)
     assert res.sinks_curve.area == pytest.approx(0.995, abs=1e-9)
-    assert res.lowest_density_users == 0.01
+    assert res.summary()["lowest_detection_density_users"] == 0.01
 
 
 def test_density_sweep_never_detect_stub():
@@ -227,7 +227,6 @@ def test_density_sweep_never_detect_stub():
     res = density_sweep(sweep_base(), [0.1, 0.5, 1.0], DetectorConfig(),
                         inject_proto=proto, seed=1, detector=never_stub)
     assert res.users_curve.area == 0.0
-    assert res.lowest_density_users is None
     summary = res.summary()
     assert summary["lowest_detection_density_users"] is None
     assert "users_auc" in summary and "sinks_auc" in summary

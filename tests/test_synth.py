@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from fraudsift import (DataError, EdgeRecord, GroundTruth, InjectionConfig, RatingScale,
+from fraudsift import (DataError, GroundTruth, InjectionConfig, RatingScale,
                        gen_hyperbolic, ingest, inject, read_labels, write_labels)
 from oracles import build_profile, pair_events, pairs_of_sink
 
@@ -156,7 +156,7 @@ def test_injection_shortfall_error_lists_counts():
 
 def test_injection_refuses_a_graph_with_priors():
     # the graph keeps only per-sink prior means, which the injected graph would lose
-    base = ingest([EdgeRecord(f"u{i}", f"v{i % 3}", prior=2.0) for i in range(6)])
+    base = ingest([(f"u{i}", f"v{i % 3}", None, None, 2.0) for i in range(6)])
     assert base.sink_prior is not None
     cfg = InjectionConfig(n_fraudsters=2, n_objects=1, ratings_per_object=2, rng_seed=0)
     with pytest.raises(DataError, match="priors"):
