@@ -17,9 +17,6 @@ from .spectral import ConvergenceError, truncated_svd
 
 logger = logging.getLogger(__name__)
 
-# Seeds ARPACK's starting vector, so spectral seeds are reproducible.
-SVD_SEED = 42
-
 
 @dataclass(frozen=True)
 class DetectorConfig:
@@ -30,10 +27,12 @@ class DetectorConfig:
     positive; anything else is a DataError. Which signals run is decided by
     ``SignalContext``.
 
-    Seeding runs ARPACK at its default (machine-precision) tolerance from a
-    starting vector drawn from ``SVD_SEED``, so seeds are reproducible; with
-    ``strict_svd`` an ARPACK iteration cap is an error instead of a warning
-    that falls back to the singular vectors that did converge.
+    Seeding runs ARPACK's Lanczos (``eigsh``) on the Gram operator of the
+    seeding matrix's smaller side, at its default (machine-precision)
+    tolerance, from a starting vector drawn from ``spectral.SVD_SEED``, so
+    seeds are reproducible; with ``strict_svd`` an ARPACK iteration cap is an
+    error instead of a warning that falls back to the singular vectors that
+    did converge.
     """
 
     base: float = 32.0
@@ -132,7 +131,7 @@ def svd_seeds(matrix, num_vectors: int, cap_exponent: float | None = 1 / 1.6,
     if k < num_vectors:
         logger.warning("rank limits seeds to %d of %d requested vectors", k, num_vectors)
     try:
-        U, s, _ = truncated_svd(matrix, k, tol=tol, max_iter=max_iter, seed=SVD_SEED)
+        U, s, _ = truncated_svd(matrix, k, tol=tol, max_iter=max_iter)
     except ConvergenceError as exc:
         if strict:
             raise

@@ -1,12 +1,14 @@
-"""Truncated SVD of sparse non-negative matrices via ARPACK (scipy's svds)."""
+"""Truncated SVD by ARPACK's Lanczos (scipy's eigsh) on the smaller side's Gram operator."""
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackNoConvergence, svds
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .graph import DataError
+
+SVD_SEED = 42  # seeds ARPACK's starting vector, so spectral seeds are reproducible
 
 
 class ConvergenceError(RuntimeError):
@@ -19,59 +21,56 @@ class ConvergenceError(RuntimeError):
 
 def _canonical_signs(U: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # fix the SVD sign ambiguity: largest-magnitude left entry made positive
-    for i in range(U.shape[1]):
-        j = int(np.argmax(np.abs(U[:, i])))
-        if U[j, i] < 0:
-            U[:, i] = -U[:, i]
-            V[:, i] = -V[:, i]
+    flip = U[np.abs(U).argmax(axis=0), np.arange(U.shape[1])] < 0
+    U[:, flip] *= -1
+    V[:, flip] *= -1
     return U, V
 
 
-def _triplets_from_gram_basis(A, Q: np.ndarray):
-    """(U, s, V), largest first, of A restricted to the orthonormalized basis Q
-    of eigenvectors of its Gram matrix on the smaller side."""
-    Q = np.linalg.qr(Q)[0]
-    if A.shape[0] >= A.shape[1]:
-        Ub, s, Vbt = np.linalg.svd(A @ Q, full_matrices=False)
-        return Ub, s, Q @ Vbt.T
-    Vb, s, Ubt = np.linalg.svd(A.T @ Q, full_matrices=False)
-    return Q @ Ubt.T, s, Vb
+def _triplets(eigenvalues: np.ndarray, X: np.ndarray, Bt, wide: bool):
+    # s = √λ, largest first; the other side is Bᵀx / s in place, zero where s = 0
+    order = np.argsort(-eigenvalues, kind="stable")
+    s = np.sqrt(np.maximum(eigenvalues[order], 0.0))
+    X = X[:, order]
+    Y = Bt @ X
+    Y *= np.divide(1.0, s, out=np.zeros_like(s), where=s > 0)
+    U, V = _canonical_signs(*((X, Y) if wide else (Y, X)))
+    return U, s, V
 
 
 def truncated_svd(matrix, k: int, tol: float = 0.0, max_iter: int | None = None,
-                  seed: int = 42):
+                  seed: int = SVD_SEED):
     """Top-k singular triplets (U, s, V), largest first, by implicitly restarted Lanczos.
 
-    ``tol`` is ARPACK's relative accuracy (0: machine precision) and
-    ``max_iter`` its restart cap (None: ARPACK's default). Deterministic for a
-    fixed seed, which draws the starting vector. When k equals the smaller
-    dimension ARPACK cannot run and a dense SVD is used. Raises
-    ConvergenceError carrying the converged triplets when ARPACK hits the cap.
+    ``tol`` is the singular values' relative accuracy (0: machine precision;
+    ARPACK runs at ``tol**2``), ``max_iter`` ARPACK's restart cap (None: its
+    default), and ``seed`` draws the starting vector. k equal to the smaller
+    dimension takes a dense SVD. Raises ConvergenceError carrying the
+    converged triplets when ARPACK hits the cap.
     """
     A = matrix.tocsr() if sp.issparse(matrix) else np.asarray(matrix, dtype=np.float64)
     n_small = min(A.shape)
-    if k < 1:
-        raise DataError("rank k must be at least 1")
-    if k > n_small:
-        raise DataError(f"rank k={k} exceeds matrix dimensions {A.shape}")
-    if tol < 0:
-        raise DataError("tolerance must be non-negative")
+    if not 1 <= k <= n_small:
+        raise DataError(f"rank k={k} must lie in [1, {n_small}] for a {A.shape} matrix")
+    if not (np.isfinite(tol) and tol >= 0):
+        raise DataError(f"tolerance must be finite and non-negative, got {tol}")
+    if max_iter is not None and not (isinstance(max_iter, (int, np.integer)) and max_iter >= 1):
+        raise DataError(f"max_iter must be None or an integer of at least 1, got {max_iter!r}")
     if k == n_small:
-        dense = A.toarray() if sp.issparse(A) else A
-        U, s, Vt = np.linalg.svd(dense, full_matrices=False)
+        U, s, Vt = np.linalg.svd(A.toarray() if sp.issparse(A) else A, full_matrices=False)
         U, V = _canonical_signs(U[:, :k], Vt[:k].T.copy())
         return U, s[:k], V
 
+    # x -> B(Bᵀx), B = A or Aᵀ; Bᵀ as CSR sums each row in a CSC rmatvec's order
+    wide = A.shape[0] < A.shape[1]
+    At = A.T.tocsr() if sp.issparse(A) else A.T
+    B, Bt = (A, At) if wide else (At, A)
+    gram = LinearOperator((n_small, n_small), matvec=lambda x: B @ (Bt @ x), dtype=np.float64)
     v0 = np.random.default_rng(seed).standard_normal(n_small)
     try:
-        U, s, Vt = svds(A, k=k, tol=tol, maxiter=max_iter, v0=v0)
+        eigenvalues, X = eigsh(gram, k=k, tol=tol ** 2, maxiter=max_iter, v0=v0)
     except ArpackNoConvergence as exc:
-        U, s, V = _triplets_from_gram_basis(A, exc.eigenvectors)
-        U, V = _canonical_signs(U, V)
-        raise ConvergenceError(
-            f"ARPACK converged {s.size} of {k} singular triplets "
-            f"(tol={tol:g}, max_iter={max_iter})", best=(U, s, V)) from None
-    # svds returns ascending singular values
-    U, s, V = U[:, ::-1].copy(), s[::-1].copy(), Vt[::-1].T.copy()
-    U, V = _canonical_signs(U, V)
-    return U, s, V
+        best = _triplets(exc.eigenvalues, exc.eigenvectors, Bt, wide)
+        raise ConvergenceError(f"ARPACK converged {best[1].size} of {k} singular triplets "
+                               f"(tol={tol:g}, max_iter={max_iter})", best=best) from None
+    return _triplets(eigenvalues, X, Bt, wide)

@@ -8,10 +8,12 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import svds
 
 from fraudsift import DataError
 from fraudsift.contrast import ContrastState
 from fraudsift.graph import concat_ranges
+from fraudsift.spectral import SVD_SEED, _canonical_signs
 from fraudsift.temporal import BURST_SIGNIFICANCE, MAX_BINS
 
 
@@ -573,3 +575,19 @@ def gather_shave(context, seed_idx):
     sink_scores = np.zeros(graph.n_objects)
     sink_scores[final.domain] = final.sigma_d * final.cnt_set * final.P
     return order, tuple(trace), sink_scores
+
+
+# -- spectral seeding --------------------------------------------------------
+
+
+def svds_truncated_svd(matrix, k: int, tol: float = 0.0, max_iter: int | None = None,
+                       seed: int = SVD_SEED):
+    """Top-k singular triplets (U, s, V), largest first, from scipy's svds with
+    the starting vector truncated_svd draws: the reference for its eigsh run
+    on the smaller side's Gram operator."""
+    A = matrix.tocsr() if sp.issparse(matrix) else np.asarray(matrix, dtype=np.float64)
+    v0 = np.random.default_rng(seed).standard_normal(min(A.shape))
+    U, s, Vt = svds(A, k=k, tol=tol, maxiter=max_iter, v0=v0)
+    # svds returns ascending singular values
+    U, V = _canonical_signs(U[:, ::-1].copy(), Vt[::-1].T.copy())
+    return U, s[::-1].copy(), V

@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 from fraudsift import (BipartiteGraph, DataError, DetectorConfig, RatingScale,
                        bench_graph, fast_greedy, gen_hyperbolic, greedy_shaving, ingest,
                        inject, InjectionConfig, matricize, svd_seeds, f_measure)
+from fraudsift import detector
 from fraudsift.contrast import ContrastState, SignalContext
-from oracles import GatherState, gather_shave
+from oracles import GatherState, gather_shave, svds_truncated_svd
 
 
 def brute_force_best(graph, base=32.0):
@@ -203,6 +204,45 @@ def test_planted_block_seed_recovers_most_rows():
     seeds, _ = svd_seeds(m, 3, cap_exponent=None)
     best_overlap = max(len(set(s.tolist()) & set(planted.tolist())) for s in seeds)
     assert best_overlap >= 36  # >= 90% of the planted rows
+
+
+def seeding_design(graph, config):
+    # the matrix fast_greedy seeds from
+    context = SignalContext(graph, config)
+    if context.use_phi:
+        return matricize(graph, time_bin=config.time_bin,
+                         column_weights=context.sigma)[0]
+    return graph.counts_matrix(column_weights=context.sigma)
+
+
+def sweep_shaped(density):
+    base, _ = gen_hyperbolic(2000, 1000, power_exponent=0.5, density_target=0.6,
+                             rng_seed=1, block_shape=(400, 240), noise_avg_degree=6.0,
+                             timestamps=True, ratings=True)
+    cfg = InjectionConfig(n_fraudsters=int(round(40 / density)), n_objects=40,
+                          ratings_per_object=40, camouflage_ratio=0.2, rng_seed=2)
+    return inject(base, cfg)[0], DetectorConfig(cap_exponent=None)
+
+
+def topology_shaped():
+    base, _ = gen_hyperbolic(2000, 2000, power_exponent=0.4, density_target=0.84,
+                             rng_seed=1, block_shape=(400, 400), noise_avg_degree=2.0)
+    cfg = InjectionConfig(n_fraudsters=120, n_objects=60, ratings_per_object=72,
+                          max_target_indegree=100, camouflage_ratio=0.2, rng_seed=2)
+    return inject(base, cfg)[0], DetectorConfig(signals=("alpha",), cap_exponent=None)
+
+
+@pytest.mark.parametrize("case", ["bench_20k", "sweep_d005", "topology"])
+def test_svd_seeds_match_svds_reference(case, monkeypatch):
+    graph, config = {"bench_20k": lambda: (bench_graph(20_000, seed=1)[0], DetectorConfig()),
+                     "sweep_d005": lambda: sweep_shaped(0.05),
+                     "topology": topology_shaped}[case]()
+    m = seeding_design(graph, config)
+    seeds, meta = svd_seeds(m, config.num_seeds, cap_exponent=config.cap_exponent)
+    monkeypatch.setattr(detector, "truncated_svd", svds_truncated_svd)
+    ref, ref_meta = svd_seeds(m, config.num_seeds, cap_exponent=config.cap_exponent)
+    assert [s.tolist() for s in seeds] == [s.tolist() for s in ref]
+    assert np.allclose(meta["singular_values"], ref_meta["singular_values"], rtol=1e-10)
 
 
 # -- matricization ------------------------------------------------------------

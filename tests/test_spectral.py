@@ -37,22 +37,27 @@ def test_diagonal_matrix_gives_diagonal_spectrum():
     assert np.allclose(s, d[:3], rtol=1e-9)
 
 
+def both_orientations(m):
+    # tall as built, then wide: the users-by-attributes shape matricize produces
+    return m, m.T.tocsr()
+
+
 def test_random_sparse_topk_matches_dense_oracle():
     for seed in range(3):
-        m = random_sparse(200, 150, 0.03, seed)
-        U, s, V = truncated_svd(m, 5, tol=1e-9, max_iter=600)
-        s_ref = dense_svd(m.toarray(), compute_uv=False)[:5]
-        assert np.allclose(s, s_ref, rtol=1e-6)
+        for m in both_orientations(random_sparse(200, 150, 0.03, seed)):
+            U, s, V = truncated_svd(m, 5, tol=1e-9, max_iter=600)
+            s_ref = dense_svd(m.toarray(), compute_uv=False)[:5]
+            assert np.allclose(s, s_ref, rtol=1e-6)
 
 
 def test_factors_are_orthonormal_and_reconstruct():
-    m = random_sparse(120, 90, 0.05, 7)
-    U, s, V = truncated_svd(m, 4, tol=1e-9, max_iter=600)
-    assert np.allclose(U.T @ U, np.eye(4), atol=1e-6)
-    assert np.allclose(V.T @ V, np.eye(4), atol=1e-6)
-    # each pair satisfies M v = s u
-    r = m @ V - U * s
-    assert np.linalg.norm(r, axis=0).max() <= 1e-6 * s[0]
+    for m in both_orientations(random_sparse(120, 90, 0.05, 7)):
+        U, s, V = truncated_svd(m, 4, tol=1e-9, max_iter=600)
+        assert np.allclose(U.T @ U, np.eye(4), atol=1e-6)
+        assert np.allclose(V.T @ V, np.eye(4), atol=1e-6)
+        # each pair satisfies M v = s u
+        r = m @ V - U * s
+        assert np.linalg.norm(r, axis=0).max() <= 1e-6 * s[0]
 
 
 def test_permutation_equivariance():
@@ -98,17 +103,18 @@ def positive_dense(rows, cols, seed):
 
 
 def test_nonconvergence_carries_best_so_far():
-    m = positive_dense(40, 30, 0)
-    with pytest.raises(ConvergenceError) as err:
-        truncated_svd(m, 3, tol=1e-12, max_iter=1)
-    U, s, V = err.value.best
-    j = s.size
-    assert 1 <= j < 3
-    assert U.shape == (40, j) and V.shape == (30, j)
-    assert np.all(np.diff(s) <= 0)
-    # what did converge is a set of true singular triplets
-    assert np.linalg.norm(m @ V - U * s, axis=0).max() <= 1e-8 * s[0]
-    assert np.allclose(s, dense_svd(m, compute_uv=False)[:j], rtol=1e-10)
+    for shape in [(40, 30), (30, 40)]:
+        m = positive_dense(*shape, 0)
+        with pytest.raises(ConvergenceError) as err:
+            truncated_svd(m, 3, tol=1e-12, max_iter=1)
+        U, s, V = err.value.best
+        j = s.size
+        assert 1 <= j < 3
+        assert U.shape == (shape[0], j) and V.shape == (shape[1], j)
+        assert np.all(np.diff(s) <= 0)
+        # what did converge is a set of true singular triplets
+        assert np.linalg.norm(m @ V - U * s, axis=0).max() <= 1e-8 * s[0]
+        assert np.allclose(s, dense_svd(m, compute_uv=False)[:j], rtol=1e-10)
 
 
 def test_svd_seeds_falls_back_to_converged_vectors(caplog):
@@ -128,3 +134,25 @@ def test_rank_validation():
         truncated_svd(m, 6)
     with pytest.raises(DataError):
         truncated_svd(m, 0)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("tol", float("nan")), ("tol", float("inf")), ("tol", -1.0),
+    ("max_iter", 0), ("max_iter", -5), ("max_iter", 2.5),
+])
+def test_solver_settings_validation(name, value):
+    m = random_sparse(30, 20, 0.2, 29)
+    with pytest.raises(DataError):
+        truncated_svd(m, 2, **{name: value})
+
+
+def test_rank_deficient_request_stays_finite():
+    # rank 2, k = 4: two requested singular values are zero
+    rng = np.random.default_rng(31)
+    left = sp.random(80, 2, density=0.5, random_state=rng, format="csr")
+    right = sp.random(2, 60, density=0.5, random_state=rng, format="csr")
+    for m in both_orientations((left @ right).tocsr()):
+        U, s, V = truncated_svd(m, 4)
+        assert np.all(s >= 0) and np.all(np.diff(s) <= 0)
+        assert np.isfinite(U).all() and np.isfinite(V).all()
+        assert np.allclose(s[:2], dense_svd(m.toarray(), compute_uv=False)[:2], rtol=1e-9)
