@@ -51,11 +51,11 @@ class SignalContext:
     every signal the data carries, and an explicit request for a signal the
     data cannot support is a DataError. ``base`` is ``config.base``.
 
-    The burst/drop recursion takes two paths (``temporal.spike_weights``):
-    sinks with at most ``temporal.FRONTIER_MAX_BINS`` bins advance together,
-    one level per pass over all their windows; sinks with more bins recurse
-    one at a time. Both emit bin-index triples into one reducer, which gives
-    the bytes of the per-sink definition."""
+    The sink histograms hold only their kept bins (non-empty bins and the
+    ends of empty runs, ``temporal.SegmentHistograms``), and one burst/drop
+    frontier covers every sink (``temporal.spike_weights``): all windows
+    advance together, one level per pass. It emits bin-index triples into
+    one reducer, which gives the bytes of the per-sink definition."""
 
     def __init__(self, graph: BipartiteGraph, config: DetectorConfig):
         signals = config.signals

@@ -28,9 +28,13 @@ def _canonical_signs(U: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 def _triplets(eigenvalues: np.ndarray, X: np.ndarray, Bt, wide: bool):
-    # s = √λ, largest first; the other side is Bᵀx / s in place, zero where s = 0
+    # s = √λ, largest first; the other side is Bᵀx / s in place, zero where s = 0.
+    # An eigenvalue within rounding of the largest (≤ λ_max · max(shape) · eps)
+    # is a zero singular value: Bᵀx / s would be noise, not a unit vector.
     order = np.argsort(-eigenvalues, kind="stable")
-    s = np.sqrt(np.maximum(eigenvalues[order], 0.0))
+    lam = eigenvalues[order]
+    cutoff = max(lam.max(initial=0.0), 0.0) * max(Bt.shape) * np.finfo(np.float64).eps
+    s = np.sqrt(np.where(lam > cutoff, lam, 0.0))
     X = X[:, order]
     Y = Bt @ X
     Y *= np.divide(1.0, s, out=np.zeros_like(s), where=s > 0)

@@ -10,36 +10,71 @@ import numpy as np
 
 from .graph import DataError, concat_ranges
 
-# Cap on a histogram's bin count, a memory guard for heavy-tailed spacings.
+# Cap on a histogram's bin count. It sets outputs, not memory: a segment
+# stores only its kept bins (SegmentHistograms), however many bins it spans.
 # It is no rare case: on bench_graph(1_000_000, seed=1) it fires on 196
-# sinks, which hold 12.8M of the 13.3M bins. Changing this cap, or the bin
+# sinks, which span 12.8M of the 13.3M bins. Changing this cap, or the bin
 # rule, changes every output that reads the histograms.
 MAX_BINS = 65536
-# Segments with more bins than this recurse one at a time; the rest advance
-# through the recursion together, one level per pass. Both emit triples.
-# Bin counts are bimodal: a sink of the benchmark graphs has at most 230
-# bins or more than 2048, so any value from 256 to 1024 makes the same split.
-FRONTIER_MAX_BINS = 512
-# Most bins one frontier pass takes; the pass's temporaries grow with them.
-FRONTIER_CHUNK_BINS = 1 << 15
 # A burst pair is kept when its altitude reaches this share of the largest one.
 BURST_SIGNIFICANCE = 0.5
 
 
 @dataclass(frozen=True)
 class SegmentHistograms:
-    """Histograms of many time-sorted segments, packed end to end.
+    """Histograms of many time-sorted segments, packed end to end, holding
+    only their kept bins.
 
-    Segment s owns bins ``bin_indptr[s]:bin_indptr[s + 1]`` of ``counts``;
-    an empty segment owns no bins. A bin's center follows from its index,
-    the segment's first timestamp and its bin width (``_points``).
+    Segment s spans global bins ``bin_indptr[s]:bin_indptr[s + 1]``; an empty
+    segment spans none. ``bins`` holds the kept bins' global indices,
+    ascending, and ``counts`` their counts: every non-empty bin, and the
+    first, second-to-last and last bin of each run of empty bins. Storage is
+    O(non-empty bins), whatever the bin count. A bin's center follows from
+    its index, the segment's first timestamp and its bin width (``_centers``).
+
+    The burst/drop recursion can pick only kept bins, so it finds the same
+    triples over them as over every bin:
+    - a window's first argmax is non-empty, and the first local minimum after
+      it is non-empty or a run's first bin;
+    - inside a run, a bin's distance to an anchor line falls and then rises
+      with its center, so the farthest bin is an end of the run inside the
+      window, the first end when both are equal;
+    - window bounds fall on kept bins: the second-to-last bin arises as the
+      end ``a - 1`` of the window before an awakening ``a`` at a run's last bin.
+    Rounding could tie distances inside a run of a segment whose bin width
+    is within the rounding of the distances (``from_bins``); such a segment
+    keeps every bin.
     """
 
     bin_indptr: np.ndarray
+    bins: np.ndarray
     counts: np.ndarray
     lo: np.ndarray
     widths: np.ndarray
     spread: np.ndarray  # the segment spans more than one timestamp
+
+    @classmethod
+    def from_bins(cls, bin_indptr, ids, counts, lo, widths, spread) -> SegmentHistograms:
+        """The histograms whose non-empty bins are ``ids`` (ascending global
+        indices) with ``counts``, and whose other bins are empty."""
+        first, last = bin_indptr[:-1], bin_indptr[1:] - 1
+        # _farthest's distances carry rounding errors of a few units of 2^-53
+        # times (largest count) * (largest |center|). Where the bin width is
+        # not 2^7 times above that, two bins of a run could tie: keep them all.
+        top = np.zeros(lo.size)
+        np.maximum.at(top, np.searchsorted(bin_indptr, ids, side="right") - 1, counts)
+        reach = np.maximum(np.abs(lo), np.abs(lo + widths * (last + 1 - first))) + widths
+        tight = np.flatnonzero(widths <= top * reach * 2.0 ** -46)
+        # a run of empty bins starts at ids + 1 or a segment's first bin and
+        # ends at ids - 1 or its last bin, so ids - 2 or last - 1 is its
+        # second-to-last; each of these is kept or outside the histograms
+        kept = np.sort(np.concatenate((ids, ids + 1, ids - 1, ids - 2, first, last, last - 1,
+                                       concat_ranges(first[tight], last[tight] + 1))))
+        kept = kept[(kept >= 0) & (kept < bin_indptr[-1])]
+        kept = kept[np.diff(kept, prepend=-1) != 0]
+        kept_counts = np.zeros(kept.size, dtype=np.int64)
+        kept_counts[np.searchsorted(kept, ids)] = counts
+        return cls(bin_indptr, kept, kept_counts, lo, widths, spread)
 
     def n_bins(self) -> np.ndarray:
         return np.diff(self.bin_indptr)
@@ -108,17 +143,22 @@ def histogram_segments(times: np.ndarray, indptr: np.ndarray) -> SegmentHistogra
         upper = np.where(idx + 1 == k_e, hi[s], (idx + 1) * step + lo_e)
         idx[(t >= upper) & (idx != k_e - 1)] += 1
         bins[ev] = idx
-    counts = np.bincount(bin_indptr[seg] + bins, minlength=int(bin_indptr[-1]))
-    return SegmentHistograms(bin_indptr, counts.astype(np.int64, copy=False), lo, widths,
-                             spread)
+    ids, counts = np.unique(bin_indptr[seg] + bins, return_counts=True)
+    return SegmentHistograms.from_bins(bin_indptr, ids, counts.astype(np.int64), lo, widths,
+                                       spread)
+
+
+def _centers(hists: SegmentHistograms, seg, idx) -> np.ndarray:
+    """Center of global bins ``idx`` of segments ``seg``: linspace's edge
+    (idx - first) * width + lo, shifted by half a bin."""
+    width = hists.widths[seg]
+    return (idx - hists.bin_indptr[seg]) * width + hists.lo[seg] + width / 2.0
 
 
 def _points(hists: SegmentHistograms, seg, idx) -> tuple[np.ndarray, np.ndarray]:
-    """Center and count, as float64, of global bins ``idx`` of segments ``seg``.
-    A center is linspace's edge (idx - first) * width + lo, shifted by half a bin."""
-    width = hists.widths[seg]
-    return ((idx - hists.bin_indptr[seg]) * width + hists.lo[seg] + width / 2.0,
-            hists.counts[idx].astype(np.float64))
+    """Center and count, as float64, of kept global bins ``idx`` of segments ``seg``."""
+    return (_centers(hists, seg, idx),
+            hists.counts[np.searchsorted(hists.bins, idx)].astype(np.float64))
 
 
 def spike_weights(hists: SegmentHistograms, times: np.ndarray, indptr: np.ndarray):
@@ -127,33 +167,23 @@ def spike_weights(hists: SegmentHistograms, times: np.ndarray, indptr: np.ndarra
     event, and each segment's phi denominator and drop edge weight (zeros
     elsewhere). Also returns the significant burst triples (segment,
     awakening, burst) and the max-drop triples (segment, burst, dying), in
-    global bin indices into ``hists.counts``.
+    global bin indices.
 
-    Segments with at most FRONTIER_MAX_BINS bins advance together, one
-    recursion level per pass over a frontier of windows; the rest recurse
-    one segment at a time. Both emit triples, and one reducer turns them
-    into the outputs.
+    The histograms hold only their kept bins, and one frontier covers every
+    segment: their windows advance together over the kept bins, one
+    recursion level per pass, and one reducer turns the triples into the
+    outputs.
     """
-    n_bins = hists.n_bins()
-    profiled = (np.diff(indptr) >= 3) & (n_bins >= 3)
-    small = np.flatnonzero(profiled & (n_bins <= FRONTIER_MAX_BINS))
-    cuts = np.flatnonzero(np.diff(np.cumsum(n_bins[small]) // FRONTIER_CHUNK_BINS)) + 1
-    found = [_frontier_triples(hists, part) for part in np.split(small, cuts)]
-    large_bursts, large_drops = [], []
-    for s in np.flatnonzero(profiled & (n_bins > FRONTIER_MAX_BINS)).tolist():
-        _segment_triples(hists, s, large_bursts, large_drops)
-    found.append((_columns(large_bursts), _columns(large_drops)))
-    return _reduce(hists, times, indptr, *(_concat(parts) for parts in zip(*found)))
-
-
-def _columns(rows) -> tuple[np.ndarray, ...]:
-    """A list of triples as three index arrays."""
-    return tuple(np.asarray(rows, dtype=np.int64).reshape(-1, 3).T)
-
-
-def _concat(parts) -> tuple[np.ndarray, ...]:
-    """Triples of index arrays joined end to end."""
-    return tuple(np.concatenate(x) for x in zip(*parts))
+    kept = np.searchsorted(hists.bins, hists.bin_indptr)
+    n_kept = np.diff(kept)
+    centers = _centers(hists, np.repeat(np.arange(n_kept.size), n_kept), hists.bins)
+    counts = hists.counts.astype(np.float64)
+    profiled = np.flatnonzero((np.diff(indptr) >= 3) & (hists.n_bins() >= 3))
+    windows = (profiled, kept[profiled], kept[profiled + 1] - 1)
+    seg, a, m = _burst_pairs(centers, counts, *windows)
+    ds, dm, dd = _max_drops(centers, counts, *windows)
+    bins = hists.bins
+    return _reduce(hists, times, indptr, (seg, bins[a], bins[m]), (ds, bins[dm], bins[dd]))
 
 
 def _reduce(hists, times, indptr, bursts, drops):
@@ -188,114 +218,6 @@ def _reduce(hists, times, indptr, bursts, drops):
     return event_w, phi_total, drop_w, (seg, a, m), drops
 
 
-def _distances_to_line(tx, cx, t0, c0, t1, c1):
-    """Perpendicular distance of points (tx, cx) to the line through (t0,c0)-(t1,c1)."""
-    num = np.abs((c1 - c0) * tx - (t1 - t0) * cx + t1 * c0 - c1 * t0)
-    return num / math.hypot(c1 - c0, t1 - t0)
-
-
-def _peak(counts, i: int, j: int) -> int | None:
-    """First argmax of the window [i, j], or None for a window the recursion
-    skips: fewer than 3 bins, or all bins equal."""
-    if j - i < 2:
-        return None
-    win = counts[i:j + 1]
-    m = int(win.argmax())
-    return None if win[m] == win.min() else i + m
-
-
-def _awakening_index(centers, counts, i: int, m: int) -> int | None:
-    """Index of the awakening point for the max at m within a window starting at i.
-
-    Candidates run from the window start up to m-1. When every candidate sits
-    on the anchor line (zero distance everywhere) the first point after the
-    window start is taken, so a perfectly linear rise awakens at its first
-    interior point.
-    """
-    if m - 1 < i:
-        return None
-    d = _distances_to_line(centers[i:m], counts[i:m], centers[i], counts[i],
-                           centers[m], counts[m])
-    best = i + int(d.argmax())
-    if d[best - i] == 0.0 and i + 1 <= m - 1:
-        best = i + 1
-    return best
-
-
-def _dying_index(centers, counts, m: int, j: int) -> int | None:
-    """Mirror of the awakening search on the decline from m to the window end j."""
-    if m + 1 > j:
-        return None
-    d = _distances_to_line(centers[m + 1:j + 1], counts[m + 1:j + 1], centers[m],
-                           counts[m], centers[j], counts[j])
-    best = m + 1 + int(d.argmax())
-    if d[best - m - 1] == 0.0 and m + 1 <= j - 1:
-        best = j - 1
-    return best
-
-
-def _first_local_min(counts, m: int, j: int) -> int | None:
-    """First k > m with counts[k] <= counts[k+1]; plateaus count at their left edge."""
-    if m + 1 > j:
-        return None
-    for k in range(m + 1, j):
-        if counts[k] <= counts[k + 1]:
-            return k
-    return j
-
-
-def _segment_triples(hists, s: int, bursts: list, drops: list) -> None:
-    """The recursion over segment s one window at a time, for segments too
-    large for the frontier: appends its (s, awakening, burst) triples and its
-    max drop's (s, burst, dying) triple, in global bin indices."""
-    first = int(hists.bin_indptr[s])
-    centers, counts = _points(hists, s, np.arange(first, hists.bin_indptr[s + 1]))
-    stack = [(0, counts.size - 1)]
-    while stack:
-        i, j = stack.pop()
-        m = _peak(counts, i, j)
-        if m is None:
-            continue
-        a = _awakening_index(centers, counts, i, m)
-        if a is not None and counts[m] > counts[a]:
-            bursts.append((s, first + a, first + m))
-            stack.append((i, a - 1))
-        k = _first_local_min(counts, m, j)
-        if k is not None:
-            stack.append((k, j))
-    # the largest fall; of equal falls, the first in depth-first pre-order
-    best, fall = None, 0.0
-    stack = [(0, counts.size - 1)]
-    while stack:
-        i, j = stack.pop()
-        m = _peak(counts, i, j)
-        if m is None:
-            continue
-        d = _dying_index(centers, counts, m, j)
-        if d is not None:
-            if counts[m] - counts[d] > fall:
-                best, fall = (s, first + m, first + d), counts[m] - counts[d]
-            stack.append((d, j))
-        stack.append((i, m - 1))
-    if best is not None:
-        drops.append(best)
-
-
-def _frontier_triples(hists, segs):
-    """The burst triples and max-drop triples of the segments ``segs``, their
-    windows advancing together, one recursion level per pass."""
-    first, last = hists.bin_indptr[segs], hists.bin_indptr[segs + 1]
-    n_bins = last - first
-    # the segments' bins packed end to end; bins maps back to global indices
-    bins = concat_ranges(first, last)
-    centers, counts = _points(hists, np.repeat(segs, n_bins), bins)
-    start = np.cumsum(n_bins) - n_bins
-    windows = (np.arange(segs.size), start, start + n_bins - 1)
-    seg, a, m = _burst_pairs(centers, counts, *windows)
-    ds, dm, dd = _max_drops(centers, counts, *windows)
-    return (segs[seg], bins[a], bins[m]), (segs[ds], bins[dm], bins[dd])
-
-
 def _gather(starts: np.ndarray, stops: np.ndarray):
     """The non-empty ranges [starts, stops) packed end to end: their indices,
     and each range's offset and length in the packing."""
@@ -326,8 +248,9 @@ def _live_windows(counts, seg, i, j):
 
 def _farthest(centers, counts, starts, stops, p, q):
     """First index of the point farthest from the line through points p and
-    q, over each non-empty range [starts, stops), with _distances_to_line's
-    arithmetic; and whether that distance is zero."""
+    q, over each non-empty range [starts, stops), and whether that distance
+    is zero. A point's distance is |dc * t - dt * c + t1 * c0 - c1 * t0| /
+    hypot(dc, dt), evaluated left to right."""
     if not starts.size:
         return starts, np.zeros(0, dtype=bool)
     idx, offsets, lens = _gather(starts, stops)
@@ -341,9 +264,16 @@ def _farthest(centers, counts, starts, stops, p, q):
 
 
 def _burst_pairs(centers, counts, seg, i, j):
-    """_segment_triples' (segment, awakening, burst) index triples over the
-    frontier of windows (i, j) of each segment, one recursion level per pass."""
-    # the candidates k of _first_local_min
+    """The (segment, awakening, burst) index triples of the recursion over the
+    frontier of windows (i, j) of each segment, one recursion level per pass.
+
+    A window's first argmax m is a burst. Its awakening is the first
+    farthest point in [i, m) from the line through i and m (i + 1 when every
+    point sits on that line); when lower than m, the two make a pair and the
+    recursion goes on in [i, awakening). It also goes on from the first local
+    minimum after m to j."""
+    # the k with counts[k] <= counts[k + 1]; the first one after m, or j, is
+    # the first local minimum after m
     rising = np.append(np.flatnonzero(counts[:-1] <= counts[1:]), counts.size)
     found = []
     while seg.size:
@@ -367,8 +297,12 @@ def _burst_pairs(centers, counts, seg, i, j):
 
 
 def _max_drops(centers, counts, seg, i, j):
-    """_segment_triples' (segment, burst, dying) index triple of each segment
-    with a drop, over the frontier of windows (i, j), one recursion level per pass."""
+    """The (segment, burst, dying) index triple of each segment's largest
+    drop, over the frontier of windows (i, j), one recursion level per pass.
+
+    A window's first argmax m is a burst; its dying point is the first
+    farthest point in (m, j] from the line through m and j (j - 1 when every
+    point sits on that line). The recursion goes on in [dying, j] and [i, m)."""
     found = []
     while seg.size:
         seg, i, j, m = _live_windows(counts, seg, i, j)
@@ -492,10 +426,13 @@ def profile_payloads(sink_ids: Sequence[str], times: np.ndarray,
                          "drop": None}
         if indptr[s + 1] - indptr[s] >= 3:
             first, last = hists.bin_indptr[s], hists.bin_indptr[s + 1]
-            centers = (_points(hists, s, np.arange(first, last))[0].tolist()
+            centers = (_centers(hists, s, np.arange(first, last)).tolist()
                        if hists.spread[s] else [float(hists.lo[s])])
+            k0, k1 = np.searchsorted(hists.bins, (first, last))
+            counts = np.zeros(last - first, dtype=np.int64)
+            counts[hists.bins[k0:k1] - first] = hists.counts[k0:k1]
             payload["bin_width"] = float(hists.widths[s])
-            payload["bins"] = [[t, int(c)] for t, c in zip(centers, hists.counts[first:last])]
+            payload["bins"] = [[t, c] for t, c in zip(centers, counts.tolist())]
         for p in range(pair_rows[s], pair_rows[s + 1]):
             altitude = cb[p] - ca[p]
             payload["pairs"].append({"awakening": [ta[p], ca[p]], "burst": [tb[p], cb[p]],

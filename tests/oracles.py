@@ -186,7 +186,8 @@ def histogram(timestamps) -> TimeSeriesHist:
 
 
 def segment_hist(hists, s: int) -> TimeSeriesHist:
-    """Segment ``s`` of a SegmentHistograms as a TimeSeriesHist."""
+    """Segment ``s`` of a SegmentHistograms as a TimeSeriesHist, every bin
+    filled in from its kept bins."""
     first, last = hists.bin_indptr[s], hists.bin_indptr[s + 1]
     lo, width = float(hists.lo[s]), float(hists.widths[s])
     if hists.spread[s]:
@@ -194,7 +195,10 @@ def segment_hist(hists, s: int) -> TimeSeriesHist:
         centers = np.arange(last - first) * width + lo + width / 2.0
     else:
         centers = np.full(last - first, lo)
-    return TimeSeriesHist(centers, hists.counts[first:last], width)
+    inside = (hists.bins >= first) & (hists.bins < last)
+    counts = np.zeros(last - first, dtype=np.int64)
+    counts[hists.bins[inside] - first] = hists.counts[inside]
+    return TimeSeriesHist(centers, counts, width)
 
 
 def _distances_to_line(tx, cx, t0, c0, t1, c1):

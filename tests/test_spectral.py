@@ -156,3 +156,9 @@ def test_rank_deficient_request_stays_finite():
         assert np.all(s >= 0) and np.all(np.diff(s) <= 0)
         assert np.isfinite(U).all() and np.isfinite(V).all()
         assert np.allclose(s[:2], dense_svd(m.toarray(), compute_uv=False)[:2], rtol=1e-9)
+        # the side derived by one product (the larger one) holds unit vectors,
+        # or zero vectors for singular values that are zero
+        derived = U if m.shape[0] > m.shape[1] else V
+        norms = np.linalg.norm(derived, axis=0)
+        for norm, value in zip(norms, s):
+            assert abs(norm - 1.0) <= 1e-9 or (norm == 0.0 and value == 0.0), (norms, s)

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 from fraudsift import DataError, temporal
-from fraudsift.temporal import (BURST_SIGNIFICANCE, FRONTIER_CHUNK_BINS, FRONTIER_MAX_BINS,
-                                MAX_BINS, SegmentHistograms, extreme_slopes,
+from fraudsift.temporal import (BURST_SIGNIFICANCE, MAX_BINS, SegmentHistograms, extreme_slopes,
                                 histogram_segments, profile_payloads,
                                 simulate_triangle_attack, spike_weights,
                                 time_obstruction_bound)
@@ -30,20 +29,29 @@ def build_histogram(timestamps) -> TimeSeriesHist:
     return oracles.segment_hist(histogram_segments(ts, np.array([0, ts.size])), 0)
 
 
+def kept_histograms(counts, lo, width):
+    """SegmentHistograms of segments with the given bin counts, first bin
+    edges and bin widths, every segment spanning more than one timestamp."""
+    dense = np.concatenate([np.asarray(c, dtype=np.int64) for c in counts])
+    bin_indptr = np.concatenate(([0], np.cumsum([len(c) for c in counts])))
+    ids = np.flatnonzero(dense)
+    return SegmentHistograms.from_bins(bin_indptr, ids, dense[ids], np.asarray(lo, dtype=float),
+                                       np.asarray(width, dtype=float),
+                                       np.ones(len(counts), dtype=bool))
+
+
 def unit_segment(counts):
     """One segment of the given bin counts with centers 0, 1, 2, ..., and its
     events placed on the bin centers."""
     counts = np.asarray(counts, dtype=np.int64)
-    hists = SegmentHistograms(np.array([0, counts.size]), counts, np.array([-0.5]),
-                              np.array([1.0]), np.array([True]))
-    return hists, np.repeat(np.arange(counts.size, dtype=np.float64), counts), \
-        np.array([0, counts.sum()])
+    return kept_histograms([counts], [-0.5], [1.0]), \
+        np.repeat(np.arange(counts.size, dtype=np.float64), counts), np.array([0, counts.sum()])
 
 
 def spikes(counts, significance=BURST_SIGNIFICANCE):
     """The oracle's multiburst and max_drop of a histogram with centers 0, 1,
     2, ..., after checking that spike_weights keeps the same burst pairs and
-    drop through the frontier and through the one-segment recursion."""
+    drop."""
     hist = hist_from_counts(counts)
     pairs, drop = oracles.multiburst(hist, significance), oracles.max_drop(hist)
     profiled = len(hist) >= 3 and hist.counts.sum() >= 3
@@ -52,12 +60,10 @@ def spikes(counts, significance=BURST_SIGNIFICANCE):
         return [((float(x), float(hist.counts[x])), (float(y), float(hist.counts[y])))
                 for x, y in zip(starts.tolist(), ends.tolist())]
 
-    for cutoff in (len(hist), 0):
-        with mock.patch.object(temporal, "BURST_SIGNIFICANCE", significance), \
-                mock.patch.object(temporal, "FRONTIER_MAX_BINS", cutoff):
-            *_, (_, a, m), (_, b, d) = spike_weights(*unit_segment(counts))
-        assert sorted(points(a, m)) == [(p.awakening, p.burst) for p in pairs if profiled]
-        assert points(b, d) == ([(drop.burst, drop.dying)] if profiled and drop else [])
+    with mock.patch.object(temporal, "BURST_SIGNIFICANCE", significance):
+        *_, (_, a, m), (_, b, d) = spike_weights(*unit_segment(counts))
+    assert sorted(points(a, m)) == [(p.awakening, p.burst) for p in pairs if profiled]
+    assert points(b, d) == ([(drop.burst, drop.dying)] if profiled and drop else [])
     return pairs, drop
 
 
@@ -139,7 +145,7 @@ def test_segmented_histograms_match_per_segment_oracle(segments):
     times = np.concatenate([np.sort(np.asarray(seg, dtype=np.float64)) for seg in segments])
     indptr = np.concatenate(([0], np.cumsum([len(seg) for seg in segments])))
     hists = histogram_segments(times, indptr)
-    assert hists.bin_indptr[-1] == hists.counts.size
+    assert hists.counts.sum() == times.size
     for s, seg in enumerate(segments):
         got = oracles.segment_hist(hists, s)
         if not seg:
@@ -150,6 +156,32 @@ def test_segmented_histograms_match_per_segment_oracle(segments):
         assert got.counts.tobytes() == want.counts.tobytes()
         assert got.bin_width == want.bin_width
         assert 1 <= len(got) <= MAX_BINS
+
+
+def kept_bins(counts) -> list[int]:
+    """Every non-empty bin, and the first, second-to-last and last bin of each
+    run of empty bins, by a scan over the bins."""
+    kept, k = [], 0
+    while k < len(counts):
+        end = k
+        while counts[k] == 0 and end + 1 < len(counts) and counts[end + 1] == 0:
+            end += 1
+        kept += sorted({k, max(end - 1, k), end})
+        k = end + 1
+    return kept
+
+
+def test_capped_segment_stores_only_kept_bins():
+    # the MAX_BINS cap fires, and two of its bins hold events; a dense
+    # histogram would store all 65,536 bins
+    ts = np.array([0, 1, 1.001, 1.002, 1.003, 1.004, 1e9])
+    hists = histogram_segments(ts, np.array([0, ts.size]))
+    assert hists.n_bins().tolist() == [MAX_BINS]
+    nonempty = np.count_nonzero(hists.counts)
+    assert nonempty == 2
+    assert hists.bins.size <= 3 * (nonempty + 1)
+    assert oracles.segment_hist(hists, 0).counts.tobytes() == \
+        oracles.histogram(ts).counts.tobytes()
 
 
 def test_histogram_clamps_bin_count_at_max_bins():
@@ -278,17 +310,27 @@ run = st.one_of(
     st.lists(st.integers(0, 4), min_size=1, max_size=40),
     st.lists(st.integers(0, 500), min_size=1, max_size=40),
 )
+# empty runs: up to 3 bins are kept whole, longer ones keep their first,
+# second-to-last and last bin
+gap = st.one_of(st.integers(1, 4), st.integers(5, 3000)).map(lambda n: [0] * n)
+# runs and gaps in any order, so gaps also open and close a segment, sit
+# before a burst (where an awakening at a gap's last bin ends the next
+# window at its second-to-last) and after one
+bin_counts = st.lists(st.one_of(run, gap), min_size=1, max_size=12).map(
+    lambda rs: sum(rs, [])).filter(lambda c: len(c) >= 3)
+# MAX_BINS-capped: two clusters of bins around one long gap
+capped_counts = st.tuples(bin_counts, bin_counts).filter(
+    lambda t: len(t[0]) + len(t[1]) <= MAX_BINS).map(
+    lambda t: t[0] + [0] * (MAX_BINS - len(t[0]) - len(t[1])) + t[1])
 # (first timestamp, bin width, event offset from the bin center in widths);
-# offset 0 puts events on the centers that bound the burst windows
-geometry = st.tuples(st.sampled_from([0.0, 1.5e9 + 17]),
-                     st.sampled_from([1.0, 0.37, 86400 / 7]),
+# offset 0 puts events on the centers that bound the burst windows. At
+# 2^40 a bin width of 0.01 is within rounding of the centers times counts,
+# so such segments keep every bin.
+geometry = st.tuples(st.sampled_from([0.0, 1.5e9 + 17, 2.0 ** 40]),
+                     st.sampled_from([1.0, 0.37, 86400 / 7, 0.01]),
                      st.sampled_from([-0.5, -0.25, 0.0, 0.25]))
-small_segment = st.tuples(
-    st.lists(run, min_size=1, max_size=12).map(lambda rs: sum(rs, [])[:FRONTIER_MAX_BINS])
-    .filter(lambda c: len(c) >= 3), geometry)
-large_segment = st.tuples(
-    st.tuples(st.lists(run, min_size=1, max_size=4), st.integers(1, 64)).map(
-        lambda t: np.resize(sum(t[0], []), FRONTIER_MAX_BINS + t[1]).tolist()), geometry)
+segment_counts = st.tuples(st.one_of(bin_counts, bin_counts, bin_counts, capped_counts),
+                           geometry)
 
 
 def packed_histograms(segments):
@@ -296,9 +338,7 @@ def packed_histograms(segments):
     times of each segment, placed by bin at a fixed offset from its center."""
     counts = [np.asarray(c, dtype=np.int64) for c, _ in segments]
     lo, width, offset = (np.asarray(x, dtype=np.float64) for x in zip(*(g for _, g in segments)))
-    bin_indptr = np.concatenate(([0], np.cumsum([c.size for c in counts])))
-    hists = SegmentHistograms(bin_indptr, np.concatenate(counts), lo, width,
-                              np.ones(len(counts), dtype=bool))
+    hists = kept_histograms(counts, lo, width)
     times = np.concatenate([np.repeat(oracles.segment_hist(hists, s).centers
                                       + offset[s] * width[s], c)
                             for s, c in enumerate(counts)])
@@ -324,30 +364,45 @@ def per_segment_weights(hists, times, indptr):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(small_segment, min_size=1, max_size=8),
-       st.lists(large_segment, min_size=2, max_size=3),
-       st.sampled_from([1, 64, FRONTIER_CHUNK_BINS]))
+@given(st.lists(segment_counts, min_size=1, max_size=8))
 # max_drop's tie: falls of 2 at slopes 2 and 1; the first in pre-order wins
-@example([([2, 0, 2, 1, 0, 1], (0.0, 1.0, 0.0))],
-         [([0, 5] * 300, (0.0, 1.0, 0.0)), ([5, 0, 5, 3, 0, 3] * 100, (0.0, 1.0, 0.0))],
-         FRONTIER_CHUNK_BINS)
+@example([([2, 0, 2, 1, 0, 1], (0.0, 1.0, 0.0)), ([0, 5] * 300, (0.0, 1.0, 0.0)),
+          ([5, 0, 5, 3, 0, 3] * 100, (0.0, 1.0, 0.0))])
 @example([([1, 2, 3, 4, 5, 4, 3, 2, 1], (0.0, 1.0, 0.0)), ([3, 3, 3], (0.0, 1.0, 0.0)),
           ([9, 0, 9, 0, 9], (1.5e9 + 17, 0.37, -0.5)),
-          ([(k * 7) % 11 for k in range(FRONTIER_MAX_BINS)], (0.0, 0.37, 0.25))],
-         [([1] * (FRONTIER_MAX_BINS + 1), (0.0, 1.0, -0.25)),
-          ([(k * 7) % 11 for k in range(FRONTIER_MAX_BINS + 1)], (1.5e9 + 17, 0.37, 0.25))],
-         64)
-def test_spike_weights_match_per_segment_spike_profile(small, large, chunk_bins):
-    # the small segments take the frontier, the large ones the one-segment
-    # recursion; both are checked against the oracle's object model
-    hists, times, indptr = packed_histograms(small + large)
-    n_bins = hists.n_bins()
-    assert n_bins[len(small):].min() > FRONTIER_MAX_BINS >= n_bins[:len(small)].max()
-    with mock.patch.object(temporal, "FRONTIER_CHUNK_BINS", chunk_bins):
-        got = spike_weights(hists, times, indptr)
+          ([(k * 7) % 11 for k in range(600)], (0.0, 0.37, 0.25)),
+          ([1] * 513, (0.0, 1.0, -0.25))])
+# gaps of 1, 2, 3 and 4 bins, a linear rise out of a gap (every point on the
+# anchor line) and gaps at both ends of a segment
+@example([([5, 0, 5, 0, 0, 5, 0, 0, 0, 9, 0, 0, 0, 0, 2], (0.0, 1.0, 0.0)),
+          ([0] * 40 + [1, 2, 3, 4] + [0] * 7 + [6], (1.5e9 + 17, 0.37, 0.25)),
+          ([0] * 9 + [7] + [0] * 9, (0.0, 86400 / 7, -0.25))])
+# the awakening at a gap's last bin, the next window ending at its
+# second-to-last, and a MAX_BINS-capped segment
+@example([([8, 1] + [0] * 50 + [30, 2], (0.0, 1.0, 0.0)),
+          ([6, 4, 9] + [0] * (MAX_BINS - 5) + [3, 1], (1.5e9 + 17, 0.37, 0.0))])
+# rounding ties the distances of the bins of this gap: without keeping every
+# bin of such a segment, the drop would end at another bin
+@example([([2854, 0, 0, 0, 0, 0, 0, 2861], (2.0 ** 40, 0.01, 0.0))])
+def test_spike_weights_match_per_segment_spike_profile(segments):
+    # one frontier over the kept bins of every segment, checked against the
+    # oracle's object model over every bin
+    hists, times, indptr = packed_histograms(segments)
+    got = spike_weights(hists, times, indptr)
     want = per_segment_weights(hists, times, indptr)
     for name, g, w in zip(("event_w", "phi_total", "drop_w"), got, want):
         assert g.tobytes() == w.tobytes(), name
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(bin_counts, min_size=1, max_size=4))
+def test_kept_bins_follow_the_empty_run_rule(counts):
+    hists = kept_histograms(counts, np.zeros(len(counts)), np.ones(len(counts)))
+    for s, c in enumerate(counts):
+        first = hists.bin_indptr[s]
+        inside = (hists.bins >= first) & (hists.bins < hists.bin_indptr[s + 1])
+        assert (hists.bins[inside] - first).tolist() == kept_bins(c)
+        assert hists.counts[inside].tolist() == [c[k] for k in kept_bins(c)]
 
 
 @settings(max_examples=50, deadline=None)
