@@ -61,7 +61,11 @@ def _load_graph(input_path, scale: str | None, neutral: str | None):
     if scale is not None:
         parts = scale.split(":")
         if len(parts) == 3:
-            lo, hi, step = (float(p) for p in parts)
+            try:
+                lo, hi, step = (float(p) for p in parts)
+            except ValueError:
+                raise click.UsageError("--scale expects lo:hi:step or a comma-separated "
+                                       "list of numbers")
             declared = RatingScale.from_range(lo, hi, step, neutral=neutral_vals)
         else:
             declared = RatingScale(_parse_floats(scale, "--scale"), neutral=neutral_vals)

@@ -15,9 +15,10 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from . import temporal
-from .graph import BipartiteGraph, DataError, concat_ranges
+from .graph import BipartiteGraph, DataError, concat_ranges, sorted_unique
 
 if TYPE_CHECKING:
     from .detector import DetectorConfig
@@ -124,6 +125,31 @@ class SignalContext:
                 (ones, (graph.pair_dst[pair], cat)), shape=(nv, c)).toarray()
 
 
+def csr_matvec(indptr, cols, vals, x) -> np.ndarray:
+    """``csr_matrix((vals, cols, indptr)) @ x`` without scipy's dispatch:
+    scipy's kernel adds each row's products in stored order into a zeroed
+    output. ``indptr`` and ``cols`` share one integer dtype."""
+    y = np.zeros(indptr.size - 1)
+    _sparsetools.csr_matvec(indptr.size - 1, x.size, indptr, cols, vals, x, y)
+    return y
+
+
+def _sink_sums(cols, weights, n: int) -> np.ndarray:
+    """Per-sink sums of ``weights``, each added from 0.0 in entry order."""
+    # float even when there are no entries
+    return np.bincount(cols, weights=weights, minlength=n).astype(np.float64, copy=False)
+
+
+def _select_rows(indptr, keep, *arrays):
+    """CSR row selection: the indptr of the rows where ``keep`` is set, and
+    the entries of the entry-aligned ``arrays`` in those rows."""
+    lens = np.diff(indptr)
+    entries = np.repeat(keep, lens)
+    new_indptr = np.zeros(np.count_nonzero(keep) + 1, dtype=indptr.dtype)
+    np.cumsum(lens[keep], out=new_indptr[1:])
+    return (new_indptr, *(a[entries] for a in arrays))
+
+
 class ContrastState:
     """Exact bookkeeping of per-sink contrast scores, per-user scores, and the
     objective for one seed block, under user removals.
@@ -133,42 +159,27 @@ class ContrastState:
     The signals and the base are the context's. The sink domain is fixed at
     build time to the sinks adjacent to the seed; the objective numerator
     and denominator sum over that domain.
+
+    The seed block stores only the seed rows ``rows`` (ascending; at build,
+    the active ones) in CSR form: ``row_indptr``, ``row_cols`` (local sinks,
+    ascending within a row) and ``row_vals`` (event counts), plus each
+    stored row's burst weights (``row_phi``) and rating-category entries
+    (``row_cat_*``) when those signals are on. A removal refreshes alpha,
+    phi, raw kappa and P of the removed user's sinks in one pass, and the
+    scores of the stored rows by one matvec over the block. Once the active
+    rows fall to half of the stored ones, one row selection drops the
+    removed rows. ``S`` is the score of every seed row, +inf on removed ones.
     """
 
     def __init__(self, context: SignalContext, seed_idx, active=None):
         self.ctx = context
         graph = context.graph
 
-        seed_idx = np.unique(np.asarray(seed_idx, dtype=np.int64))
+        seed_idx = sorted_unique(np.asarray(seed_idx, dtype=np.int64))
         if seed_idx.size == 0:
             raise DataError("empty seed")
         self.seed_idx = seed_idx
         m0 = seed_idx.size
-
-        starts = graph.src_pair_indptr[seed_idx]
-        stops = graph.src_pair_indptr[seed_idx + 1]
-        pids = concat_ranges(starts, stops)
-        if pids.size == 0:
-            raise DataError("degenerate seed: no incident edges")
-        cols_global = graph.pair_dst[pids]
-        domain = np.unique(cols_global)
-        self.domain = domain
-        nv = domain.size
-
-        self.row_indptr = np.concatenate(([0], np.cumsum(stops - starts))).astype(np.int64)
-        self.row_cols = np.searchsorted(domain, cols_global).astype(np.int64)
-        self.row_vals = graph.pair_count[pids].astype(np.float64)
-        self.row_pids = pids
-        self._sub = sp.csr_matrix((self.row_vals, self.row_cols, self.row_indptr),
-                                  shape=(m0, nv))
-
-        self.cnt_total = context.sink_event_total[domain]
-        self.sigma_d = context.sigma[domain]
-        if context.use_phi:
-            self.phi_total = context.sink_phi_total[domain]
-        if context.use_kappa:
-            self.cat_total = context.sink_cat_counts[domain]
-
         if active is None:
             self.active = np.ones(m0, dtype=bool)
         else:
@@ -178,138 +189,210 @@ class ContrastState:
         self.n_active = int(self.active.sum())
         self.n_rescales = 0
 
-        # each per-sink sum over the active rows adds their entries in row
-        # order; an inactive row adds +0.0
-        act = self.active.astype(np.float64)
-        self.cnt_set = self._sub.T @ act
+        starts = graph.src_pair_indptr[seed_idx]
+        stops = graph.src_pair_indptr[seed_idx + 1]
+        pids = concat_ranges(starts, stops)
+        if pids.size == 0:
+            raise DataError("degenerate seed: no incident edges")
+        domain, cols = np.unique(graph.pair_dst[pids], return_inverse=True)
+        self.domain = domain
+        nv = domain.size
+
+        # 32-bit block indices where they fit: the matvec streams fewer bytes
+        index = np.int32 if pids.size < 2**31 else np.int64
+        indptr = np.zeros(m0 + 1, dtype=index)
+        np.cumsum(stops - starts, out=indptr[1:])
+        cols = cols.astype(index)
+        self.rows = np.flatnonzero(self.active)
+        if self.rows.size < m0:
+            indptr, cols, pids = _select_rows(indptr, self.active, cols, pids)
+        self._slot = np.zeros(m0, dtype=np.int64)  # seed row -> stored row
+        self._slot[self.rows] = np.arange(self.rows.size)
+        self.row_indptr = indptr
+        self.row_cols = cols
+        self.row_vals = graph.pair_count[pids].astype(np.float64)
+
+        self.cnt_total = context.sink_event_total[domain]
+        self.sigma_d = context.sigma[domain]
+        # each per-sink sum adds the stored entries in row order; a removed
+        # row would add +0.0
+        self.cnt_set = _sink_sums(cols, self.row_vals, nv)
         if context.use_phi:
-            self.phi_set = sp.csr_matrix((context.pair_phi_weight[pids], self.row_cols,
-                                          self.row_indptr), shape=(m0, nv)).T @ act
+            self.row_phi = context.pair_phi_weight[pids]
+            self.phi_set = _sink_sums(cols, self.row_phi, nv)
+            phi_total = context.sink_phi_total[domain]
+            self._phi_on = phi_total > 0
+            self._phi_den = np.where(self._phi_on, phi_total, 1.0)
         if context.use_kappa:
-            # each seed row's (local sink * c + category, count) entries, laid
-            # out row by row like row_cols
+            # each stored row's (local sink * c + category, count) entries,
+            # laid out row by row like row_cols
             cats = context.pair_cats[pids]
             c = cats.shape[1]
-            self.row_cat_flat = np.repeat(self.row_cols, np.diff(cats.indptr)) * c + cats.indices
+            self.row_cat_flat = np.repeat(cols.astype(np.int64), np.diff(cats.indptr)) * c \
+                + cats.indices
             self.row_cat_count = cats.data
-            self.row_cat_indptr = cats.indptr[self.row_indptr]
-            self.cat_set = (sp.csr_matrix((self.row_cat_count, self.row_cat_flat,
-                                           self.row_cat_indptr), shape=(m0, nv * c)).T
-                            @ act).reshape(nv, c)
+            self.row_cat_indptr = cats.indptr[indptr]
+            self.cat_set = _sink_sums(self.row_cat_flat, self.row_cat_count,
+                                      nv * c).reshape(nv, c)
+            self.cat_total = context.sink_cat_counts[domain]
+            self._unrated = ~self.cat_total.any(axis=1)
 
         self.alpha = np.zeros(nv)
         self.phi = np.zeros(nv)
         self.kw = np.zeros(nv)
         self.kappa = np.zeros(nv)
         self.P = np.zeros(nv)
-        # the enabled signals in the order contrast_score sums them
-        self._enabled = [x for x, on in ((self.alpha, context.use_alpha),
-                                         (self.phi, context.use_phi),
-                                         (self.kappa, context.use_kappa)) if on]
-        self._refresh_signals(None)
+        self._w = np.zeros(nv)  # the product's weights; zero between steps
+        every = np.arange(nv)
+        signals = self._signals(every, self.cnt_set)
         self.kmax = float(self.kw.max()) if context.use_kappa and nv else 0.0
-        self._refresh_contrast(None)
-        self.S = self._sub @ (self.sigma_d * self.P)
-        self.S[~self.active] = np.inf  # removed users never win argmin
+        self._contrast(every, *signals)
+        # the scores of the stored rows
+        self._score = self._block_product(self.sigma_d * self.P)
         self.num = float((self.sigma_d * self.cnt_set * self.P).sum())
         self.psum = float(self.P.sum())
 
+    @property
+    def S(self) -> np.ndarray:
+        """Score of every seed row; removed rows hold +inf."""
+        S = np.full(self.active.size, np.inf)
+        S[self.rows] = self._score
+        return S
+
     # -- signal recomputation ----------------------------------------------
 
-    def _refresh_signals(self, cols) -> None:
-        """Recompute alpha/phi/raw-kappa for the given local sinks (None = all)."""
-        sel = slice(None) if cols is None else cols
-        self.alpha[sel] = np.clip(self.cnt_set[sel] / self.cnt_total[sel], 0.0, 1.0)
+    def _signals(self, cols, cnt):
+        """Store and return alpha, phi and raw kappa of the local sinks
+        ``cols``, whose set counts are ``cnt``; a disabled signal is None."""
+        ctx = self.ctx
+        tot = self.cnt_total[cols]
+        # set counts are whole numbers within the sink totals: alpha lies in [0, 1]
+        alpha = cnt / tot
+        self.alpha[cols] = alpha
+        phi = kw = None
+        if ctx.use_phi:
+            phi = self.phi_set[cols] / self._phi_den[cols]
+            np.minimum(np.maximum(phi, 0.0, out=phi), 1.0, out=phi)
+            phi = np.where(self._phi_on[cols], phi, 0.0)
+            self.phi[cols] = phi
+        if ctx.use_kappa:
+            # the set's and the rest's category counts, smoothed into the
+            # rating distributions p and q
+            n = np.empty((2, cols.size, self.cat_set.shape[1]))
+            n_set, n_rest = n
+            self.cat_set.take(cols, axis=0, out=n_set)
+            np.subtract(self.cat_total.take(cols, axis=0), n_set, out=n_rest)
+            smoothing_total = RATING_SMOOTHING * n.shape[2]
+            p, q = (n + RATING_SMOOTHING) / (np.add.reduce(n, axis=2)
+                                             + smoothing_total)[:, :, None]
+            kl = np.add.reduce(p * np.log(p / q), axis=1)
+            # balance min(ratio, 1/ratio), ratio = set/rest counts, where both
+            # sides have events, else 0. The counts are whole numbers: the
+            # maxima only keep the other sinks finite, and ``both`` is 1 or 0.
+            f_rest = tot - cnt
+            ratio = np.maximum(cnt, 1.0) / np.maximum(f_rest, 1.0)
+            both = np.minimum(np.minimum(cnt, f_rest), 1.0)
+            kw = kl * (np.minimum(ratio, 1.0 / ratio) * both)
+            kw[self._unrated[cols]] = 0.0  # sinks without any rated events carry no signal
+            self.kw[cols] = kw
+        return alpha, phi, kw
+
+    def _contrast(self, cols, alpha, phi, kw):
+        """Store kappa and P of the local sinks ``cols`` from their signals; return P."""
+        ctx = self.ctx
+        signals = []
+        if ctx.use_alpha:
+            signals.append(alpha)
+        if ctx.use_phi:
+            signals.append(phi)
+        if ctx.use_kappa:
+            kappa = kw / self.kmax if self.kmax > 0 else np.zeros(kw.size)
+            self.kappa[cols] = kappa
+            signals.append(kappa)
+        P = contrast_score(signals, ctx.base)
+        self.P[cols] = P
+        return P
+
+    def _block_product(self, x) -> np.ndarray:
+        """The stored rows' sums of their entries times the per-sink ``x``."""
+        return csr_matvec(self.row_indptr, self.row_cols, self.row_vals, x)
+
+    def _compact(self) -> None:
+        """Drop the removed rows from the block by one row selection."""
+        keep = self.active[self.rows]
+        self.rows = self.rows[keep]
+        self._slot[self.rows] = np.arange(self.rows.size)
+        self._score = self._score[keep]
+        entry_arrays = [self.row_cols, self.row_vals]
         if self.ctx.use_phi:
-            tot = self.phi_total[sel]
-            self.phi[sel] = np.where(
-                tot > 0, np.clip(self.phi_set[sel] / np.where(tot > 0, tot, 1.0), 0.0, 1.0),
-                0.0)
+            entry_arrays.append(self.row_phi)
+        self.row_indptr, self.row_cols, self.row_vals, *phi = _select_rows(
+            self.row_indptr, keep, *entry_arrays)
+        if self.ctx.use_phi:
+            (self.row_phi,) = phi
         if self.ctx.use_kappa:
-            self.kw[sel] = self._weighted_divergence(sel)
-
-    def _weighted_divergence(self, sel):
-        nA = np.atleast_2d(self.cat_set[sel])
-        nR = np.atleast_2d(self.cat_total[sel]) - nA
-        c = nA.shape[1]
-        eps = RATING_SMOOTHING
-        sA = nA.sum(axis=1)
-        sR = nR.sum(axis=1)
-        p = (nA + eps) / (sA + eps * c)[:, None]
-        q = (nR + eps) / (sR + eps * c)[:, None]
-        kl = (p * np.log(p / q)).sum(axis=1)
-        f_set = self.cnt_set[sel]
-        f_rest = self.cnt_total[sel] - f_set
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(f_rest > 0, f_set / np.where(f_rest > 0, f_rest, 1.0), np.inf)
-            balance = np.minimum(ratio, np.where(ratio > 0, 1.0 / ratio, 0.0))
-        balance = np.where((f_set <= 0) | (f_rest <= 0), 0.0, balance)
-        kw = kl * balance
-        kw[(sA + sR) == 0] = 0.0  # sinks without any rated events carry no signal
-        return kw
-
-    def _refresh_contrast(self, cols) -> None:
-        sel = slice(None) if cols is None else cols
-        if self.ctx.use_kappa:
-            self.kappa[sel] = self.kw[sel] / self.kmax if self.kmax > 0 else 0.0
-        self.P[sel] = contrast_score([x[sel] for x in self._enabled], self.ctx.base)
+            self.row_cat_indptr, self.row_cat_flat, self.row_cat_count = _select_rows(
+                self.row_cat_indptr, keep, self.row_cat_flat, self.row_cat_count)
 
     # -- removal ------------------------------------------------------------
 
     def _remove_local(self, r: int) -> None:
         """Drop seed row ``r`` from the active set, updating the sinks adjacent
-        to it and, with one matvec over the seed block, the user scores;
+        to it and, with one matvec over the stored rows, the user scores;
         exact within float drift."""
         if not self.active[r]:
             raise DataError("user already removed")
         self.active[r] = False
         self.n_active -= 1
-        self.S[r] = np.inf
+        i = self._slot[r]
+        self._score[i] = np.inf
 
-        lo, hi = self.row_indptr[r], self.row_indptr[r + 1]
-        cols = self.row_cols[lo:hi]
-        if cols.size == 0:
-            return
+        ctx = self.ctx
+        lo, hi = self.row_indptr[i], self.row_indptr[i + 1]
+        cols = self.row_cols[lo:hi].astype(np.intp)
         vals = self.row_vals[lo:hi]
-
-        cnt_old = self.cnt_set[cols].copy()
-        p_old = self.P[cols].copy()
-
-        self.cnt_set[cols] -= vals
-        if self.ctx.use_phi:
-            self.phi_set[cols] -= self.ctx.pair_phi_weight[self.row_pids[lo:hi]]
-        if self.ctx.use_kappa:
-            a, b = self.row_cat_indptr[r], self.row_cat_indptr[r + 1]
+        if ctx.use_phi:
+            self.phi_set[cols] -= self.row_phi[lo:hi]
+        if ctx.use_kappa:
+            a, b = self.row_cat_indptr[i], self.row_cat_indptr[i + 1]
             # the flat indices are unique within one row
             self.cat_set.reshape(-1)[self.row_cat_flat[a:b]] -= self.row_cat_count[a:b]
+        if 2 * self.n_active <= self.rows.size:
+            self._compact()
+        if cols.size == 0:
+            return
 
-        self._refresh_signals(cols)
+        cnt_old = self.cnt_set[cols]
+        p_old = self.P[cols]
+        cnt = cnt_old - vals
+        self.cnt_set[cols] = cnt
+        signals = self._signals(cols, cnt)
 
         # kappa is normalized by the current maximum: a new maximum rescales
         # every sink
-        new_kmax = float(self.kw.max()) if self.ctx.use_kappa else self.kmax
+        new_kmax = float(np.maximum.reduce(self.kw)) if ctx.use_kappa else self.kmax
         if new_kmax != self.kmax:
             self.kmax = new_kmax
-            self._refresh_contrast(None)
+            self._contrast(np.arange(self.P.size), self.alpha, self.phi, self.kw)
             sp_weights = self.sigma_d * self.P
-            self.S = self._sub @ sp_weights
-            self.S[~self.active] = np.inf
+            self._score = self._block_product(sp_weights)
+            self._score[~self.active[self.rows]] = np.inf
             self.num = float((sp_weights * self.cnt_set).sum())
             self.psum = float(self.P.sum())
             self.n_rescales += 1
             return
 
-        self._refresh_contrast(cols)
-        p_new = self.P[cols]
+        p_new = self._contrast(cols, *signals)
         dp = p_new - p_old
+        sigma = self.sigma_d[cols]
         # rows hold ascending columns, so each row sums in the order of a
         # per-sink gather; the zero entries of w add +0.0
-        w = np.zeros(self.sigma_d.size)
-        w[cols] = self.sigma_d[cols] * dp
-        self.S += self._sub @ w
-        self.num += float((self.sigma_d[cols]
-                           * (self.cnt_set[cols] * p_new - cnt_old * p_old)).sum())
-        self.psum += float(dp.sum())
+        w = self._w
+        w[cols] = sigma * dp
+        self._score += self._block_product(w)
+        w[cols] = 0.0
+        self.num += float(np.add.reduce(sigma * (cnt * p_new - cnt_old * p_old)))
+        self.psum += float(np.add.reduce(dp))
 
     # -- queries --------------------------------------------------------------
 
@@ -321,5 +404,4 @@ class ContrastState:
 
     def argmin_active_score(self) -> int:
         """Active row of least score; removed rows hold +inf."""
-        return int(np.argmin(self.S))
-
+        return int(self.rows[self._score.argmin()])

@@ -28,6 +28,21 @@ def concat_ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
     return np.repeat(starts - offsets, lens) + np.arange(total, dtype=np.int64)
 
 
+def sorted_unique(values) -> np.ndarray:
+    """The distinct values in ascending order. This is np.unique's sorting
+    path; without return arrays np.unique takes a hash table, which is slower
+    on these integer arrays."""
+    a = np.sort(values, axis=None)
+    first = np.ones(a.size, dtype=bool)
+    np.not_equal(a[1:], a[:-1], out=first[1:])
+    return a[first]
+
+
+# Most values a lo:hi:step rating range may declare. Each value is a column
+# of the per-sink rating tables, so a mistyped step would fill memory.
+MAX_SCALE_VALUES = 1000
+
+
 class RatingScale:
     """Declared categorical rating scale plus the set of neutral scores.
 
@@ -52,8 +67,24 @@ class RatingScale:
     @classmethod
     def from_range(cls, lo: float, hi: float, step: float,
                    neutral: Iterable[float] | None = None) -> "RatingScale":
-        n = int(round((hi - lo) / step)) + 1
-        return cls([lo + i * step for i in range(n)], neutral=neutral)
+        """The values lo, lo + step, ..., hi: the span must be a whole number
+        of steps (to rounding), and give at most MAX_SCALE_VALUES values."""
+        lo, hi, step = float(lo), float(hi), float(step)
+        if not all(map(math.isfinite, (lo, hi, step))):
+            raise DataError(f"rating range {lo:g}:{hi:g}:{step:g} is not finite")
+        if step <= 0:
+            raise DataError(f"rating range step must be positive, got {step:g}")
+        if hi < lo:
+            raise DataError(f"rating range ends below its start: {lo:g}:{hi:g}")
+        steps = (hi - lo) / step
+        if not steps < MAX_SCALE_VALUES:
+            raise DataError(f"rating range {lo:g}:{hi:g}:{step:g} has more than "
+                            f"{MAX_SCALE_VALUES} values")
+        n = round(steps)
+        if not math.isclose(steps, n, rel_tol=1e-9, abs_tol=1e-9):
+            raise DataError(f"rating range {lo:g}:{hi:g} is not a whole number of "
+                            f"steps of {step:g}")
+        return cls([lo + i * step for i in range(n + 1)], neutral=neutral)
 
     def __contains__(self, value: float) -> bool:
         return float(value) in self.values

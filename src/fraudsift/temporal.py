@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import DataError, concat_ranges
+from .graph import DataError, concat_ranges, sorted_unique
 
 # Cap on a histogram's bin count. It sets outputs, not memory: a segment
 # stores only its kept bins (SegmentHistograms), however many bins it spans.
@@ -208,7 +208,7 @@ def _reduce(hists, times, indptr, bursts, drops):
         hi = _bisect(times, ev_lo, ev_hi, tm, right=True)
         # the bursts of one segment cover disjoint spans of time
         event_w[concat_ranges(lo, hi)] = np.repeat(weight, hi - lo)
-        bursty = np.unique(seg)
+        bursty = sorted_unique(seg)
         phi_total[bursty] = _segment_sums(event_w, indptr[bursty], indptr[bursty + 1])
 
     drop_seg, b, d = drops

@@ -11,7 +11,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import svds
 
 from fraudsift import DataError
-from fraudsift.contrast import ContrastState
+from fraudsift.contrast import RATING_SMOOTHING, contrast_score
 from fraudsift.graph import concat_ranges
 from fraudsift.spectral import SVD_SEED, _canonical_signs
 from fraudsift.temporal import BURST_SIGNIFICANCE, MAX_BINS
@@ -456,7 +456,8 @@ def avg_degree_peel(counts) -> set[int]:
 def user_scores(state) -> dict[str, float]:
     """Incremental score ``S`` of every active seed user, by user id."""
     ids = state.ctx.graph.user_ids
-    return {ids[state.seed_idx[r]]: float(state.S[r]) for r in np.flatnonzero(state.active)}
+    S = state.S
+    return {ids[state.seed_idx[r]]: float(S[r]) for r in np.flatnonzero(state.active)}
 
 
 def seed_row(state, user: str) -> int:
@@ -467,25 +468,58 @@ def seed_row(state, user: str) -> int:
     return row
 
 
-class GatherState(ContrastState):
-    """ContrastState with the column-gather updates it used before the seed-block
-    matvec: a CSC mirror of the seed block; a removal gathers every (sink, seed
-    user) entry of the removed user's sinks and sums them per user with
-    np.bincount, rebuilds its rating-category entries from the per-pair table
-    and subtracts them with np.subtract.at; removed users keep finite scores and
-    are masked at argmin."""
+class GatherState:
+    """ContrastState as it was before its fused per-step pass, with the
+    column-gather updates it used before the seed-block matvec.
+
+    The build, the signal refresh and the full-block product ``_sub`` are
+    the per-sink code ContrastState had then; a removal gathers every
+    (sink, seed user) entry of the removed user's sinks from a CSC mirror of
+    the seed block and sums them per user with np.bincount, rebuilds its
+    rating-category entries from the per-pair table and subtracts them with
+    np.subtract.at. Removed users keep finite scores and are masked at
+    argmin."""
 
     def __init__(self, context, seed_idx, active=None):
-        super().__init__(context, seed_idx, active=active)
-        m0, nv = self.active.size, self.domain.size
+        self.ctx = context
+        graph = context.graph
+        seed_idx = np.unique(np.asarray(seed_idx, dtype=np.int64))
+        self.seed_idx = seed_idx
+        m0 = seed_idx.size
+        starts = graph.src_pair_indptr[seed_idx]
+        stops = graph.src_pair_indptr[seed_idx + 1]
+        pids = concat_ranges(starts, stops)
+        cols_global = graph.pair_dst[pids]
+        domain = np.unique(cols_global)
+        self.domain = domain
+        nv = domain.size
+        self.row_indptr = np.concatenate(([0], np.cumsum(stops - starts))).astype(np.int64)
+        self.row_cols = np.searchsorted(domain, cols_global).astype(np.int64)
+        self.row_vals = graph.pair_count[pids].astype(np.float64)
+        self.row_pids = pids
+        self._sub = sp.csr_matrix((self.row_vals, self.row_cols, self.row_indptr),
+                                  shape=(m0, nv))
+
+        self.cnt_total = context.sink_event_total[domain]
+        self.sigma_d = context.sigma[domain]
+        if context.use_phi:
+            self.phi_total = context.sink_phi_total[domain]
+        if context.use_kappa:
+            self.cat_total = context.sink_cat_counts[domain]
+        self.active = (np.ones(m0, dtype=bool) if active is None
+                       else np.asarray(active, dtype=bool).copy())
+        self.n_active = int(self.active.sum())
+        self.n_rescales = 0
+
+        act = self.active.astype(np.float64)
+        self.cnt_set = self._sub.T @ act
+        if context.use_phi:
+            self.phi_set = sp.csr_matrix((context.pair_phi_weight[pids], self.row_cols,
+                                          self.row_indptr), shape=(m0, nv)).T @ act
         row_of_nnz = np.repeat(np.arange(m0, dtype=np.int64), np.diff(self.row_indptr))
-        order = np.lexsort((row_of_nnz, self.row_cols))
-        self.col_rows = row_of_nnz[order]
-        self.col_vals = self.row_vals[order]
-        self.col_indptr = np.searchsorted(self.row_cols[order], np.arange(nv + 1))
         if context.use_kappa:
             # the category counts of the active pairs, gathered pair by pair
-            c = self.cat_set.shape[1]
+            c = max(context.pair_cats.shape[1], 1)
             act_nnz = self.active[row_of_nnz]
             apids = self.row_pids[act_nnz]
             ci = context.pair_cats.indptr
@@ -496,12 +530,64 @@ class GatherState(ContrastState):
                         + context.pair_cats.indices[idx])
                 self.cat_set += np.bincount(flat, weights=context.pair_cats.data[idx],
                                             minlength=nv * c).reshape(nv, c)
-            self._refresh_signals(None)
-            self.kmax = float(self.kw.max())
-            self._refresh_contrast(None)
-            self.num = float((self.sigma_d * self.cnt_set * self.P).sum())
-            self.psum = float(self.P.sum())
+
+        self.alpha = np.zeros(nv)
+        self.phi = np.zeros(nv)
+        self.kw = np.zeros(nv)
+        self.kappa = np.zeros(nv)
+        self.P = np.zeros(nv)
+        self._enabled = [x for x, on in ((self.alpha, context.use_alpha),
+                                         (self.phi, context.use_phi),
+                                         (self.kappa, context.use_kappa)) if on]
+        self._refresh_signals(None)
+        self.kmax = float(self.kw.max()) if context.use_kappa and nv else 0.0
+        self._refresh_contrast(None)
         self.S = self._sub @ (self.sigma_d * self.P)
+        self.num = float((self.sigma_d * self.cnt_set * self.P).sum())
+        self.psum = float(self.P.sum())
+
+        order = np.lexsort((row_of_nnz, self.row_cols))
+        self.col_rows = row_of_nnz[order]
+        self.col_vals = self.row_vals[order]
+        self.col_indptr = np.searchsorted(self.row_cols[order], np.arange(nv + 1))
+
+    def _refresh_signals(self, cols) -> None:
+        """Recompute alpha/phi/raw-kappa for the given local sinks (None = all)."""
+        sel = slice(None) if cols is None else cols
+        self.alpha[sel] = np.clip(self.cnt_set[sel] / self.cnt_total[sel], 0.0, 1.0)
+        if self.ctx.use_phi:
+            tot = self.phi_total[sel]
+            self.phi[sel] = np.where(
+                tot > 0, np.clip(self.phi_set[sel] / np.where(tot > 0, tot, 1.0), 0.0, 1.0),
+                0.0)
+        if self.ctx.use_kappa:
+            self.kw[sel] = self._weighted_divergence(sel)
+
+    def _weighted_divergence(self, sel):
+        nA = np.atleast_2d(self.cat_set[sel])
+        nR = np.atleast_2d(self.cat_total[sel]) - nA
+        c = nA.shape[1]
+        eps = RATING_SMOOTHING
+        sA = nA.sum(axis=1)
+        sR = nR.sum(axis=1)
+        p = (nA + eps) / (sA + eps * c)[:, None]
+        q = (nR + eps) / (sR + eps * c)[:, None]
+        kl = (p * np.log(p / q)).sum(axis=1)
+        f_set = self.cnt_set[sel]
+        f_rest = self.cnt_total[sel] - f_set
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(f_rest > 0, f_set / np.where(f_rest > 0, f_rest, 1.0), np.inf)
+            balance = np.minimum(ratio, np.where(ratio > 0, 1.0 / ratio, 0.0))
+        balance = np.where((f_set <= 0) | (f_rest <= 0), 0.0, balance)
+        kw = kl * balance
+        kw[(sA + sR) == 0] = 0.0  # sinks without any rated events carry no signal
+        return kw
+
+    def _refresh_contrast(self, cols) -> None:
+        sel = slice(None) if cols is None else cols
+        if self.ctx.use_kappa:
+            self.kappa[sel] = self.kw[sel] / self.kmax if self.kmax > 0 else 0.0
+        self.P[sel] = contrast_score([x[sel] for x in self._enabled], self.ctx.base)
 
     def _remove_local(self, r: int) -> None:
         self.active[r] = False
@@ -549,6 +635,9 @@ class GatherState(ContrastState):
         self.num += float((self.sigma_d[cols]
                            * (self.cnt_set[cols] * p_new - cnt_old * p_old)).sum())
         self.psum += float(dp.sum())
+
+    def objective(self) -> float:
+        return self.num / (self.n_active + self.psum)
 
     def argmin_active_score(self) -> int:
         return int(np.argmin(np.where(self.active, self.S, np.inf)))

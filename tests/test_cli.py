@@ -118,6 +118,27 @@ def test_detect_non_finite_setting_is_data_error(tmp_path, capsys, flag, value, 
     assert not (out / "run.json").exists()
 
 
+@pytest.mark.parametrize("scale, rc, message", [
+    ("a:b:c", 2, "--scale expects lo:hi:step"),
+    ("1:5:x", 2, "--scale expects lo:hi:step"),
+    ("1:5:nan", 3, "is not finite"),
+    ("1:inf:1", 3, "is not finite"),
+    ("1:5:0", 3, "step must be positive"),
+    ("1:5:-1", 3, "step must be positive"),
+    ("5:1:1", 3, "ends below its start"),
+    ("1:5:1e-12", 3, "has more than 1000 values"),
+    ("1:5:0.3", 3, "not a whole number of steps"),
+])
+def test_detect_bad_scale_range(tmp_path, capsys, scale, rc, message):
+    data = tmp_path / "data.csv"
+    write_planted_fixture(data)
+    out = tmp_path / "out"
+    assert main(["detect", "--input", str(data), "--output-dir", str(out),
+                 "--scale", scale]) == rc
+    assert message in capsys.readouterr().err
+    assert not (out / "run.json").exists()
+
+
 def test_detect_negative_profile_count_is_usage_error(tmp_path):
     data = tmp_path / "data.csv"
     write_timestamped_base(data)

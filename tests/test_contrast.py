@@ -5,10 +5,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from fraudsift import (DataError, DetectorConfig, RatingScale, bench_graph, contrast_score,
                        fast_greedy, ingest)
-from fraudsift.contrast import ContrastState, SignalContext
+from fraudsift.contrast import ContrastState, SignalContext, csr_matvec
 from fraudsift.temporal import MAX_BINS, histogram_segments, sigma_from_drop_weights
 from oracles import (build_profile, events, involvement_ratio, phi_involvement,
                      rating_divergence, seed_row, signal_arrays, suspicion_scale, user_scores)
@@ -258,6 +259,19 @@ def test_user_scores_match_explicit_summation(make_graph):
             contrast = st.P[np.searchsorted(st.domain, vi)]
             total += st.ctx.sigma[vi] * g.pair_count[pid] * contrast
         assert scores[u] == pytest.approx(total, rel=1e-9)
+
+
+@pytest.mark.parametrize("index", [np.int32, np.int64])
+def test_csr_matvec_matches_the_sparse_operator(index):
+    rng = np.random.default_rng(7)
+    m = sp.random(80, 50, density=0.15, format="csr", random_state=8)
+    m.data = rng.integers(1, 5, m.nnz).astype(np.float64)
+    x = rng.standard_normal(50)
+    x[rng.random(50) < 0.6] = 0.0
+    for block in (m, m[:0], m[np.diff(m.indptr) == 0]):
+        got = csr_matvec(block.indptr.astype(index), block.indices.astype(index),
+                         block.data, x)
+        assert got.tobytes() == (block @ x).tobytes()
 
 
 # -- removal ---------------------------------------------------------------------

@@ -167,6 +167,45 @@ def test_shaving_matches_column_gather_oracle_bit_for_bit(case):
             assert state.S[ref.active].tobytes() == ref.S[ref.active].tobytes()
 
 
+def test_compacting_shave_matches_gather_oracle_at_every_step():
+    # hundreds of seed rows: the block drops its removed rows several times,
+    # and kappa rescales on a compacted block
+    g, config = sweep_shaped(0.05)
+    seeds, _ = svd_seeds(seeding_design(g, config), config.num_seeds,
+                         cap_exponent=config.cap_exponent)
+    seed = max(seeds, key=len)
+    assert seed.size >= 300
+    ctx = SignalContext(g, config)
+    want_order, want_trace, want_scores = gather_shave(ctx, seed)
+    order = []
+    remove = ContrastState._remove_local
+
+    def recording(shaved, r):
+        order.append(r)
+        remove(shaved, r)
+
+    with mock.patch.object(ContrastState, "_remove_local", recording):
+        res = greedy_shaving(ctx, seed)
+    assert order == want_order
+    assert np.array(res.trace).tobytes() == np.array(want_trace).tobytes()
+    assert res.sink_scores.tobytes() == want_scores.tobytes()
+
+    state, ref = ContrastState(ctx, seed), GatherState(ctx, seed)
+    stored, rescales = [state.rows.size], [0]
+    for r in order[:-1]:
+        assert state.argmin_active_score() == r
+        state._remove_local(r)
+        ref._remove_local(r)
+        stored.append(state.rows.size)
+        rescales.append(state.n_rescales)
+        assert state.S[ref.active].tobytes() == ref.S[ref.active].tobytes()
+        assert np.isinf(state.S[~state.active]).all()
+        assert state.objective() == ref.objective()
+    compactions = [t for t in range(1, len(stored)) if stored[t] < stored[t - 1]]
+    assert len(compactions) >= 2
+    assert rescales[-1] > rescales[compactions[0]]
+
+
 # -- spectral seeding ------------------------------------------------------------
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from fraudsift import (BipartiteGraph, DataError, DetectorConfig, RatingScale, ingest,
                        read_delimited, write_delimited)
 from fraudsift.contrast import ContrastState, SignalContext
+from fraudsift.graph import MAX_SCALE_VALUES
 from oracles import delimited_text, events, pair_counts, pair_events
 
 
@@ -76,6 +77,26 @@ def test_rating_scale_defaults_middle_neutral():
     assert 4.0 in scale and scale.values.index(4.0) == 3
     half = RatingScale.from_range(0.5, 5.0, 0.5)
     assert len(half.values) == 10
+
+
+def test_rating_range_keeps_its_end_value():
+    assert RatingScale.from_range(0.5, 2.0, 0.5).values == (0.5, 1.0, 1.5, 2.0)
+    assert RatingScale.from_range(3, 3, 1).values == (3.0,)
+    # a span within rounding of a whole number of steps
+    assert len(RatingScale.from_range(0.1, 0.3, 0.1).values) == 3
+    assert len(RatingScale.from_range(1, 1000, 1).values) == MAX_SCALE_VALUES
+
+
+@pytest.mark.parametrize("lo, hi, step, message", [
+    (1, 5, float("nan"), "not finite"), (float("-inf"), 5, 1, "not finite"),
+    (1, 5, 0, "step must be positive"), (1, 5, -0.5, "step must be positive"),
+    (5, 1, 1, "ends below its start"), (1, 5, 0.3, "not a whole number of steps"),
+    (1, 5, 1e-12, "more than 1000 values"), (0, 1000, 1, "more than 1000 values"),
+    (-1e308, 1e308, 1e-300, "more than 1000 values"),
+])
+def test_rating_range_rejects_bad_ranges(lo, hi, step, message):
+    with pytest.raises(DataError, match=message):
+        RatingScale.from_range(lo, hi, step)
 
 
 def test_pair_timestamps_stored_sorted():
@@ -160,7 +181,11 @@ def test_restrict_matches_linear_scan_oracle(make_graph):
     wanted = set(picked)
     expected = sum(c for u, _, c in pair_counts(g) if u in wanted)
     assert state.row_vals.sum() == expected
-    assert set(g.pair_src[state.row_pids].tolist()) <= {g.user_index(u) for u in picked}
+    # the block holds exactly the picked users' pairs, in (source, sink) order
+    users = np.repeat(state.seed_idx[state.rows], np.diff(state.row_indptr))
+    block = [(g.user_ids[u], g.object_ids[v], int(c))
+             for u, v, c in zip(users, state.domain[state.row_cols], state.row_vals)]
+    assert block == [t for t in pair_counts(g) if t[0] in wanted]
 
 
 def test_parse_delimited_header_and_bad_lines(tmp_path):
