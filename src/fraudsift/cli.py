@@ -1,6 +1,7 @@
 """Command-line entry points: detect, inject, sweep, bench.
 
-Exit codes: 0 success, 2 usage error, 3 data error, 4 convergence error.
+Exit codes: 0 success, 2 usage error, 3 data error; 4 is reserved and never
+returned.
 All randomness fans out from the single --seed via numpy SeedSequence.
 """
 
@@ -9,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import math
 import sys
 import time
 from dataclasses import asdict
@@ -21,7 +23,6 @@ from . import __version__
 from .detector import DetectorConfig, fast_greedy
 from .evalkit import density_sweep
 from .graph import DataError, RatingScale, concat_ranges, read_delimited, write_delimited
-from .spectral import ConvergenceError
 from .synth import InjectionConfig, bench_graph, inject, write_labels
 from .temporal import profile_payloads
 
@@ -100,18 +101,20 @@ def _config_echo(config: DetectorConfig, seed: int, **extra) -> dict:
     return echo
 
 
+_DEFAULTS = DetectorConfig()
+
 detector_options = [
     click.option("--seed", type=int, default=0, show_default=True,
                  help="Master RNG seed; all randomness derives from it."),
-    click.option("--base", type=float, default=32.0, show_default=True,
+    click.option("--base", type=float, default=_DEFAULTS.base, show_default=True,
                  help="Exponential scaling base b."),
-    click.option("--num-seeds", type=int, default=10, show_default=True,
+    click.option("--num-seeds", type=int, default=_DEFAULTS.num_seeds, show_default=True,
                  help="Number of singular vectors used for seeding."),
     click.option("--signals", default="auto", show_default=True,
                  help="Comma list from alpha,phi,kappa, or 'auto'."),
-    click.option("--time-bin", type=float, default=86400.0, show_default=True,
+    click.option("--time-bin", type=float, default=_DEFAULTS.time_bin, show_default=True,
                  help="Matricization time bin in seconds."),
-    click.option("--cap-exponent", default=str(1 / 1.6), show_default=True,
+    click.option("--cap-exponent", default=str(_DEFAULTS.cap_exponent), show_default=True,
                  help="Seed size cap exponent over |U|, or 'none'."),
 ]
 
@@ -285,7 +288,10 @@ def cmd_bench(sizes, output_dir, seed, base, num_seeds, signals, time_bin,
     """Time the full detector on growing synthetic graphs and fit the scaling slope."""
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    grid = [int(s) for s in _parse_floats(sizes, "--sizes")]
+    grid = _parse_floats(sizes, "--sizes")
+    if not all(math.isfinite(s) and s.is_integer() and s >= 1 for s in grid):
+        raise click.UsageError("--sizes must be whole numbers of at least 1")
+    grid = [int(s) for s in grid]
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise click.UsageError("--sizes must be strictly increasing")
     config = _detector_config(base, num_seeds, signals, time_bin, cap_exponent)
@@ -340,9 +346,6 @@ def main(argv=None) -> int:
     except click.ClickException as exc:
         exc.show()
         return exc.exit_code
-    except ConvergenceError as exc:
-        click.echo(f"convergence error: {exc}", err=True)
-        return 4
     except DataError as exc:
         click.echo(f"data error: {exc}", err=True)
         return 3

@@ -86,7 +86,6 @@ class SignalContext:
         self.pair_phi_weight = np.zeros(npairs, dtype=np.float64)
         self.sink_phi_total = np.zeros(nv, dtype=np.float64)
 
-        sigma = np.ones(nv, dtype=np.float64)
         if self.use_phi:
             times = graph.sink_event_time.astype(np.float64)
             indptr = graph.sink_event_indptr
@@ -97,14 +96,11 @@ class SignalContext:
             # a per-sink accumulation exactly
             self.pair_phi_weight = np.bincount(graph.sink_event_pair, weights=event_w,
                                                minlength=npairs)
-            sigma = temporal.sigma_from_drop_weights(drop_w)
+            self.sigma = temporal.sigma_from_drop_weights(drop_w)
             self.drop_weights = drop_w
         else:
+            self.sigma = np.ones(nv, dtype=np.float64)
             self.drop_weights = np.zeros(nv, dtype=np.float64)
-
-        if graph.sink_prior is not None:
-            sigma = sigma * graph.sink_prior
-        self.sigma = sigma
 
         if self.use_kappa:
             scale = graph.scale

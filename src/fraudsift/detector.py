@@ -30,9 +30,8 @@ class DetectorConfig:
     Seeding runs ARPACK's Lanczos (``eigsh``) on the Gram operator of the
     seeding matrix's smaller side, at its default (machine-precision)
     tolerance, from a starting vector drawn from ``spectral.SVD_SEED``, so
-    seeds are reproducible; with ``strict_svd`` an ARPACK iteration cap is an
-    error instead of a warning that falls back to the singular vectors that
-    did converge.
+    seeds are reproducible. When ARPACK hits its iteration cap, seeding logs
+    a warning and goes on with the singular vectors that did converge.
     """
 
     base: float = 32.0
@@ -40,7 +39,6 @@ class DetectorConfig:
     signals: tuple[str, ...] | None = None
     time_bin: float = 86400.0
     cap_exponent: float | None = 1 / 1.6
-    strict_svd: bool = False
 
     def __post_init__(self):
         if not (math.isfinite(self.base) and self.base > 1):
@@ -116,15 +114,16 @@ def greedy_shaving(context: SignalContext, seed_idx) -> DetectionResult:
 
 
 def svd_seeds(matrix, num_vectors: int, cap_exponent: float | None = 1 / 1.6,
-              tol: float = 0.0, max_iter: int | None = None,
-              strict: bool = False) -> tuple[list[np.ndarray], dict]:
+              tol: float = 0.0, max_iter: int | None = None) -> tuple[list[np.ndarray], dict]:
     """Candidate user sets from the top left singular vectors of a users-by-X matrix.
 
     Per vector, users are ranked by decreasing component and truncated where
     the component falls to 1/sqrt(n_users) or below; an extra ordering on the
     negated vector is tried when the vector carries mass on both signs. The
     optional cap bounds every seed at n_users^cap_exponent entries. ``tol``
-    and ``max_iter`` go to truncated_svd; the defaults are ARPACK's own.
+    and ``max_iter`` go to truncated_svd; the defaults are ARPACK's own. If
+    ARPACK stops at its iteration cap, the singular vectors that did converge
+    are used, with a warning.
     """
     n_users = matrix.shape[0]
     k = min(num_vectors, min(matrix.shape))
@@ -133,8 +132,6 @@ def svd_seeds(matrix, num_vectors: int, cap_exponent: float | None = 1 / 1.6,
     try:
         U, s, _ = truncated_svd(matrix, k, tol=tol, max_iter=max_iter)
     except ConvergenceError as exc:
-        if strict:
-            raise
         logger.warning("using best-effort singular vectors: %s", exc)
         U, s, _ = exc.best
 
@@ -224,9 +221,8 @@ def fast_greedy(graph: BipartiteGraph, config: DetectorConfig | None = None) -> 
     else:
         design = graph.counts_matrix(column_weights=context.sigma)
 
-    seeds, seed_meta = svd_seeds(
-        design, config.num_seeds, cap_exponent=config.cap_exponent,
-        strict=config.strict_svd)
+    seeds, seed_meta = svd_seeds(design, config.num_seeds,
+                                 cap_exponent=config.cap_exponent)
     if not seeds:
         raise DataError("no usable seeds above the truncation threshold")
 

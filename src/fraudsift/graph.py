@@ -106,19 +106,18 @@ class BipartiteGraph:
     """
 
     def __init__(self, user_ids, object_ids, user_idx, obj_idx, times, ratings,
-                 priors=None, scale: RatingScale | None = None):
+                 scale: RatingScale | None = None):
         self.user_ids = list(user_ids)
         self.object_ids = list(object_ids)
-        self._user_index = {u: i for i, u in enumerate(self.user_ids)}
         self._object_index = {o: i for i, o in enumerate(self.object_ids)}
         self.scale = scale
         self._build(np.asarray(user_idx, dtype=np.int64),
                     np.asarray(obj_idx, dtype=np.int64),
-                    times, ratings, priors)
+                    times, ratings)
 
     # -- construction -----------------------------------------------------
 
-    def _build(self, us, vs, times, ratings, priors):
+    def _build(self, us, vs, times, ratings):
         n = us.size
         if n == 0:
             raise DataError("empty input")
@@ -127,7 +126,6 @@ class BipartiteGraph:
         order = np.lexsort((ts, vs, us))
         us, vs, ts = us[order], vs[order], ts[order]
         rat = None if ratings is None else np.asarray(ratings, dtype=np.float64)[order]
-        pri = None if priors is None else np.asarray(priors, dtype=np.float64)[order]
 
         new_pair = np.empty(n, dtype=bool)
         new_pair[0] = True
@@ -157,13 +155,6 @@ class BipartiteGraph:
             self.sink_event_pair = None
             self.sink_event_indptr = None
 
-        if pri is not None:
-            # extension hook: per-event priors fold into the sink column weight
-            sums = np.bincount(vs, weights=pri, minlength=nv)
-            cnts = np.bincount(vs, minlength=nv).astype(np.float64)
-            self.sink_prior = np.where(cnts > 0, sums / np.maximum(cnts, 1), 1.0)
-        else:
-            self.sink_prior = None
         self._sink_event_counts = np.bincount(vs, minlength=nv).astype(np.float64)
 
     # -- basic shape -------------------------------------------------------
@@ -191,12 +182,6 @@ class BipartiteGraph:
     @property
     def has_ratings(self) -> bool:
         return self.event_rating is not None
-
-    def user_index(self, user: str) -> int:
-        try:
-            return self._user_index[user]
-        except KeyError:
-            raise DataError(f"unknown user: {user!r}") from None
 
     def object_index(self, obj: str) -> int:
         try:
@@ -271,9 +256,9 @@ def _coerce_timestamp(ts) -> int:
 
 def _coerce_record(rec):
     parts = tuple(rec)
-    if not 2 <= len(parts) <= 5:
+    if not 2 <= len(parts) <= 4:
         raise DataError(f"wrong arity {len(parts)}")
-    user, obj, ts, rating, prior = parts + (None,) * (5 - len(parts))
+    user, obj, ts, rating = parts + (None,) * (4 - len(parts))
     user, obj = str(user), str(obj)
     if not user or not obj:
         raise DataError("empty node id")
@@ -286,24 +271,18 @@ def _coerce_record(rec):
             raise DataError(f"non-numeric rating {rating!r}") from None
         if not math.isfinite(rating):
             raise DataError(f"non-finite rating {rating!r}")
-    if prior is not None:
-        try:
-            prior = float(prior)
-        except (TypeError, ValueError):
-            raise DataError(f"non-numeric prior {prior!r}") from None
-        if not (math.isfinite(prior) and prior > 0):
-            raise DataError(f"prior {prior!r} is not positive and finite")
-    return user, obj, ts, rating, prior
+    return user, obj, ts, rating
 
 
 def ingest(records: Iterable, scale: RatingScale | None = None,
            diagnostics: list[str] | None = None) -> BipartiteGraph:
-    """Aggregate (user, object[, timestamp[, rating[, prior]]]) tuples into a graph.
+    """Aggregate (user, object[, timestamp[, rating]]) tuples into a graph.
 
     Malformed records are rejected with a diagnostic naming the record's
     position (collected in ``diagnostics`` when given, logged otherwise); the
-    stream must yield at least one valid record. Timestamps and ratings must
-    be present on all records or on none.
+    stream must yield at least one valid record. A record has two to four
+    fields; any other length is rejected as the wrong arity. Timestamps and
+    ratings must be present on all records or on none.
     """
     return _ingest(enumerate(records, start=1), "record", scale, diagnostics)
 
@@ -315,11 +294,10 @@ def _ingest(numbered: Iterable[tuple[int, object]], unit: str,
     objs: list[int] = []
     times: list[int] = []
     ratings: list[float] = []
-    priors: list[float] = []
     # ids in order of first appearance
     uindex: dict[str, int] = {}
     oindex: dict[str, int] = {}
-    n_ts = n_rated = n_prior = 0
+    n_ts = n_rated = 0
 
     def report(msg: str) -> None:
         if diagnostics is not None:
@@ -329,7 +307,7 @@ def _ingest(numbered: Iterable[tuple[int, object]], unit: str,
 
     for pos, rec in numbered:
         try:
-            user, obj, ts, rating, prior = _coerce_record(rec)
+            user, obj, ts, rating = _coerce_record(rec)
             if rating is not None and scale is not None and rating not in scale:
                 raise DataError(f"rating {rating} outside declared scale")
         except DataError as exc:
@@ -341,8 +319,6 @@ def _ingest(numbered: Iterable[tuple[int, object]], unit: str,
         n_ts += ts is not None
         ratings.append(rating if rating is not None else np.nan)
         n_rated += rating is not None
-        priors.append(prior if prior is not None else 1.0)
-        n_prior += prior is not None
 
     n = len(users)
     if n == 0:
@@ -357,13 +333,12 @@ def _ingest(numbered: Iterable[tuple[int, object]], unit: str,
         scale = RatingScale(np.unique(rat_arr))
     return BipartiteGraph(
         list(uindex), list(oindex), users, objs,
-        times if n_ts else None, rat_arr,
-        priors=priors if n_prior else None, scale=scale)
+        times if n_ts else None, rat_arr, scale=scale)
 
 
 # -- delimited text round-trip --------------------------------------------------
 
-_HEADER_WORDS = {"user", "object", "item", "timestamp", "time", "rating", "stars", "prior"}
+_HEADER_WORDS = {"user", "object", "item", "timestamp", "time", "rating", "stars"}
 
 
 def _delimited_rows(lines: Iterable[str]):
@@ -383,8 +358,8 @@ def _delimited_rows(lines: Iterable[str]):
 
 def read_delimited(path: str | Path, scale: RatingScale | None = None,
                    diagnostics: list[str] | None = None) -> BipartiteGraph:
-    """ingest the ``user,object[,timestamp[,rating[,prior]]]`` rows of a
-    comma- or tab-separated file; a diagnostic names the file line."""
+    """ingest the ``user,object[,timestamp[,rating]]`` rows of a comma- or
+    tab-separated file; a diagnostic names the file line."""
     with open(path, "r", encoding="utf-8") as fh:
         return _ingest(_delimited_rows(fh), "line", scale, diagnostics)
 
@@ -393,17 +368,13 @@ def write_delimited(graph: BipartiteGraph, path: str | Path) -> None:
     """Write events back out in the ingestible CSV layout (no header), pair-major.
 
     Columns are positional, so ratings cannot be written without timestamps:
-    the reader would take them for timestamps. Priors cannot be written at
-    all: the graph keeps only their per-sink means. Each rating is written in
-    the shortest form that reads back to the same float.
+    the reader would take them for timestamps. Each rating is written in the
+    shortest form that reads back to the same float.
     """
     us, vs, ts, ratings = graph.event_arrays()
     if ratings is not None and ts is None:
         raise DataError("cannot write ratings without timestamps: the CSV layout "
                         "is user,object[,timestamp[,rating]]")
-    if graph.sink_prior is not None:
-        raise DataError("cannot write priors: the graph keeps only per-sink means, "
-                        "not the per-event prior column")
     columns = [np.asarray(graph.user_ids, dtype=object)[us].tolist(),
                np.asarray(graph.object_ids, dtype=object)[vs].tolist()]
     if ts is not None:

@@ -3,6 +3,7 @@ fraud injections with surge timestamps, biased ratings, and camouflage."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,8 +33,12 @@ class InjectionConfig:
             raise DataError("injection counts must be positive")
         if self.n_fraudsters < self.ratings_per_object:
             raise DataError("fraud density above 1.0: need n_fraudsters >= ratings_per_object")
-        if self.camouflage_ratio < 0:
-            raise DataError("camouflage ratio must be non-negative")
+        if not (math.isfinite(self.camouflage_ratio) and self.camouflage_ratio >= 0):
+            raise DataError("camouflage ratio must be finite and non-negative, "
+                            f"got {self.camouflage_ratio}")
+        if not (math.isfinite(self.surge_compression) and self.surge_compression > 0):
+            raise DataError("surge compression must be finite and positive, "
+                            f"got {self.surge_compression}")
 
     @property
     def density(self) -> float:
@@ -74,6 +79,9 @@ def gen_hyperbolic(n_sources: int, n_sinks: int, power_exponent: float,
     if not 0 < density_target <= 1:
         raise DataError("infeasible density: target must lie in (0, 1]")
     br, bc = block_shape if block_shape is not None else (n_sources, n_sinks)
+    if min(br, bc) < 1:
+        raise DataError("community block must have at least one row and column, "
+                        f"got {br}x{bc}")
     if br > n_sources or bc > n_sinks:
         raise DataError("community block exceeds the graph dimensions")
     rng = np.random.default_rng(rng_seed)
@@ -133,12 +141,8 @@ def inject(graph: BipartiteGraph, cfg: InjectionConfig) -> tuple[BipartiteGraph,
     surge (one start per target plus compressed empirical inter-arrivals) and
     rated from the configured high-score set. Camouflage edges go from the
     fraudsters to popular non-target objects. Returns the augmented graph and
-    the ground-truth labels. A graph with priors is refused: it keeps only
-    per-sink prior means, so the injected graph could not carry them over.
+    the ground-truth labels.
     """
-    if graph.sink_prior is not None:
-        raise DataError("cannot inject into a graph with priors: it keeps only "
-                        "per-sink means, not per-event priors")
     rng = np.random.default_rng(cfg.rng_seed)
     indeg = graph.sink_event_counts()
     eligible = np.flatnonzero(indeg <= cfg.max_target_indegree)

@@ -462,7 +462,7 @@ def user_scores(state) -> dict[str, float]:
 
 def seed_row(state, user: str) -> int:
     """Row of ``user`` in the seed block of ``state``."""
-    ui = state.ctx.graph.user_index(user)
+    ui = state.ctx.graph.user_ids.index(user)
     row = int(np.searchsorted(state.seed_idx, ui))
     assert state.seed_idx[row] == ui, f"{user} not in the seed"
     return row

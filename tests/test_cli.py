@@ -4,13 +4,14 @@ import csv
 import json
 import math
 from collections import defaultdict
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracles
-from fraudsift import cli, gen_hyperbolic, write_delimited
+from fraudsift import DetectorConfig, cli, gen_hyperbolic, write_delimited
 from fraudsift.cli import main
 from fraudsift.temporal import MAX_BINS
 
@@ -63,6 +64,17 @@ def test_detect_rerun_reproduces_outputs(tmp_path):
         assert main(["detect", "--input", str(data), "--output-dir", str(out)]) == 0
         outs.append((out / "users.csv").read_bytes() + (out / "objects.csv").read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_detect_echoes_the_default_config(tmp_path):
+    data = tmp_path / "data.csv"
+    write_planted_fixture(data)
+    out = tmp_path / "out"
+    assert main(["detect", "--input", str(data), "--output-dir", str(out)]) == 0
+    echo = json.loads((out / "run.json").read_text())["config"]
+    defaults = asdict(DetectorConfig())
+    assert {k: echo[k] for k in defaults} == defaults
+    assert set(echo) - set(defaults) == {"seed", "neutral", "version"}
 
 
 def test_detect_alpha_only_on_timestamp_free_data(tmp_path):
@@ -179,6 +191,21 @@ def test_inject_labels_and_edge_delta(tmp_path):
     assert run["n_events_after"] - run["n_events_before"] == 10 * 20 + round(0.2 * 200)
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--surge-compression", "nan"), ("--surge-compression", "0"),
+    ("--camouflage-ratio", "nan"), ("--camouflage-ratio", "inf")])
+def test_inject_bad_setting_is_data_error(tmp_path, capsys, flag, value):
+    base = tmp_path / "base.csv"
+    write_timestamped_base(base)
+    out = tmp_path / "out"
+    rc = main(["inject", "--input", str(base), "--output-dir", str(out),
+               "--n-fraudsters", "40", "--n-objects", "10", "--ratings-per-object", "20",
+               flag, value])
+    assert rc == 3
+    assert "must be finite" in capsys.readouterr().err
+    assert not (out / "injected.csv").exists()
+
+
 def test_sweep_writes_curve_and_summary(tmp_path):
     base = tmp_path / "base.csv"
     write_timestamped_base(base)
@@ -237,6 +264,20 @@ def test_bench_unsorted_sizes_usage_error(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("sizes", ["nan", "inf", "-5", "0", "2.5", "1000,nan"])
+def test_bench_non_whole_sizes_usage_error(tmp_path, capsys, sizes):
+    rc = main(["bench", "--sizes", sizes, "--output-dir", str(tmp_path / "b")])
+    assert rc == 2
+    assert "whole numbers of at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sizes", ["1", "2"])
+def test_bench_sizes_without_a_community_block_data_error(tmp_path, capsys, sizes):
+    rc = main(["bench", "--sizes", sizes, "--output-dir", str(tmp_path / "b")])
+    assert rc == 3
+    assert "at least one row and column" in capsys.readouterr().err
+
+
 def test_detect_profile_dump(tmp_path):
     base = tmp_path / "base.csv"
     write_timestamped_base(base)
@@ -262,17 +303,6 @@ def test_detect_profile_dump_with_alpha_only(tmp_path):
     payload = json.loads((out / "profiles.json").read_text())
     ranked = (out / "objects.csv").read_text().splitlines()[1:4]
     assert [p["sink"] for p in payload["profiles"]] == [r.split(",")[0] for r in ranked]
-
-
-def test_inject_refuses_priors_as_data_error(tmp_path, capsys):
-    data = tmp_path / "priors.csv"
-    # rated 4 and 4.5, so the default fraud ratings are on the inferred scale
-    data.write_text("".join(f"u{i},v{i % 5},{1000 + i},{4 + i % 2 / 2},2.0\n"
-                            for i in range(40)), encoding="utf-8")
-    rc = main(["inject", "--input", str(data), "--output-dir", str(tmp_path / "out"),
-               "--n-fraudsters", "4", "--n-objects", "2", "--ratings-per-object", "2"])
-    assert rc == 3
-    assert "priors" in capsys.readouterr().err
 
 
 def test_detect_profile_dump_matches_oracle_for_every_sink(tmp_path):

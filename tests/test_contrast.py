@@ -111,7 +111,7 @@ def test_kappa_max_normalization_marks_the_extreme_sink():
         records.append((f"a{i}", "v_mild", ts + i, 4.0 if i % 2 else 4.5))
         records.append((f"b{i}", "v_mild", ts + i, 4.0 if i % 4 else 3.5))
     g = ingest(records, scale=scale)
-    st = state_for(g, seed=[g.user_index(f"a{i}") for i in range(20)])
+    st = state_for(g, seed=[g.user_ids.index(f"a{i}") for i in range(20)])
     hot = int(np.searchsorted(st.domain, g.object_index("v_hot")))
     mild = int(np.searchsorted(st.domain, g.object_index("v_mild")))
     assert st.kappa[hot] == pytest.approx(1.0)
@@ -242,7 +242,7 @@ def test_user_scores_approach_degree_over_base_for_diluted_sinks():
     for j in range(d):
         records += [(f"w{i}_{j}", f"v{j}") for i in range(999)]
     g = ingest(records)
-    st = state_for(g, seed=[g.user_index("u0")])
+    st = state_for(g, seed=[g.user_ids.index("u0")])
     s = user_scores(st)["u0"]
     assert s == pytest.approx(d / 32.0, rel=0.01)
 
@@ -252,7 +252,7 @@ def test_user_scores_match_explicit_summation(make_graph):
     st = state_for(g)
     scores = user_scores(st)
     for u in g.user_ids:
-        ui = g.user_index(u)
+        ui = g.user_ids.index(u)
         total = 0.0
         for pid in range(g.src_pair_indptr[ui], g.src_pair_indptr[ui + 1]):
             vi = g.pair_dst[pid]
@@ -279,9 +279,9 @@ def test_csr_matvec_matches_the_sparse_operator(index):
 
 def test_remove_user_requires_membership():
     g = ingest([("u1", "v1"), ("u2", "v1")])
-    st = state_for(g, seed=[g.user_index("u1")])
+    st = state_for(g, seed=[g.user_ids.index("u1")])
     # the seed block holds rows for its own users only
-    assert st.seed_idx.tolist() == [g.user_index("u1")]
+    assert st.seed_idx.tolist() == [g.user_ids.index("u1")]
     st._remove_local(0)
     with pytest.raises(DataError, match="already removed"):
         st._remove_local(0)

@@ -46,7 +46,7 @@ def shave(graph, seed_idx):
 
 def test_single_user_seed_returns_itself():
     g = ingest([("u1", "v1"), ("u2", "v1")])
-    res = shave(g, [g.user_index("u1")])
+    res = shave(g, [g.user_ids.index("u1")])
     assert res.users == ("u1",)
     assert len(res.trace) == 1
 
@@ -456,7 +456,7 @@ def test_seeds_do_not_depend_on_other_contexts_built_on_the_graph():
 def test_greedy_shaving_isolated_seed_user_is_degenerate():
     g = BipartiteGraph(["u0", "u1", "zz"], ["v0"], [0, 1], [0, 0], None, None)
     with pytest.raises(DataError, match="degenerate seed"):
-        shave(g, [g.user_index("zz")])
+        shave(g, [g.user_ids.index("zz")])
 
 
 def test_svd_seeds_returns_fewer_when_rank_limits():

@@ -164,7 +164,7 @@ def test_baseline_matches_subset_brute_force():
                     if score > best + 1e-12:
                         best, best_users = score, set(users)
     got = avg_degree_baseline(g)
-    assert {g.user_index(u) for u in got} == best_users
+    assert {g.user_ids.index(u) for u in got} == best_users
 
 
 # degree ties: two 2x2 blocks and a stray edge, a 6-cycle, a 3x3 block and a star
@@ -183,7 +183,7 @@ TIED_GRAPHS = [
 def test_baseline_matches_naive_peeling_oracle(edges):
     g = ingest([(f"u{u}", f"v{v}") for u, v in edges])
     expected = avg_degree_peel(g.counts_matrix().toarray())
-    assert {g.user_index(u) for u in avg_degree_baseline(g)} == expected
+    assert {g.user_ids.index(u) for u in avg_degree_baseline(g)} == expected
 
 
 # -- density sweep ------------------------------------------------------------------

@@ -16,7 +16,7 @@ from oracles import delimited_text, events, pair_counts, pair_events
 
 def engagement(graph, users, obj, column_weights=None) -> float:
     """Weighted event count from ``users`` into ``obj``, read off counts_matrix."""
-    rows = [graph.user_index(u) for u in users]
+    rows = [graph.user_ids.index(u) for u in users]
     col = graph.object_index(obj)
     return float(graph.counts_matrix(column_weights)[rows, col].sum())
 
@@ -157,7 +157,7 @@ def test_engagement_additive_and_monotone(seed):
 
 def restricted(graph, users) -> ContrastState:
     ctx = SignalContext(graph, DetectorConfig(signals=("alpha",)))
-    return ContrastState(ctx, [graph.user_index(u) for u in users])
+    return ContrastState(ctx, [graph.user_ids.index(u) for u in users])
 
 
 def test_restrict_identity_and_degree():
@@ -255,24 +255,6 @@ def test_rating_survives_write_and_read(tmp_path):
         assert back.scale.values == g.scale.values
 
 
-def test_write_delimited_refuses_priors(tmp_path):
-    # the graph keeps only per-sink prior means, so the column cannot be written back
-    g = ingest([("u1", "v1", None, None, 2.0), ("u2", "v2", None, None, 0.5)])
-    assert g.sink_prior.tolist() == [2.0, 0.5]
-    path = tmp_path / "events.csv"
-    with pytest.raises(DataError, match="priors"):
-        write_delimited(g, path)
-    assert not path.exists()
-
-
-def test_prior_column_hook():
-    g = ingest([("u1", "v1", None, None, 2.0), ("u2", "v1", None, None, 4.0),
-                ("u1", "v2", None, None, 1.0)])
-    assert g.sink_prior is not None
-    assert g.sink_prior[g.object_index("v1")] == pytest.approx(3.0)
-    assert g.sink_prior[g.object_index("v2")] == pytest.approx(1.0)
-
-
 def test_engagement_of_full_user_set_is_weighted_indegree(make_graph):
     g = make_graph(n_users=20, n_objects=12, n_events=150, seed=9)
     weights = np.linspace(1.0, 2.0, 12)
@@ -333,13 +315,16 @@ def test_timestamp_beyond_float64_integers_rejected(tmp_path, entry):
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-@pytest.mark.parametrize("column", ["rating", "prior"])
+@pytest.mark.parametrize("column", ["rating"])
 def test_non_finite_rating_or_prior_rejected_by_both_entry_points(tmp_path, value, column):
-    good = [("u1", "v1", 10, 4.0, 1.0), ("w1", "v1", 12, 2.0, 2.0)]
-    bad = ["u2", "v1", 11, 4.0, 1.0]
-    bad[3 if column == "rating" else 4] = value
-    rows = [good[0], tuple(bad), good[1]]
+    rows = [("u1", "v1", 10, 4.0), ("u2", "v1", 11, value), ("w1", "v1", 12, 2.0)]
     diags = read_both_ways(tmp_path, rows)
     assert len(diags) == 1 and diags[0].startswith("record 2:")
     assert column in diags[0]
+
+
+def test_fifth_field_is_wrong_arity_on_both_entry_points(tmp_path):
+    rows = [("u1", "v1", 10, 4.0), ("u2", "v1", 11, 4.0, 2.0), ("w1", "v1", 12, 2.0)]
+    diags = read_both_ways(tmp_path, rows)
+    assert diags == ["record 2: wrong arity 5"]
 

@@ -124,8 +124,6 @@ def test_svd_seeds_falls_back_to_converged_vectors(caplog):
     assert "using best-effort singular vectors" in caplog.text
     assert 1 <= meta["n_vectors"] < 3
     assert seeds
-    with pytest.raises(ConvergenceError):
-        svd_seeds(m, 3, tol=1e-12, max_iter=1, strict=True)
 
 
 def test_rank_validation():

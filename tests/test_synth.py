@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fraudsift import (DataError, GroundTruth, InjectionConfig, RatingScale,
-                       gen_hyperbolic, ingest, inject, read_labels, write_labels)
+                       gen_hyperbolic, inject, read_labels, write_labels)
 from oracles import build_profile, pair_events, pairs_of_sink
 
 
@@ -81,7 +81,7 @@ def test_injection_density_formula_and_conservation():
     # each target gets exactly ratings_per_object distinct raters: the realized
     # block density equals the contract density exactly (well within 2%)
     tidx = {g.object_index(o) for o in truth.fraud_objects}
-    fidx = {g.user_index(u) for u in truth.fraud_users}
+    fidx = {g.user_ids.index(u) for u in truth.fraud_users}
     pairs = 0
     for p in range(g.n_pairs):
         if int(g.pair_dst[p]) in tidx and int(g.pair_src[p]) in fidx:
@@ -98,7 +98,7 @@ def test_injection_unit_density_means_every_fraudster_hits_every_target():
                           camouflage_ratio=0.0, rng_seed=5)
     assert cfg.density == 1.0
     g, truth = inject(base, cfg)
-    fidx = sorted(g.user_index(u) for u in truth.fraud_users)
+    fidx = sorted(g.user_ids.index(u) for u in truth.fraud_users)
     for o in truth.fraud_objects:
         vi = g.object_index(o)
         raters = set()
@@ -154,18 +154,28 @@ def test_injection_shortfall_error_lists_counts():
         inject(base, cfg)
 
 
-def test_injection_refuses_a_graph_with_priors():
-    # the graph keeps only per-sink prior means, which the injected graph would lose
-    base = ingest([(f"u{i}", f"v{i % 3}", None, None, 2.0) for i in range(6)])
-    assert base.sink_prior is not None
-    cfg = InjectionConfig(n_fraudsters=2, n_objects=1, ratings_per_object=2, rng_seed=0)
-    with pytest.raises(DataError, match="priors"):
-        inject(base, cfg)
-
-
 def test_injection_density_above_one_rejected():
     with pytest.raises(DataError, match="density above 1.0"):
         InjectionConfig(n_fraudsters=10, n_objects=5, ratings_per_object=20)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("camouflage_ratio", float("nan")), ("camouflage_ratio", float("inf")),
+    ("camouflage_ratio", -0.1), ("surge_compression", float("nan")),
+    ("surge_compression", float("inf")), ("surge_compression", 0.0),
+    ("surge_compression", -1.0)])
+def test_injection_config_rejects_non_finite_or_out_of_range(field, value):
+    # a nan compression would turn every fraud timestamp into int64's minimum
+    with pytest.raises(DataError, match=field.replace("_", " ")):
+        InjectionConfig(n_fraudsters=10, n_objects=5, ratings_per_object=5,
+                        **{field: value})
+
+
+def test_hyperbolic_block_side_below_one_rejected():
+    for shape in [(0, 5), (5, 0)]:
+        with pytest.raises(DataError, match="at least one row and column"):
+            gen_hyperbolic(20, 10, power_exponent=0.5, density_target=0.5,
+                           rng_seed=0, block_shape=shape)
 
 
 def test_camouflage_prefers_popular_objects():
@@ -174,7 +184,7 @@ def test_camouflage_prefers_popular_objects():
                           camouflage_ratio=0.5, rng_seed=8)
     g, truth = inject(base, cfg)
     tidx = {g.object_index(o) for o in truth.fraud_objects}
-    fidx = {g.user_index(u) for u in truth.fraud_users}
+    fidx = {g.user_ids.index(u) for u in truth.fraud_users}
     before = base.sink_event_counts()
     camo_weight = {}
     for p in range(g.n_pairs):
