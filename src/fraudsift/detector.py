@@ -168,13 +168,15 @@ def matricize(graph: BipartiteGraph, time_bin: float = 86400.0,
     Ratings cluster into low (0), neutral (1) and high (2) around the scale's
     neutral band. Only observed triples become columns; each column inherits
     its object's suspiciousness weight when ``column_weights`` is given.
+    Triples are keyed by one int64, so a time bin that cuts the time span into
+    so many bins that n_bins · n_objects · n_clusters exceeds 2^63 is a
+    DataError.
     """
     if not graph.has_timestamps:
         raise DataError("matricization requires timestamps")
     if time_bin <= 0:
         raise DataError("time bin must be positive")
     us, vs, ts, ratings = graph.event_arrays()
-    bins = ((ts - ts.min()) / float(time_bin)).astype(np.int64)
     if graph.has_ratings:
         values, value_of_event = np.unique(ratings, return_inverse=True)
         neutral = graph.scale.neutral
@@ -186,6 +188,13 @@ def matricize(graph: BipartiteGraph, time_bin: float = 86400.0,
         clusters = np.zeros(us.size, dtype=np.int64)
         n_clusters = 1
 
+    span = int(ts.max() - ts.min())
+    last_bin = span / float(time_bin)
+    if not last_bin < 2.0 ** 63 or (int(last_bin) + 1) * graph.n_objects * n_clusters > 2 ** 63:
+        raise DataError(f"time bin {time_bin:g} s is too fine for the {span} s time span: "
+                        f"{last_bin + 1:.3g} bins x {graph.n_objects} objects x "
+                        f"{n_clusters} rating clusters do not fit in 64-bit column keys")
+    bins = ((ts - ts.min()) / float(time_bin)).astype(np.int64)
     n_bins = int(bins.max()) + 1
     col_key = (vs * n_bins + bins) * n_clusters + clusters
     uniq_cols, col_of_event = np.unique(col_key, return_inverse=True)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from pathlib import Path
@@ -118,14 +119,48 @@ class BipartiteGraph:
     # -- construction -----------------------------------------------------
 
     def _build(self, us, vs, times, ratings):
+        """Sort the events into the pair-major and the sink-major view.
+
+        One stable argsort of the timestamps serves both orders. Pair-major
+        order is a stable sort of user·n_objects + object taken over the time
+        order: events run by (user, object, time, input position). Sink-major
+        order is one stable sort of object·n_distinct_times + time rank over
+        the pair-major events: they run by (object, time, pair-major
+        position). The keys are below n_users·n_objects and
+        n_objects·n_events, so below n_events² when every id has an event:
+        below 2^63 for any graph that fits in memory.
+        """
         n = us.size
         if n == 0:
             raise DataError("empty input")
         nu, nv = len(self.user_ids), len(self.object_ids)
-        ts = np.zeros(n, dtype=np.int64) if times is None else np.asarray(times, dtype=np.int64)
-        order = np.lexsort((ts, vs, us))
+        # each temporary is freed once used, so few index arrays live at once
+        pair_key = us * nv
+        pair_key += vs
+        if times is None:
+            order = np.argsort(pair_key, kind="stable")
+            ts = np.zeros(n, dtype=np.int64)
+        else:
+            ts = np.asarray(times, dtype=np.int64)
+            by_time = np.argsort(ts, kind="stable")
+            pair_key = pair_key[by_time]
+            order = by_time[np.argsort(pair_key, kind="stable")]
+            # dense rank of each event's time among the distinct times
+            ranks = ts[by_time]
+            new_time = np.empty(n, dtype=bool)
+            new_time[0] = False
+            np.not_equal(ranks[1:], ranks[:-1], out=new_time[1:])
+            np.cumsum(new_time, out=ranks)
+            n_times = int(ranks[-1]) + 1
+            time_rank = np.empty(n, dtype=np.int64)
+            time_rank[by_time] = ranks
+            del by_time, ranks, new_time
+        del pair_key
         us, vs, ts = us[order], vs[order], ts[order]
         rat = None if ratings is None else np.asarray(ratings, dtype=np.float64)[order]
+        if times is not None:
+            time_rank = time_rank[order]
+        del order
 
         new_pair = np.empty(n, dtype=bool)
         new_pair[0] = True
@@ -144,7 +179,11 @@ class BipartiteGraph:
 
         # sink-major event view, sorted by (sink, time); only needed for temporal work
         if times is not None:
-            sorder = np.lexsort((ts, vs))
+            sink_key = vs * n_times
+            sink_key += time_rank
+            del time_rank
+            sorder = np.argsort(sink_key, kind="stable")
+            del sink_key
             self.sink_event_time = ts[sorder]
             self.sink_event_pair = np.repeat(
                 np.arange(self.pair_src.size, dtype=np.int64),
@@ -274,6 +313,93 @@ def _coerce_record(rec):
     return user, obj, ts, rating
 
 
+def _intern(index: dict[str, int], ids: list[str]) -> np.ndarray:
+    """Dense codes of ``ids``; ids new to ``index`` join it in order of first appearance."""
+    fresh = list(itertools.filterfalse(index.__contains__, dict.fromkeys(ids)))
+    index.update(zip(fresh, itertools.count(len(index))))
+    return np.fromiter(map(index.__getitem__, ids), np.int64, len(ids))
+
+
+class _Columns:
+    """Accepted events, gathered batch by batch in input order: ids interned
+    in order of first appearance, times as int64 (-1 where absent) and
+    ratings as float64 (nan where absent), or None for a batch that has no
+    times or no ratings at all. Both entry points build their graph through
+    it."""
+
+    def __init__(self, unit: str, scale: RatingScale | None,
+                 diagnostics: list[str] | None):
+        self.unit = unit
+        self.scale = scale
+        self.diagnostics = diagnostics
+        self.user_index: dict[str, int] = {}
+        self.object_index: dict[str, int] = {}
+        self.batches: list[tuple[np.ndarray, ...]] = []
+        self.n_ts = self.n_rated = 0
+
+    def coerce(self, pos: int, rec):
+        """The record as (user, object, timestamp, rating), or None after
+        reporting ``{unit} {pos}: ...`` when it is malformed or off the scale."""
+        try:
+            user, obj, ts, rating = _coerce_record(rec)
+            if rating is not None and self.scale is not None and rating not in self.scale:
+                raise DataError(f"rating {rating} outside declared scale")
+        except DataError as exc:
+            msg = f"{self.unit} {pos}: {exc}"
+            if self.diagnostics is not None:
+                self.diagnostics.append(msg)
+            else:
+                logger.warning("ingest: %s", msg)
+            return None
+        return user, obj, ts, rating
+
+    def add(self, users: list[str], objs: list[str], times: np.ndarray | None,
+            ratings: np.ndarray | None) -> None:
+        """Append a batch of accepted events."""
+        self.batches.append((_intern(self.user_index, users),
+                             _intern(self.object_index, objs), times, ratings))
+        if times is not None:
+            self.n_ts += int(np.count_nonzero(times >= 0))
+        if ratings is not None:
+            self.n_rated += int(np.count_nonzero(~np.isnan(ratings)))
+
+    def graph(self) -> BipartiteGraph:
+        n = sum(batch[0].size for batch in self.batches)
+        if n == 0:
+            raise DataError("empty input")
+        if 0 < self.n_ts < n:
+            raise DataError("timestamps must be present on all records or on none")
+        if 0 < self.n_rated < n:
+            raise DataError("ratings must be present on all records or on none")
+        # every non-empty batch holds a column that all events hold
+        users, objs, times, ratings = (
+            np.concatenate([c for c in column if c is not None]) if present else None
+            for column, present in zip(zip(*self.batches), (n, n, self.n_ts, self.n_rated)))
+        self.batches.clear()
+        scale = self.scale
+        if ratings is not None and scale is None:
+            scale = RatingScale(np.unique(ratings))
+        return BipartiteGraph(list(self.user_index), list(self.object_index), users, objs,
+                              times, ratings, scale=scale)
+
+
+def _record_batch(rows: list[tuple]) -> tuple:
+    """``_Columns.add`` arguments for coerced (user, object, timestamp, rating) rows."""
+    users, objs, ts, rs = (list(c) for c in zip(*rows)) if rows else ([], [], [], [])
+    return (users, objs, _optional_column(ts, -1, np.int64),
+            _optional_column(rs, np.nan, np.float64))
+
+
+def _optional_column(values: list, fill, dtype) -> np.ndarray | None:
+    """``values`` as an array with ``fill`` for None, or None when all are None."""
+    absent = values.count(None)
+    if absent == len(values):
+        return None
+    if absent:
+        values = [fill if v is None else v for v in values]
+    return np.array(values, dtype=dtype)
+
+
 def ingest(records: Iterable, scale: RatingScale | None = None,
            diagnostics: list[str] | None = None) -> BipartiteGraph:
     """Aggregate (user, object[, timestamp[, rating]]) tuples into a graph.
@@ -284,97 +410,261 @@ def ingest(records: Iterable, scale: RatingScale | None = None,
     fields; any other length is rejected as the wrong arity. Timestamps and
     ratings must be present on all records or on none.
     """
-    return _ingest(enumerate(records, start=1), "record", scale, diagnostics)
-
-
-def _ingest(numbered: Iterable[tuple[int, object]], unit: str,
-            scale: RatingScale | None, diagnostics: list[str] | None) -> BipartiteGraph:
-    """ingest over (position, record) pairs; diagnostics read ``{unit} {position}: ...``."""
-    users: list[int] = []
-    objs: list[int] = []
-    times: list[int] = []
-    ratings: list[float] = []
-    # ids in order of first appearance
-    uindex: dict[str, int] = {}
-    oindex: dict[str, int] = {}
-    n_ts = n_rated = 0
-
-    def report(msg: str) -> None:
-        if diagnostics is not None:
-            diagnostics.append(msg)
-        else:
-            logger.warning("ingest: %s", msg)
-
-    for pos, rec in numbered:
-        try:
-            user, obj, ts, rating = _coerce_record(rec)
-            if rating is not None and scale is not None and rating not in scale:
-                raise DataError(f"rating {rating} outside declared scale")
-        except DataError as exc:
-            report(f"{unit} {pos}: {exc}")
-            continue
-        users.append(uindex.setdefault(user, len(uindex)))
-        objs.append(oindex.setdefault(obj, len(oindex)))
-        times.append(ts if ts is not None else -1)
-        n_ts += ts is not None
-        ratings.append(rating if rating is not None else np.nan)
-        n_rated += rating is not None
-
-    n = len(users)
-    if n == 0:
-        raise DataError("empty input")
-    if 0 < n_ts < n:
-        raise DataError("timestamps must be present on all records or on none")
-    if 0 < n_rated < n:
-        raise DataError("ratings must be present on all records or on none")
-
-    rat_arr = np.asarray(ratings) if n_rated else None
-    if rat_arr is not None and scale is None:
-        scale = RatingScale(np.unique(rat_arr))
-    return BipartiteGraph(
-        list(uindex), list(oindex), users, objs,
-        times if n_ts else None, rat_arr, scale=scale)
+    columns = _Columns("record", scale, diagnostics)
+    rows = [row for row in (columns.coerce(pos, rec)
+                            for pos, rec in enumerate(records, start=1))
+            if row is not None]
+    columns.add(*_record_batch(rows))
+    return columns.graph()
 
 
 # -- delimited text round-trip --------------------------------------------------
 
 _HEADER_WORDS = {"user", "object", "item", "timestamp", "time", "rating", "stars"}
 
+# Characters read per chunk of a delimited file; a chunk always ends at the
+# end of a line.
+CHUNK_CHARS = 1 << 18
 
-def _delimited_rows(lines: Iterable[str]):
-    """(line number, fields) of every non-blank line; a header on line 1 is skipped."""
-    delim = None
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\n").rstrip("\r")
-        if not line.strip():
-            continue
-        if delim is None:
-            delim = "\t" if "\t" in line else ","
-        parts = [p.strip() for p in line.split(delim)]
-        if lineno == 1 and any(p.lower() in _HEADER_WORDS for p in parts):
-            continue
-        yield lineno, parts
+
+def _line_fields(line: str, lineno: int, delim: str) -> list[str] | None:
+    """The stripped fields of one line, or None for a blank line or a header
+    on line 1."""
+    if not line.strip():
+        return None
+    parts = list(map(str.strip, line.split(delim)))
+    if lineno == 1 and any(p.lower() in _HEADER_WORDS for p in parts):
+        return None
+    return parts
+
+
+class _DelimitedReader:
+    """Chunk-at-a-time columnar reader behind ``read_delimited``.
+
+    Each chunk is checked as a whole over its UTF-8 bytes. A line takes the
+    columnar path when it has the file's field count, no empty field, and no
+    byte outside printable ASCII other than the delimiter, and when its
+    timestamp parses with ``int`` into [0, 2^53) and its rating is finite (and
+    on the declared scale). Such a line reads exactly as ``_coerce_record``
+    would read it. Every other line (blank lines, a header on line 1,
+    non-ASCII text, padded fields, anything malformed) goes through
+    ``_line_fields`` and ``_coerce_record`` at its own position, so
+    diagnostics and the first-appearance order of ids do not depend on which
+    path a line took.
+    """
+
+    def __init__(self, columns: _Columns):
+        self.columns = columns
+        self.lines_read = 0
+        self.delim: str | None = None
+        # the field count of the first clean line with two to four fields; 0 until one is seen
+        self.n_fields = 0
+
+    def _choose_delimiter(self, text: str) -> bool:
+        """Take the delimiter from the first non-blank line; False while
+        every line so far is blank."""
+        rest = text.lstrip()
+        if not rest:
+            return False
+        at = len(text) - len(rest)
+        end = text.find("\n", at)
+        line = text[text.rfind("\n", 0, at) + 1:end if end >= 0 else None]
+        self.delim = "\t" if "\t" in line else ","
+        return True
+
+    def feed(self, text: str) -> None:
+        """Read one chunk of whole lines."""
+        first = self.lines_read
+        if not text.endswith("\n"):
+            text += "\n"
+        self.lines_read += text.count("\n")
+        if self.delim is None and not self._choose_delimiter(text):
+            return
+        suspect = self._suspect_lines(text, first == 0)
+        lines = text.split("\n") if suspect.any() else None
+        fast_at = np.flatnonzero(~suspect)
+        fast = None
+        if fast_at.size:
+            clean = text if lines is None else "\n".join(
+                itertools.compress(lines, ~suspect)) + "\n"
+            fast, ok = self._parse_clean(clean, fast_at.size)
+            if not ok.all():
+                suspect[fast_at[~ok]] = True
+                fast_at = fast_at[ok]
+                if lines is None:
+                    lines = text.split("\n")
+
+        rows, rows_at = [], []
+        delim, coerce = self.delim, self.columns.coerce
+        for i in np.flatnonzero(suspect).tolist():
+            parts = _line_fields(lines[i], first + i + 1, delim)
+            if parts is not None and (row := coerce(first + i + 1, parts)) is not None:
+                rows.append(row)
+                rows_at.append(i)
+        slow = _record_batch(rows)
+        if fast is None:
+            self.columns.add(*slow)
+        elif not rows:
+            self.columns.add(*fast)
+        else:
+            order = np.argsort(np.concatenate((fast_at, rows_at)), kind="stable")
+            self.columns.add(*_merge(fast, slow, order))
+
+    def _suspect_lines(self, text: str, has_line_1: bool) -> np.ndarray:
+        """Per line of the chunk, whether it must take the per-line path."""
+        delim = self.delim
+        data = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
+        newline = data == 10
+        ends = np.flatnonzero(newline)
+        is_delim = data == ord(delim)
+        fields = np.diff(np.searchsorted(np.flatnonzero(is_delim), ends), prepend=0) + 1
+        # controls, space and non-ASCII bytes, the separators aside (the
+        # subtraction wraps the bytes below 33 round to the top)
+        separator = newline | is_delim
+        odd = data - np.uint8(33) > 94
+        odd &= ~separator
+        # an empty field puts two separators side by side
+        odd[0] |= separator[0]
+        odd[1:] |= separator[1:] & separator[:-1]
+        suspect = np.zeros(ends.size, dtype=bool)
+        suspect[np.searchsorted(ends, np.flatnonzero(odd))] = True
+        if has_line_1:
+            suspect[0] |= _line_fields(text[:text.find("\n")], 1, delim) is None
+        if not self.n_fields:
+            usable = np.flatnonzero(~suspect & (fields >= 2) & (fields <= 4))
+            if usable.size:
+                self.n_fields = int(fields[usable[0]])
+        suspect |= fields != self.n_fields
+        return suspect
+
+    def _parse_clean(self, text: str, n: int) -> tuple[tuple, np.ndarray]:
+        """``_Columns.add`` arguments for the ``n`` lines of ``text``, which
+        passed ``_suspect_lines``, and the mask of lines whose timestamp and
+        rating read exactly; the arguments cover only those lines."""
+        k, delim = self.n_fields, self.delim
+        cells = text.replace("\n", delim).split(delim)
+        cells.pop()
+        users, objs = cells[0::k], cells[1::k]
+        ok = np.ones(n, dtype=bool)
+        times = ratings = None
+        if k >= 3:
+            times = _parse_timestamps(cells[2::k])
+            ok &= times >= 0
+        if k == 4:
+            ratings, rated = _parse_ratings(cells[3::k], self.columns.scale)
+            ok &= rated
+        del cells
+        if not ok.all():
+            users = list(itertools.compress(users, ok))
+            objs = list(itertools.compress(objs, ok))
+            times = None if times is None else times[ok]
+            ratings = None if ratings is None else ratings[ok]
+        return (users, objs, times, ratings), ok
+
+
+def _int_or_negative(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        return -1
+    return value if 0 <= value < _TIMESTAMP_LIMIT else -1
+
+
+def _parse_timestamps(column: list[str]) -> np.ndarray:
+    """int() of each field where it is an integer in [0, 2^53), else -1."""
+    try:
+        times = np.fromiter(map(int, column), np.int64, len(column))
+    except (ValueError, OverflowError):
+        return np.fromiter(map(_int_or_negative, column), np.int64, len(column))
+    times[(times < 0) | (times >= _TIMESTAMP_LIMIT)] = -1
+    return times
+
+
+def _float_or_nan(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        return math.nan
+
+
+def _parse_ratings(column: list[str], scale: RatingScale | None):
+    """float() of each field, parsing each distinct string once, and a mask
+    of the finite ones on ``scale``."""
+    code = dict(zip(dict.fromkeys(column), itertools.count()))
+    values = np.fromiter(map(_float_or_nan, code), np.float64, len(code))
+    good = np.isfinite(values)
+    if scale is not None:
+        good &= np.fromiter((v in scale for v in values.tolist()), bool, values.size)
+    codes = np.fromiter(map(code.__getitem__, column), np.intp, len(column))
+    return values[codes], good[codes]
+
+
+def _merge(a: tuple, b: tuple, order: np.ndarray) -> tuple:
+    """Two batches of ``_Columns.add`` arguments as one, rows taken in ``order``
+    of their concatenation."""
+    users = np.asarray(a[0] + b[0], dtype=object)[order].tolist()
+    objs = np.asarray(a[1] + b[1], dtype=object)[order].tolist()
+
+    def column(i, fill):
+        if a[i] is None and b[i] is None:
+            return None
+        parts = [np.full(len(x[0]), fill) if x[i] is None else x[i] for x in (a, b)]
+        return np.concatenate(parts)[order]
+
+    return users, objs, column(2, -1), column(3, np.nan)
 
 
 def read_delimited(path: str | Path, scale: RatingScale | None = None,
                    diagnostics: list[str] | None = None) -> BipartiteGraph:
     """ingest the ``user,object[,timestamp[,rating]]`` rows of a comma- or
-    tab-separated file; a diagnostic names the file line."""
+    tab-separated file; a diagnostic names the file line.
+
+    The delimiter is a tab when the first non-blank line holds one, else a
+    comma; fields are stripped of surrounding whitespace; blank lines are
+    skipped, and so is line 1 when a field there is a header word. The file
+    is read in chunks of whole lines and parsed column by column (see
+    ``_DelimitedReader``); the ids, arrays and diagnostics are those of
+    passing each line through ``ingest`` in turn.
+    """
+    columns = _Columns("line", scale, diagnostics)
+    reader = _DelimitedReader(columns)
     with open(path, "r", encoding="utf-8") as fh:
-        return _ingest(_delimited_rows(fh), "line", scale, diagnostics)
+        while text := fh.read(CHUNK_CHARS):
+            if not text.endswith("\n"):
+                text += fh.readline()
+            reader.feed(text)
+            del text
+    return columns.graph()
+
+
+def _unwritable_id(ids: list[str]) -> str | None:
+    """The first id that would not read back as itself from the CSV layout:
+    one holding a comma, tab, newline or carriage return, or with whitespace
+    at either end. None when every id reads back."""
+    joined = "\0".join(ids)
+    if not any(c in joined for c in ",\t\n\r") and list(map(str.strip, ids)) == ids:
+        return None
+    return next(i for i in ids if any(c in i for c in ",\t\n\r") or i != i.strip())
 
 
 def write_delimited(graph: BipartiteGraph, path: str | Path) -> None:
     """Write events back out in the ingestible CSV layout (no header), pair-major.
 
     Columns are positional, so ratings cannot be written without timestamps:
-    the reader would take them for timestamps. Each rating is written in the
-    shortest form that reads back to the same float.
+    the reader would take them for timestamps. Ids are written unquoted, so
+    an id holding a comma, tab, newline or carriage return, or with
+    whitespace at either end, is refused before anything is written. Each
+    rating is written in the shortest form that reads back to the same float.
     """
     us, vs, ts, ratings = graph.event_arrays()
     if ratings is not None and ts is None:
         raise DataError("cannot write ratings without timestamps: the CSV layout "
                         "is user,object[,timestamp[,rating]]")
+    for kind, ids in (("user", graph.user_ids), ("object", graph.object_ids)):
+        bad = _unwritable_id(ids)
+        if bad is not None:
+            raise DataError(f"cannot write {kind} id {bad!r}: the CSV layout has no "
+                            "quoting for commas, tabs, line breaks or surrounding spaces")
     columns = [np.asarray(graph.user_ids, dtype=object)[us].tolist(),
                np.asarray(graph.object_ids, dtype=object)[vs].tolist()]
     if ts is not None:

@@ -10,9 +10,9 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import svds
 
-from fraudsift import DataError
+from fraudsift import BipartiteGraph, DataError, RatingScale
 from fraudsift.contrast import RATING_SMOOTHING, contrast_score
-from fraudsift.graph import concat_ranges
+from fraudsift.graph import _HEADER_WORDS, _coerce_record, concat_ranges
 from fraudsift.spectral import SVD_SEED, _canonical_signs
 from fraudsift.temporal import BURST_SIGNIFICANCE, MAX_BINS
 
@@ -423,6 +423,104 @@ def pair_counts(graph, by_sink: bool = False) -> list[tuple[str, str, int]]:
     order = np.lexsort((graph.pair_src, graph.pair_dst)) if by_sink else range(graph.n_pairs)
     return [(graph.user_ids[graph.pair_src[p]], graph.object_ids[graph.pair_dst[p]],
              int(graph.pair_count[p])) for p in order]
+
+
+# -- per-line ingest and two-lexsort build ---------------------------------------
+
+
+def delimited_rows(lines):
+    """(line number, fields) of every non-blank line; a header on line 1 is skipped."""
+    delim = None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.rstrip("\n").rstrip("\r")
+        if not line.strip():
+            continue
+        if delim is None:
+            delim = "\t" if "\t" in line else ","
+        parts = [p.strip() for p in line.split(delim)]
+        if lineno == 1 and any(p.lower() in _HEADER_WORDS for p in parts):
+            continue
+        yield lineno, parts
+
+
+def ingest_per_record(numbered, unit: str, scale=None, diagnostics=None) -> BipartiteGraph:
+    """ingest over (position, record) pairs, one record at a time: ids
+    interned with dict.setdefault; diagnostics read ``{unit} {position}: ...``."""
+    users, objs, times, ratings = [], [], [], []
+    uindex: dict[str, int] = {}
+    oindex: dict[str, int] = {}
+    n_ts = n_rated = 0
+
+    def report(msg: str) -> None:
+        if diagnostics is not None:
+            diagnostics.append(msg)
+
+    for pos, rec in numbered:
+        try:
+            user, obj, ts, rating = _coerce_record(rec)
+            if rating is not None and scale is not None and rating not in scale:
+                raise DataError(f"rating {rating} outside declared scale")
+        except DataError as exc:
+            report(f"{unit} {pos}: {exc}")
+            continue
+        users.append(uindex.setdefault(user, len(uindex)))
+        objs.append(oindex.setdefault(obj, len(oindex)))
+        times.append(ts if ts is not None else -1)
+        n_ts += ts is not None
+        ratings.append(rating if rating is not None else np.nan)
+        n_rated += rating is not None
+
+    n = len(users)
+    if n == 0:
+        raise DataError("empty input")
+    if 0 < n_ts < n:
+        raise DataError("timestamps must be present on all records or on none")
+    if 0 < n_rated < n:
+        raise DataError("ratings must be present on all records or on none")
+    rat_arr = np.asarray(ratings) if n_rated else None
+    if rat_arr is not None and scale is None:
+        scale = RatingScale(np.unique(rat_arr))
+    return BipartiteGraph(list(uindex), list(oindex), users, objs,
+                          times if n_ts else None, rat_arr, scale=scale)
+
+
+def read_delimited_per_line(path, scale=None, diagnostics=None) -> BipartiteGraph:
+    """read_delimited one file line at a time."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return ingest_per_record(delimited_rows(fh), "line", scale, diagnostics)
+
+
+def lexsort_build(user_idx, obj_idx, times, ratings, n_users: int, n_objects: int) -> dict:
+    """BipartiteGraph's arrays from two lexsorts: events by (user, object,
+    time), then the sink-major view by (object, time) over them."""
+    us = np.asarray(user_idx, dtype=np.int64)
+    vs = np.asarray(obj_idx, dtype=np.int64)
+    n = us.size
+    ts = np.zeros(n, dtype=np.int64) if times is None else np.asarray(times, dtype=np.int64)
+    order = np.lexsort((ts, vs, us))
+    us, vs, ts = us[order], vs[order], ts[order]
+    new_pair = np.ones(n, dtype=bool)
+    new_pair[1:] = (us[1:] != us[:-1]) | (vs[1:] != vs[:-1])
+    pair_start = np.flatnonzero(new_pair)
+    pair_src = us[pair_start]
+    pair_count = np.diff(np.append(pair_start, n)).astype(np.float64)
+    out = {
+        "pair_src": pair_src,
+        "pair_dst": vs[pair_start],
+        "pair_event_indptr": np.append(pair_start, n).astype(np.int64),
+        "pair_count": pair_count,
+        "event_time": ts if times is not None else None,
+        "event_rating": None if ratings is None else np.asarray(ratings, np.float64)[order],
+        "src_pair_indptr": np.searchsorted(pair_src, np.arange(n_users + 1)),
+        "sink_event_time": None, "sink_event_pair": None, "sink_event_indptr": None,
+    }
+    if times is not None:
+        sorder = np.lexsort((ts, vs))
+        out["sink_event_time"] = ts[sorder]
+        out["sink_event_pair"] = np.repeat(np.arange(pair_src.size, dtype=np.int64),
+                                           pair_count.astype(np.int64))[sorder]
+        out["sink_event_indptr"] = np.searchsorted(vs[sorder], np.arange(n_objects + 1))
+    return out
 
 
 def avg_degree_peel(counts) -> set[int]:

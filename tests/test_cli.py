@@ -130,6 +130,20 @@ def test_detect_non_finite_setting_is_data_error(tmp_path, capsys, flag, value, 
     assert not (out / "run.json").exists()
 
 
+@pytest.mark.parametrize("time_bin", ["1e-9", "1e-300"])
+def test_detect_time_bin_too_fine_for_the_span_is_data_error(tmp_path, capsys, time_bin):
+    data = tmp_path / "data.csv"
+    write_timestamped_base(data)
+    out = tmp_path / "out"
+    rc = main(["detect", "--input", str(data), "--output-dir", str(out),
+               "--time-bin", time_bin])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: time bin {float(time_bin):g} s is too fine")
+    assert err.count("\n") == 1
+    assert not (out / "run.json").exists()
+
+
 @pytest.mark.parametrize("scale, rc, message", [
     ("a:b:c", 2, "--scale expects lo:hi:step"),
     ("1:5:x", 2, "--scale expects lo:hi:step"),
@@ -203,6 +217,18 @@ def test_inject_bad_setting_is_data_error(tmp_path, capsys, flag, value):
                flag, value])
     assert rc == 3
     assert "must be finite" in capsys.readouterr().err
+    assert not (out / "injected.csv").exists()
+
+
+def test_inject_on_ids_the_csv_cannot_carry_is_data_error(tmp_path, capsys):
+    base = tmp_path / "base.tsv"
+    lines = [f"u{i}\tv{i % 7}\t{1000 + i}" for i in range(300)] + ["u,1\tv1\t10"]
+    base.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    rc = main(["inject", "--input", str(base), "--output-dir", str(out),
+               "--n-fraudsters", "10", "--n-objects", "3", "--ratings-per-object", "5"])
+    assert rc == 3
+    assert "cannot write user id 'u,1'" in capsys.readouterr().err
     assert not (out / "injected.csv").exists()
 
 

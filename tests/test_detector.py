@@ -332,6 +332,18 @@ def test_matricize_requires_timestamps(make_graph):
         matricize(g)
 
 
+def test_matricize_bounds_the_column_keys():
+    # two objects, one rating cluster: n_bins * 2 must stay within 2^63
+    g = ingest([("u1", "v1", 0), ("u2", "v2", 2**52)])
+    m, labels = matricize(g, time_bin=2.0**-9)
+    assert m.shape == (2, 2)
+    assert labels["object"].tolist() == [0, 1]
+    assert labels["time_bin"].tolist() == [0, 2**61]
+    for time_bin in (2.0**-10, 1e-300):
+        with pytest.raises(DataError, match="too fine for the 4503599627370496 s time span"):
+            matricize(g, time_bin=time_bin)
+
+
 def test_matricize_applies_column_weights():
     g = ingest([("u1", "v1", 0), ("u2", "v2", 0)])
     w = np.array([2.0, 5.0])

@@ -1,17 +1,21 @@
 from __future__ import annotations
 
 import collections
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fraudsift import (BipartiteGraph, DataError, DetectorConfig, RatingScale, ingest,
-                       read_delimited, write_delimited)
+from fraudsift import (BipartiteGraph, DataError, DetectorConfig, RatingScale, bench_graph,
+                       ingest, read_delimited, write_delimited)
+from fraudsift import graph as graph_module
 from fraudsift.contrast import ContrastState, SignalContext
 from fraudsift.graph import MAX_SCALE_VALUES
-from oracles import delimited_text, events, pair_counts, pair_events
+from oracles import (delimited_text, events, lexsort_build, pair_counts, pair_events,
+                     read_delimited_per_line)
 
 
 def engagement(graph, users, obj, column_weights=None) -> float:
@@ -328,3 +332,233 @@ def test_fifth_field_is_wrong_arity_on_both_entry_points(tmp_path):
     diags = read_both_ways(tmp_path, rows)
     assert diags == ["record 2: wrong arity 5"]
 
+
+
+# -- the columnar reader against the per-line reference ---------------------------
+
+
+GRAPH_ARRAYS = ("pair_src", "pair_dst", "pair_event_indptr", "pair_count", "event_time",
+                "event_rating", "src_pair_indptr", "sink_event_time", "sink_event_pair",
+                "sink_event_indptr")
+
+
+def assert_same_graph(got, want):
+    assert got.user_ids == want.user_ids
+    assert got.object_ids == want.object_ids
+    for name in GRAPH_ARRAYS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a is None) == (b is None), name
+        if a is not None:
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert (got.scale is None) == (want.scale is None)
+    if got.scale is not None:
+        assert got.scale.values == want.scale.values
+        assert got.scale.neutral == want.scale.neutral
+
+
+def read_outcome(reader, path, scale):
+    """(graph or None, DataError message or None, diagnostics) of one reader."""
+    diags: list[str] = []
+    try:
+        return reader(path, scale=scale, diagnostics=diags), None, diags
+    except DataError as exc:
+        return None, str(exc), diags
+
+
+def assert_reads_like_per_line(path, scale=None, chunk_chars=(1 << 20, 64, 7)):
+    """read_delimited at each chunk size gives the per-line reference's ids,
+    arrays, scale and diagnostics, or its DataError."""
+    want = read_outcome(read_delimited_per_line, path, scale)
+    for chunk in chunk_chars:
+        with mock.patch.object(graph_module, "CHUNK_CHARS", chunk):
+            got = read_outcome(read_delimited, path, scale)
+        assert got[1:] == want[1:], chunk
+        if want[0] is not None:
+            assert_same_graph(got[0], want[0])
+    return want
+
+
+@pytest.mark.parametrize("text", [
+    # mixed arity, and a header on line 1 or a header-looking line 2
+    "u1,v1,10\nu2,v1\nu3,v2,12\n",
+    "u1,v1\nu2,v1,5,4\n",
+    "user,object,timestamp\nu1,v1,10\nu2,v2,11\n",
+    "USER , Object\nu1,v1\n",
+    "\nuser,object,timestamp\nu1,v1,10\n",
+    "u1,v1,10\nuser,object,timestamp\n",
+    "user,object\n",
+    # tabs with commas in ids, blank lines, CRLF and lone CR
+    "u,1\tv,1\t10\nu,2\tv1\t11\n",
+    "\n\n  \nu1\tv1\t5\n\t\nu2,x\tv1\t6\n",
+    "u1,v1,10\r\nu2,v1,11\r\n\r\nu3,v2,12",
+    "u1,v1,10\ru2,v1,11\r\ru3,v2,12\r",
+    "u1,v1,10\r\n\ru2,v1,11\n\r\nu3,v2,12\r\n",
+    # padded fields, non-ASCII ids, U+00A0 and U+FEFF
+    " u1 , v1 ,10\nu2,v1, 11 \n\tu3,v1,12\n",
+    "üser,v1,10\nu2,vé,11\nüser,vé,12\n",
+    "\u00a0u1,v1,10\nu1\u00a0,v1,11\nu\u00a0,v1,12\n\u00a0\n",
+    "\ufeffu1,v1,10\nu1,v1\ufeff,11\nu1,v1,12\n",
+    "u1,v1,10\n\x1cu2,v1,11\nu3\x0b,v1,12\nu4,v\x001,13\n",
+    # timestamps
+    "u1,v1,+5\nu2,v1,1_000\nu3,v1,1e3\nu4,v1,12.0\nu5,v1,-1\n",
+    f"u1,v1,{2**53 - 1}\nu2,v1,{2**53}\nu3,v1,{2**64}\nu4,v1,-0\nu5,v1,00012\n",
+    "u1,v1,0x10\nu2,v1,\nu3,v1,1__0\nu4,v1,nan\nu5,v1,inf\nu6,v1,7\n",
+    # ratings
+    "u1,v1,1,nan\nu2,v1,2,inf\nu3,v1,3,-inf\nu4,v1,4,4\nu5,v1,5,1e400\n",
+    "u1,v1,1,4.5\nu2,v1,2,7\nu3,v1,3,-0\nu4,v1,4,0.0\nu5,v1,5,x\nu6,v1,6,1_0\n",
+    # empty fields, wrong arity, nothing valid
+    ",v1,1\nu1,,2\nu2,v2,3,\nu3,v3,4,5,6\nu4\n,,,\nu5,v5,5,3\n",
+    "only\n",
+    "",
+    "\n \n",
+])
+@pytest.mark.parametrize("scale", [None, RatingScale.from_range(1, 5, 1)])
+def test_reader_matches_per_line_reference(tmp_path, text, scale):
+    path = tmp_path / "events.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert_reads_like_per_line(path, scale)
+
+
+def test_bad_lines_on_both_sides_of_a_chunk_border(tmp_path):
+    good = [f"u{i % 7},v{i % 5},{100 + i},{1 + i % 5}" for i in range(40)]
+    bad = {9: "u,v,x,3", 10: "u9,v9,10,9", 11: "", 19: "u1", 20: "ü,v1,3,3",
+           21: "u1,v1,-4,2", 29: "u1 ,v1,1,1"}
+    lines = [bad.get(i, line) for i, line in enumerate(good)]
+    path = tmp_path / "events.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    line_chars = len(good[0]) + 1
+    for chunk in range(1, 4 * line_chars):
+        _, _, diags = assert_reads_like_per_line(path, RatingScale.from_range(1, 5, 1),
+                                                 chunk_chars=(chunk,))
+    assert [d.split(":")[0] for d in diags] == ["line 10", "line 11", "line 20", "line 22"]
+
+
+FIELD_TEXT = st.sampled_from([
+    "u1", "u2", "v1", "v2", "a,b", " u1", "u1 ", "ü", "\u00a0", "\ufeffu", "user", "Time",
+    "", "5", "+5", "1_000", "1e3", "12.0", "-1", "-0", str(2**53 - 1), str(2**53), "x",
+    "3", "4.5", "nan", "inf", "7", "1", "2"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.lists(FIELD_TEXT, min_size=0, max_size=5), min_size=0, max_size=12),
+       delim=st.sampled_from([",", "\t"]),
+       newlines=st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=1, max_size=3),
+       declared=st.booleans(), chunk=st.integers(1, 40))
+def test_reader_property_matches_per_line_reference(tmp_path_factory, rows, delim, newlines,
+                                                    declared, chunk):
+    text = "".join(delim.join(r) + newlines[i % len(newlines)] for i, r in enumerate(rows))
+    path = tmp_path_factory.mktemp("reader") / "events.csv"
+    path.write_bytes(text.encode("utf-8"))
+    scale = RatingScale.from_range(1, 5, 1) if declared else None
+    assert_reads_like_per_line(path, scale, chunk_chars=(1 << 20, chunk))
+
+
+@pytest.mark.parametrize("timestamps, ratings", [(False, False), (True, False), (True, True)])
+def test_write_then_read_gives_an_equal_graph(tmp_path, make_graph, timestamps, ratings):
+    g = make_graph(n_users=30, n_objects=20, n_events=400, seed=8, timestamps=timestamps,
+                   ratings=ratings)
+    path = tmp_path / "events.csv"
+    write_delimited(g, path)
+    back = read_delimited(path, scale=g.scale)
+    # ids come back in order of first appearance in the pair-major file
+    assert_same_graph(back, read_delimited_per_line(path, scale=g.scale))
+    assert sorted(events(back)) == sorted(events(g))
+    assert collections.Counter(pair_counts(back)) == collections.Counter(pair_counts(g))
+    if ratings:
+        assert back.scale.values == g.scale.values
+
+
+def count_coerce_calls(monkeypatch) -> list:
+    calls = []
+    original = graph_module._coerce_record
+
+    def counted(rec):
+        calls.append(rec)
+        return original(rec)
+
+    monkeypatch.setattr(graph_module, "_coerce_record", counted)
+    return calls
+
+
+def test_clean_csv_takes_the_columnar_path(tmp_path, monkeypatch):
+    g, _ = bench_graph(20_000, seed=1)
+    path = tmp_path / "bench.csv"
+    write_delimited(g, path)
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    calls = count_coerce_calls(monkeypatch)
+    clean = read_delimited(path, scale=g.scale)
+    assert calls == []
+    assert_same_graph(clean, read_delimited_per_line(path, scale=g.scale))
+
+    bad = ["u0,o0,soon,3\n", "u0,o0,1,2,3\n", "u0,o0,1,99\n", "u0,o0,-5,3\n", "x\n"]
+    at = np.linspace(0, len(lines), len(bad)).astype(int)
+    for k in range(1, len(bad) + 1):
+        mixed = list(lines)
+        for pos, line in sorted(zip(at[:k], bad[:k]), reverse=True):
+            mixed.insert(pos, line)
+        path.write_text("".join(mixed), encoding="utf-8")
+        calls.clear()
+        diags = []
+        got = read_delimited(path, scale=g.scale, diagnostics=diags)
+        assert len(calls) == k and len(diags) == k
+        assert_same_graph(got, clean)
+
+
+# -- the build against two lexsorts ---------------------------------------------
+
+
+def assert_build_matches_lexsort(us, vs, ts, rs, n_users, n_objects):
+    g = BipartiteGraph([f"u{i}" for i in range(n_users)], [f"o{j}" for j in range(n_objects)],
+                       us, vs, ts, rs)
+    want = lexsort_build(us, vs, ts, rs, n_users, n_objects)
+    for name, b in want.items():
+        a = getattr(g, name)
+        assert (a is None) == (b is None), name
+        if a is not None:
+            assert np.array_equal(a, b), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), n=st.integers(1, 300),
+       n_users=st.integers(1, 6), n_objects=st.integers(1, 6), n_times=st.integers(1, 5),
+       timestamps=st.booleans(), ratings=st.booleans())
+def test_build_order_matches_two_lexsorts(seed, n, n_users, n_objects, n_times,
+                                          timestamps, ratings):
+    # few ids and times: heavy ties in (user, object, time) and in (object, time)
+    rng = np.random.default_rng(seed)
+    us = rng.integers(0, n_users, n)
+    vs = rng.integers(0, n_objects, n)
+    ts = rng.choice(rng.integers(0, 2**53, n_times), n) if timestamps else None
+    # distinct ratings tell tied events apart
+    rs = rng.permutation(n).astype(np.float64) if ratings else None
+    assert_build_matches_lexsort(us, vs, ts, rs, n_users, n_objects)
+
+
+@pytest.mark.parametrize("ts", [None, [7]])
+def test_build_of_a_single_event_matches_two_lexsorts(ts):
+    assert_build_matches_lexsort([0], [0], ts, [3.0], 1, 1)
+    assert_build_matches_lexsort([1], [2], ts, None, 3, 4)
+
+
+# -- ids that the CSV layout cannot carry ---------------------------------------
+
+
+@pytest.mark.parametrize("bad_id", ["u,1", "u\t1", "u\n1", "u\r1", " u1", "u1 ",
+                                    "\u00a0u1", "u1\u2003"])
+@pytest.mark.parametrize("side", ["user", "object"])
+def test_write_delimited_refuses_ids_that_do_not_read_back(tmp_path, bad_id, side):
+    record = (bad_id, "v1", 10) if side == "user" else ("u0", bad_id, 10)
+    g = ingest([("u0", "v0", 9), record])
+    path = tmp_path / "events.csv"
+    with pytest.raises(DataError, match=re.escape(f"cannot write {side} id {bad_id!r}")):
+        write_delimited(g, path)
+    assert not path.exists()
+
+
+def test_tab_file_with_comma_ids_is_not_written_lossily(tmp_path):
+    src = tmp_path / "events.tsv"
+    src.write_text("u,1\tv1\t10\nu2\tv1\t11\n", encoding="utf-8")
+    g = read_delimited(src)
+    assert g.user_ids == ["u,1", "u2"]
+    with pytest.raises(DataError, match="cannot write user id 'u,1'"):
+        write_delimited(g, tmp_path / "out.csv")
