@@ -30,8 +30,11 @@ class DetectorConfig:
     Seeding runs ARPACK's Lanczos (``eigsh``) on the Gram operator of the
     seeding matrix's smaller side, at its default (machine-precision)
     tolerance, from a starting vector drawn from ``spectral.SVD_SEED``, so
-    seeds are reproducible. When ARPACK hits its iteration cap, seeding logs
-    a warning and goes on with the singular vectors that did converge.
+    seeds are reproducible. Lanczos sees only the core of that operator, the
+    rows that share a column; single-entry columns fold into its diagonal,
+    and every other row is an exact eigenpair (see ``spectral``). When ARPACK
+    hits its iteration cap, seeding logs a warning and goes on with the
+    singular vectors that did converge.
     """
 
     base: float = 32.0
@@ -113,6 +116,15 @@ def greedy_shaving(context: SignalContext, seed_idx) -> DetectionResult:
               "kappa_rescales": state.n_rescales})
 
 
+def _above(v: np.ndarray, threshold: float, cap: int) -> np.ndarray:
+    """Ascending indices of the entries above ``threshold``; when more than
+    ``cap`` are, the ``cap`` largest (ties to the lower index)."""
+    idx = np.flatnonzero(v > threshold)
+    if idx.size > cap:
+        idx = np.sort(idx[np.argsort(-v[idx], kind="stable")[:cap]])
+    return idx
+
+
 def svd_seeds(matrix, num_vectors: int, cap_exponent: float | None = 1 / 1.6,
               tol: float = 0.0, max_iter: int | None = None) -> tuple[list[np.ndarray], dict]:
     """Candidate user sets from the top left singular vectors of a users-by-X matrix.
@@ -138,7 +150,7 @@ def svd_seeds(matrix, num_vectors: int, cap_exponent: float | None = 1 / 1.6,
     threshold = 1.0 / math.sqrt(n_users)
     cap = n_users if cap_exponent is None else max(1, int(n_users ** cap_exponent))
     seeds: list[np.ndarray] = []
-    seen: set[frozenset] = set()
+    seen: set[bytes] = set()
     sizes: list[int] = []
     for i in range(U.shape[1]):
         vec = U[:, i]
@@ -146,12 +158,10 @@ def svd_seeds(matrix, num_vectors: int, cap_exponent: float | None = 1 / 1.6,
         if (vec < -threshold).any():
             orderings.append(-vec)
         for v in orderings:
-            order = np.argsort(-v, kind="stable")
-            n_keep = int((v > threshold).sum())
-            idx = np.sort(order[:min(n_keep, cap)])
+            idx = _above(v, threshold, cap)
             if idx.size == 0:
                 continue
-            key = frozenset(idx.tolist())
+            key = idx.tobytes()
             if key in seen:
                 continue
             seen.add(key)

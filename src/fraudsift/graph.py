@@ -653,8 +653,10 @@ def write_delimited(graph: BipartiteGraph, path: str | Path) -> None:
     Columns are positional, so ratings cannot be written without timestamps:
     the reader would take them for timestamps. Ids are written unquoted, so
     an id holding a comma, tab, newline or carriage return, or with
-    whitespace at either end, is refused before anything is written. Each
-    rating is written in the shortest form that reads back to the same float.
+    whitespace at either end, is refused before anything is written; so is
+    a first line holding a header word (in any case), which the reader would
+    skip. Each rating is written in the shortest form that reads back to the
+    same float.
     """
     us, vs, ts, ratings = graph.event_arrays()
     if ratings is not None and ts is None:
@@ -675,5 +677,9 @@ def write_delimited(graph: BipartiteGraph, path: str | Path) -> None:
         labels = np.asarray([np.format_float_positional(v, unique=True, trim="-")
                              for v in bits.view(np.float64).tolist()], dtype=object)
         columns.append(labels[rating_of_event].tolist())
+    header = [f for f in next(zip(*columns), ()) if f.lower() in _HEADER_WORDS]
+    if header:
+        raise DataError(f"cannot write {header[0]!r} on the first line: the reader "
+                        "skips a first line holding a header word")
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(",".join(row) + "\n" for row in zip(*columns))

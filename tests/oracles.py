@@ -782,3 +782,12 @@ def svds_truncated_svd(matrix, k: int, tol: float = 0.0, max_iter: int | None = 
     # svds returns ascending singular values
     U, V = _canonical_signs(U[:, ::-1].copy(), Vt[::-1].T.copy())
     return U, s[::-1].copy(), V
+
+
+def argsort_truncation(v: np.ndarray, threshold: float, cap: int) -> np.ndarray:
+    """Ascending indices of one seed ordering as a stable argsort of every
+    entry cut at the count above ``threshold`` and at ``cap``: the reference
+    for svd_seeds' truncation."""
+    order = np.argsort(-v, kind="stable")
+    n_keep = int((v > threshold).sum())
+    return np.sort(order[:min(n_keep, cap)])

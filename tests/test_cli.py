@@ -232,6 +232,20 @@ def test_inject_on_ids_the_csv_cannot_carry_is_data_error(tmp_path, capsys):
     assert not (out / "injected.csv").exists()
 
 
+def test_inject_refuses_a_header_word_on_the_first_written_line(tmp_path, capsys):
+    # line 1 is blank, so "Time" on line 2 is read as a user: the first one
+    # written back, where the reader would skip it as a header
+    base = tmp_path / "base.csv"
+    lines = ["", "Time,v0,999"] + [f"u{i},v{i % 7},{1000 + i}" for i in range(300)]
+    base.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    rc = main(["inject", "--input", str(base), "--output-dir", str(out),
+               "--n-fraudsters", "10", "--n-objects", "3", "--ratings-per-object", "5"])
+    assert rc == 3
+    assert "header word" in capsys.readouterr().err
+    assert not (out / "injected.csv").exists()
+
+
 def test_sweep_writes_curve_and_summary(tmp_path):
     base = tmp_path / "base.csv"
     write_timestamped_base(base)

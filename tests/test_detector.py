@@ -16,7 +16,7 @@ from fraudsift import (BipartiteGraph, DataError, DetectorConfig, RatingScale,
                        inject, InjectionConfig, matricize, svd_seeds, f_measure)
 from fraudsift import detector
 from fraudsift.contrast import ContrastState, SignalContext
-from oracles import GatherState, gather_shave, svds_truncated_svd
+from oracles import GatherState, argsort_truncation, gather_shave, svds_truncated_svd
 
 
 def brute_force_best(graph, base=32.0):
@@ -245,6 +245,46 @@ def test_planted_block_seed_recovers_most_rows():
     assert best_overlap >= 36  # >= 90% of the planted rows
 
 
+def test_seed_truncation_matches_full_argsort_rule():
+    rng = np.random.default_rng(8)
+    n = 400
+    threshold = 1.0 / math.sqrt(n)
+    vectors = [rng.standard_normal(n) * 2 * threshold,
+               # ~100 copies of each value: ties straddle every cap below, and
+               # a quarter of the entries sit exactly at the threshold
+               rng.choice([threshold, 2 * threshold, 3 * threshold, -threshold], n),
+               np.full(n, threshold), np.zeros(n)]
+    for v in vectors:
+        for w in (v, -v):
+            for cap in (1, 5, 37, 150, n):
+                want = argsort_truncation(w, threshold, cap)
+                got = detector._above(w, threshold, cap)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_svd_seeds_truncates_and_dedups_as_the_argsort_rule(monkeypatch):
+    n = 16
+    threshold = 1.0 / math.sqrt(n)
+    U = np.zeros((n, 4))
+    # a five-way tie across the cap of 4, and one entry at the threshold
+    U[[1, 2, 3, 4, 6, 9], 0] = [0.4] * 5 + [threshold]
+    U[[4, 3, 2, 1, 6], 1] = [0.5] * 4 + [0.3]  # the same first seed again
+    U[[0, 5], 2] = [0.7, -0.7]  # two signs: two orderings
+    U[:, 3] = threshold  # nothing strictly above
+    monkeypatch.setattr(detector, "truncated_svd",
+                        lambda m, k, tol, max_iter: (U, np.ones(4), None))
+    seeds, meta = svd_seeds(sp.csr_matrix((n, 20)), 4, cap_exponent=0.5)
+    assert meta["cap"] == 4
+    want = []
+    for i in range(4):
+        for v in (U[:, i], -U[:, i]):
+            idx = argsort_truncation(v, threshold, 4)
+            if idx.size and not any(np.array_equal(idx, w) for w in want):
+                want.append(idx)
+    assert [s.tolist() for s in seeds] == [w.tolist() for w in want]
+    assert [s.tolist() for s in seeds] == [[1, 2, 3, 4], [0], [5]]
+
+
 def seeding_design(graph, config):
     # the matrix fast_greedy seeds from
     context = SignalContext(graph, config)
@@ -271,12 +311,24 @@ def topology_shaped():
     return inject(base, cfg)[0], DetectorConfig(signals=("alpha",), cap_exponent=None)
 
 
-@pytest.mark.parametrize("case", ["bench_20k", "sweep_d005", "topology"])
+def isolated_user_outranks_core():
+    # the bench design plus a user alone on a column of their own, weighted
+    # above the bound sqrt(max column sum * max row sum) on the design's
+    # largest singular value: the top singular pair is that user's
+    m = seeding_design(bench_graph(20_000, seed=1)[0], DetectorConfig())
+    bound = np.sqrt(m.sum(axis=0).max() * m.sum(axis=1).max())
+    return sp.bmat([[m, None], [None, sp.csr_matrix([[2 * bound]])]], format="csr")
+
+
+@pytest.mark.parametrize("case", ["bench_20k", "sweep_d005", "topology", "isolated_top"])
 def test_svd_seeds_match_svds_reference(case, monkeypatch):
-    graph, config = {"bench_20k": lambda: (bench_graph(20_000, seed=1)[0], DetectorConfig()),
-                     "sweep_d005": lambda: sweep_shaped(0.05),
-                     "topology": topology_shaped}[case]()
-    m = seeding_design(graph, config)
+    if case == "isolated_top":
+        m, config = isolated_user_outranks_core(), DetectorConfig()
+    else:
+        graph, config = {"bench_20k": lambda: (bench_graph(20_000, seed=1)[0], DetectorConfig()),
+                         "sweep_d005": lambda: sweep_shaped(0.05),
+                         "topology": topology_shaped}[case]()
+        m = seeding_design(graph, config)
     seeds, meta = svd_seeds(m, config.num_seeds, cap_exponent=config.cap_exponent)
     monkeypatch.setattr(detector, "truncated_svd", svds_truncated_svd)
     ref, ref_meta = svd_seeds(m, config.num_seeds, cap_exponent=config.cap_exponent)

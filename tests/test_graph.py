@@ -562,3 +562,24 @@ def test_tab_file_with_comma_ids_is_not_written_lossily(tmp_path):
     assert g.user_ids == ["u,1", "u2"]
     with pytest.raises(DataError, match="cannot write user id 'u,1'"):
         write_delimited(g, tmp_path / "out.csv")
+
+
+@pytest.mark.parametrize("records", [
+    [("Time", "o1", 5), ("u2", "o1", 6)],
+    [("u1", "RATING"), ("u2", "o1")],
+    [("user", "o1", 5, 4.0)],
+])
+def test_write_delimited_refuses_a_first_line_the_reader_would_skip(tmp_path, records):
+    g = ingest(records)
+    path = tmp_path / "events.csv"
+    with pytest.raises(DataError, match="header word"):
+        write_delimited(g, path)
+    assert not path.exists()
+
+
+def test_header_words_past_the_first_line_are_written(tmp_path):
+    g = ingest([("u1", "o1", 5), ("Time", "user", 6)])
+    path = tmp_path / "events.csv"
+    write_delimited(g, path)
+    back = read_delimited(path)
+    assert back.user_ids == ["u1", "Time"] and back.n_events == 2

@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.linalg import svd as dense_svd
 
-from fraudsift import ConvergenceError, DataError, svd_seeds, truncated_svd
+from fraudsift import ConvergenceError, DataError, spectral, svd_seeds, truncated_svd
 from oracles import triplet_matrix
 
 
@@ -160,3 +160,85 @@ def test_rank_deficient_request_stays_finite():
         norms = np.linalg.norm(derived, axis=0)
         for norm, value in zip(norms, s):
             assert abs(norm - 1.0) <= 1e-9 or (norm == 0.0 and value == 0.0), (norms, s)
+
+
+# -- the core/diagonal split: rows that share no column are exact eigenpairs --
+
+
+def with_private_columns(core, private):
+    """``core`` stacked over len(private) rows, row i holding only
+    private[i] in a column of its own; a zero makes an empty row."""
+    m = sp.bmat([[core, None], [None, sp.diags(private)]], format="csr")
+    m.eliminate_zeros()
+    return m
+
+
+def assert_matches_dense(m, k, U, s, V):
+    dense = m.toarray()
+    U_ref, s_ref, _ = dense_svd(dense)
+    assert np.allclose(s, s_ref[:k], rtol=1e-9, atol=1e-12)
+    assert np.allclose(U.T @ U, np.eye(k), atol=1e-9)
+    assert np.linalg.norm(dense @ V - U * s, axis=0).max() <= 1e-9 * s[0]
+    # distinct singular values fix each left vector up to sign
+    assert np.allclose(np.abs(U), np.abs(U_ref[:, :k]), atol=1e-8)
+
+
+def test_isolated_row_outranking_the_core_is_an_exact_pair():
+    core = random_sparse(60, 50, 0.1, 37)
+    m = with_private_columns(core, [50.0, 0.0, 1e-3, 2.5])
+    for m in both_orientations(m):
+        U, s, V = truncated_svd(m, 4)
+        assert_matches_dense(m, 4, U, s, V)
+        # entry (60, 50), transposed on the wide side, is the top singular triplet
+        assert s[0] == 50.0
+        rows, cols = (U, V) if m.shape[0] > m.shape[1] else (V, U)
+        assert rows[:, 0].tolist() == np.eye(64)[60].tolist()
+        assert cols[:, 0].tolist() == np.eye(54)[50].tolist()
+
+
+@pytest.mark.parametrize("k", [3, 5])
+def test_core_of_at_most_k_rows_takes_the_dense_eigh(k, monkeypatch):
+    # rows 0-2 share columns; every other row has private columns only, and
+    # row 7 has two of them
+    core = sp.csr_matrix(np.array([[1.0, 2.0, 0.0], [0.5, 0.0, 3.0], [0.0, 1.5, 1.0]]))
+    m = with_private_columns(core, [4.0, 0.25, 2.2, 0.0, 1.1, 0.6, 3.3, 0.1])
+    m = sp.hstack([m, sp.csr_matrix(([0.7], ([7], [0])), shape=(11, 1))]).tocsr()
+    monkeypatch.setattr(spectral, "eigsh", None)
+    for m in both_orientations(m):
+        U, s, V = truncated_svd(m, k)
+        assert_matches_dense(m, k, U, s, V)
+
+
+def test_empty_rows_give_zero_singular_values():
+    core = random_sparse(20, 15, 0.2, 41)
+    m = with_private_columns(core, [0.0] * 30)
+    n_nonzero = int(np.sum(dense_svd(m.toarray(), compute_uv=False) > 1e-9))
+    for m in both_orientations(m):
+        U, s, V = truncated_svd(m, n_nonzero + 3)
+        assert np.allclose(s[:n_nonzero], dense_svd(m.toarray(), compute_uv=False)[:n_nonzero],
+                           rtol=1e-9)
+        assert s[n_nonzero:].tolist() == [0.0] * 3
+        # the zero pairs are unit vectors of empty rows on the smaller side,
+        # and zero on the side derived from them
+        small, derived = (U, V) if m.shape[0] < m.shape[1] else (V, U)
+        assert np.allclose(small.T @ small, np.eye(small.shape[1]), atol=1e-9)
+        assert np.all(np.abs(small[:, n_nonzero:]).max(axis=0) == 1.0)
+        assert not derived[:, n_nonzero:].any()
+
+
+def test_nonconvergence_merges_isolated_rows_it_can_rank():
+    # a positive core whose Perron value converges first, under one private
+    # entry above it and others below every core value that could converge
+    core = sp.csr_matrix(positive_dense(40, 30, 0))
+    top = 2 * dense_svd(core.toarray(), compute_uv=False)[0]
+    m = with_private_columns(core, [1e-3, top, 2e-3, 0.0])
+    for m in both_orientations(m):
+        with pytest.raises(ConvergenceError) as err:
+            truncated_svd(m, 4, tol=1e-12, max_iter=1)
+        U, s, V = err.value.best
+        j = s.size
+        assert 2 <= j < 4 and s[0] == top
+        assert np.all(np.diff(s) <= 0)
+        dense = m.toarray()
+        assert np.linalg.norm(dense @ V - U * s, axis=0).max() <= 1e-8 * s[0]
+        assert np.allclose(s, dense_svd(dense, compute_uv=False)[:j], rtol=1e-10)
