@@ -104,7 +104,7 @@ def _config_echo(config: DetectorConfig, seed: int, **extra) -> dict:
 _DEFAULTS = DetectorConfig()
 
 detector_options = [
-    click.option("--seed", type=int, default=0, show_default=True,
+    click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True,
                  help="Master RNG seed; all randomness derives from it."),
     click.option("--base", type=float, default=_DEFAULTS.base, show_default=True,
                  help="Exponential scaling base b."),
@@ -193,7 +193,7 @@ def cmd_detect(input_path, output_dir, scale, neutral, dump_profiles, seed, base
 @cli.command("inject")
 @click.option("--input", "input_path", required=True, type=click.Path(exists=True))
 @click.option("--output-dir", required=True, type=click.Path())
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--n-fraudsters", type=int, required=True)
 @click.option("--n-objects", type=int, default=200, show_default=True)
 @click.option("--ratings-per-object", type=int, default=200, show_default=True)

@@ -142,10 +142,10 @@ def svd_seeds(matrix, num_vectors: int, cap_exponent: float | None = 1 / 1.6,
     if k < num_vectors:
         logger.warning("rank limits seeds to %d of %d requested vectors", k, num_vectors)
     try:
-        U, s, _ = truncated_svd(matrix, k, tol=tol, max_iter=max_iter)
+        U, s = truncated_svd(matrix, k, tol=tol, max_iter=max_iter)
     except ConvergenceError as exc:
         logger.warning("using best-effort singular vectors: %s", exc)
-        U, s, _ = exc.best
+        U, s = exc.best
 
     threshold = 1.0 / math.sqrt(n_users)
     cap = n_users if cap_exponent is None else max(1, int(n_users ** cap_exponent))

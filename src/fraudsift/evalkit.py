@@ -1,19 +1,18 @@
-"""Scoring detections against ground truth: set F-measure, rank AUC for scored
-sinks, accuracy-vs-density curves, and an average-degree peeling baseline."""
+"""Scoring detections against ground truth: set F-measure, rank AUC of the
+sink scores, and accuracy-vs-density curves from density sweeps."""
 
 from __future__ import annotations
 
-import heapq
 import logging
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.stats import rankdata
 
 from .detector import DetectorConfig, fast_greedy
 from .graph import BipartiteGraph, DataError
-from .synth import GroundTruth, InjectionConfig, inject
+from .synth import InjectionConfig, inject
 
 logger = logging.getLogger(__name__)
 
@@ -34,17 +33,9 @@ def f_measure(predicted: Iterable, truth: Iterable) -> tuple[float, float, float
     return precision, recall, 2 * precision * recall / (precision + recall)
 
 
-def roc_auc(scores: Mapping, truth: Iterable) -> float:
-    """Rank-based AUC (Mann-Whitney, ties averaged) of scored items against a
-    positive set; requires both classes present."""
-    items = list(scores.keys())
-    positive = set(truth)
-    values = np.asarray([scores[i] for i in items], dtype=np.float64)
-    labels = np.asarray([i in positive for i in items], dtype=bool)
-    return roc_auc_from_arrays(values, labels)
-
-
 def roc_auc_from_arrays(values: np.ndarray, positive: np.ndarray) -> float:
+    """Rank-based AUC (Mann-Whitney, ties averaged) of ``values`` against the
+    boolean mask ``positive``; requires both classes present."""
     values = np.asarray(values, dtype=np.float64)
     positive = np.asarray(positive, dtype=bool)
     n_pos = int(positive.sum())
@@ -112,19 +103,13 @@ class SweepResult:
         }
 
 
-Detector = Callable[[BipartiteGraph, GroundTruth], tuple[Iterable[str], np.ndarray]]
-
-
 def density_sweep(base: BipartiteGraph, densities: Sequence[float],
                   config: DetectorConfig | None = None,
                   inject_proto: InjectionConfig | None = None,
-                  seed: int = 0,
-                  detector: Detector | None = None) -> SweepResult:
-    """Inject at each density, detect, and record user F1 and sink AUC.
+                  seed: int = 0) -> SweepResult:
+    """Inject at each density, run fast_greedy, and record user F1 and sink AUC.
 
-    A failing point is recorded with its error and the sweep continues. The
-    detector hook exists for baselines and stubs; it must return (user ids,
-    per-sink score array).
+    A failing point is recorded with its error and the sweep continues.
     """
     densities = sorted(set(float(d) for d in densities))
     if not densities:
@@ -133,11 +118,6 @@ def density_sweep(base: BipartiteGraph, densities: Sequence[float],
         raise DataError("densities must lie in (0, 1]")
     config = config or DetectorConfig()
     rpo = inject_proto.ratings_per_object if inject_proto else 200
-
-    if detector is None:
-        def detector(g: BipartiteGraph, truth: GroundTruth):
-            result = fast_greedy(g, config)
-            return result.users, result.sink_scores
 
     children = np.random.SeedSequence(seed).spawn(len(densities))
     points: list[SweepPoint] = []
@@ -149,11 +129,11 @@ def density_sweep(base: BipartiteGraph, densities: Sequence[float],
             cfg = replace(proto, n_fraudsters=nf,
                           rng_seed=int(child.generate_state(1)[0]))
             injected, truth = inject(base, cfg)
-            users, sink_scores = detector(injected, truth)
-            point.user_f1 = f_measure(users, truth.fraud_users)[2]
+            result = fast_greedy(injected, config)
+            point.user_f1 = f_measure(result.users, truth.fraud_users)[2]
             positive = np.zeros(injected.n_objects, dtype=bool)
             positive[[injected.object_index(o) for o in truth.fraud_objects]] = True
-            point.sink_auc = roc_auc_from_arrays(np.asarray(sink_scores), positive)
+            point.sink_auc = roc_auc_from_arrays(result.sink_scores, positive)
         except Exception as exc:  # keep sweeping; the point is reported absent
             point.error = f"{type(exc).__name__}: {exc}"
             logger.warning("sweep point density=%.4g failed: %s", d, point.error)
@@ -164,54 +144,3 @@ def density_sweep(base: BipartiteGraph, densities: Sequence[float],
     sinks_curve = AccuracyCurve(tuple(
         (p.density, p.sink_auc) for p in points if p.sink_auc is not None))
     return SweepResult(points, users_curve, sinks_curve)
-
-
-def avg_degree_baseline(graph: BipartiteGraph) -> frozenset[str]:
-    """Greedy peeling maximizing total edges over (|users| + |objects|), shaving
-    the node of minimum degree, ties toward the smaller key (users are keys
-    0..nu-1, objects nu..nu+nv-1). The classic density baseline the contrast
-    detector is compared against."""
-    csr = graph.counts_matrix()
-    csc = csr.tocsc()
-    nu, nv = csr.shape
-    deg_u = np.asarray(csr.sum(axis=1)).ravel()
-    deg = np.concatenate((deg_u, np.asarray(csr.sum(axis=0)).ravel())).tolist()
-    alive = [True] * (nu + nv)
-    # lazy deletion: a degree drop pushes a fresh entry; degrees only fall, so a
-    # node's newest entry pops first and its older ones find it dead
-    heap = [(d, key) for key, d in enumerate(deg)]
-    heapq.heapify(heap)
-
-    total = float(deg_u.sum())
-    n_alive = nu + nv
-    best_score = total / n_alive
-    best_step = 0
-    order: list[int] = []
-
-    while n_alive > 1:
-        d, key = heapq.heappop(heap)
-        if not alive[key]:
-            continue
-        order.append(key)
-        alive[key] = False
-        total -= d
-        if key < nu:
-            lo, hi = csr.indptr[key], csr.indptr[key + 1]
-            nbrs = (csr.indices[lo:hi] + nu).tolist()
-            weights = csr.data[lo:hi].tolist()
-        else:
-            lo, hi = csc.indptr[key - nu], csc.indptr[key - nu + 1]
-            nbrs = csc.indices[lo:hi].tolist()
-            weights = csc.data[lo:hi].tolist()
-        for j, e in zip(nbrs, weights):
-            if alive[j]:
-                deg[j] -= e
-                heapq.heappush(heap, (deg[j], j))
-        n_alive -= 1
-        score = total / n_alive
-        if score > best_score:
-            best_score = score
-            best_step = len(order)
-
-    dead_users = {k for k in order[:best_step] if k < nu}
-    return frozenset(graph.user_ids[i] for i in range(nu) if i not in dead_users)

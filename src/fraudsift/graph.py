@@ -47,14 +47,17 @@ MAX_SCALE_VALUES = 1000
 class RatingScale:
     """Declared categorical rating scale plus the set of neutral scores.
 
-    The neutral set defaults to the middle category and is excluded from
-    rating-deviation tables downstream.
+    The values must be finite and distinct, and the neutral scores must be
+    among them. The neutral set defaults to the middle category and is
+    excluded from rating-deviation tables downstream.
     """
 
     def __init__(self, values: Iterable[float], neutral: Iterable[float] | None = None):
         vals = tuple(sorted(float(v) for v in values))
         if not vals:
             raise DataError("rating scale must declare at least one value")
+        if not all(map(math.isfinite, vals)):
+            raise DataError(f"rating scale values must be finite, got {list(vals)}")
         if len(set(vals)) != len(vals):
             raise DataError("rating scale contains duplicate values")
         self.values = vals

@@ -1,4 +1,5 @@
-"""Truncated SVD by ARPACK's Lanczos (scipy's eigsh) on the smaller side's Gram operator.
+"""Truncated SVD, the top k pairs (U, s) of left singular vectors and values,
+by ARPACK's Lanczos (scipy's eigsh) on the smaller side's Gram operator.
 
 Let B be the smaller side (A or Aᵀ). A column of B with one entry adds only a
 diagonal term to B·Bᵀ, so a row of B whose columns all hold one entry (an
@@ -19,20 +20,18 @@ SVD_SEED = 42  # seeds ARPACK's starting vector, so spectral seeds are reproduci
 
 
 class ConvergenceError(RuntimeError):
-    """ARPACK hit its iteration cap; carries the singular triplets that did converge."""
+    """ARPACK hit its iteration cap; ``best`` carries the pairs (U, s) that did converge."""
 
     def __init__(self, message: str, best=None):
         super().__init__(message)
         self.best = best
 
 
-def _canonical_signs(U: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _canonical_signs(U: np.ndarray) -> np.ndarray:
     # fix the SVD sign ambiguity: largest-magnitude left entry made positive
     flip = U[np.abs(U).argmax(axis=0), np.arange(U.shape[1])] < 0
-    signs = np.where(flip, -1.0, 1.0)
-    U *= signs
-    V *= signs
-    return U, V
+    U *= np.where(flip, -1.0, 1.0)
+    return U
 
 
 def _split(B):
@@ -58,30 +57,31 @@ def _split(B):
     return core, isolated, C, C.T.tocsr(), d
 
 
-def _triplets(lam_core, X_core, core, isolated, d, Bt, wide: bool, k: int):
+def _pairs(lam_core, X_core, core, isolated, d, A, wide: bool, k: int):
     # merge the core pairs and the isolated pairs (e_i, d_i) by a stable
-    # descending sort and keep k; s = √λ; the other side is Bᵀx / s in place,
-    # zero where s = 0. An eigenvalue within rounding of the largest
-    # (≤ λ_max · max(shape) · eps) is a zero singular value: Bᵀx / s would be
-    # noise, not a unit vector.
+    # descending sort and keep k; s = √λ. When B = Aᵀ the eigenvectors are
+    # right vectors and U = A·x / s, zero where s = 0. An eigenvalue within
+    # rounding of the largest (≤ λ_max · max(shape) · eps) is a zero singular
+    # value: A·x / s would be noise, not a unit vector.
     lam = np.concatenate([lam_core, d[isolated]])
     order = np.argsort(-lam, kind="stable")[:k]
     lam = lam[order]
-    cutoff = max(lam.max(initial=0.0), 0.0) * max(Bt.shape) * np.finfo(np.float64).eps
+    cutoff = max(lam.max(initial=0.0), 0.0) * max(A.shape) * np.finfo(np.float64).eps
     s = np.sqrt(np.where(lam > cutoff, lam, 0.0))
-    X = np.zeros((Bt.shape[1], order.size))
+    X = np.zeros((d.size, order.size))
     from_core = order < lam_core.size
     X[np.ix_(core, from_core)] = X_core[:, order[from_core]]
     X[isolated[order[~from_core] - lam_core.size], np.flatnonzero(~from_core)] = 1.0
-    Y = Bt @ X
-    Y *= np.divide(1.0, s, out=np.zeros_like(s), where=s > 0)
-    U, V = _canonical_signs(*((X, Y) if wide else (Y, X)))
-    return U, s, V
+    if not wide:
+        X = A @ X
+        X *= np.divide(1.0, s, out=np.zeros_like(s), where=s > 0)
+    return _canonical_signs(X), s
 
 
 def truncated_svd(matrix, k: int, tol: float = 0.0, max_iter: int | None = None,
                   seed: int = SVD_SEED):
-    """Top-k singular triplets (U, s, V), largest first, by implicitly restarted Lanczos.
+    """Top-k left singular vectors and values (U, s), largest first, by
+    implicitly restarted Lanczos.
 
     ``tol`` is the singular values' relative accuracy (0: machine precision;
     ARPACK runs at ``tol**2``), ``max_iter`` ARPACK's restart cap (None: its
@@ -91,7 +91,7 @@ def truncated_svd(matrix, k: int, tol: float = 0.0, max_iter: int | None = None,
     entries of the seeded starting vector, or a dense ``eigh`` of that Gram
     matrix replaces it when the core has at most k rows; the core pairs then
     merge with the k largest isolated ones. Raises ConvergenceError carrying
-    the converged triplets when ARPACK hits the cap.
+    the converged pairs when ARPACK hits the cap.
     """
     A = sp.csr_matrix(matrix, dtype=np.float64)
     n_small = min(A.shape)
@@ -102,21 +102,19 @@ def truncated_svd(matrix, k: int, tol: float = 0.0, max_iter: int | None = None,
     if max_iter is not None and not (isinstance(max_iter, (int, np.integer)) and max_iter >= 1):
         raise DataError(f"max_iter must be None or an integer of at least 1, got {max_iter!r}")
     if k == n_small:
-        U, s, Vt = np.linalg.svd(A.toarray(), full_matrices=False)
-        U, V = _canonical_signs(U[:, :k], Vt[:k].T.copy())
-        return U, s[:k], V
+        U, s, _ = np.linalg.svd(A.toarray(), full_matrices=False)
+        return _canonical_signs(U[:, :k]), s[:k]
 
     # B = A or Aᵀ, whichever has fewer rows
     wide = A.shape[0] < A.shape[1]
-    At = A.T.tocsr()
-    B, Bt = (A, At) if wide else (At, A)
+    B = A if wide else A.T.tocsr()
     v0 = np.random.default_rng(seed).standard_normal(n_small)
     core, isolated, C, Ct, d = _split(B)
     isolated = isolated[np.argsort(-d[isolated], kind="stable")[:k]]
     d_core = d[core]
     if core.size <= k:
         lam, X = np.linalg.eigh((C @ Ct).toarray() + np.diag(d_core))
-        return _triplets(lam, X, core, isolated, d, Bt, wide, k)
+        return _pairs(lam, X, core, isolated, d, A, wide, k)
     gram = LinearOperator((core.size, core.size), dtype=np.float64,
                           matvec=lambda x: C @ (Ct @ x) + d_core * x)
     try:
@@ -126,7 +124,7 @@ def truncated_svd(matrix, k: int, tol: float = 0.0, max_iter: int | None = None,
         # converge only when it reaches the smallest one that did
         lam, X = exc.eigenvalues, exc.eigenvectors
         isolated = isolated[d[isolated] >= lam.min(initial=np.inf)]
-        best = _triplets(lam, X, core, isolated, d, Bt, wide, k)
+        best = _pairs(lam, X, core, isolated, d, A, wide, k)
         raise ConvergenceError(f"ARPACK converged {best[1].size} of {k} singular triplets "
                                f"(tol={tol:g}, max_iter={max_iter})", best=best) from None
-    return _triplets(lam, X, core, isolated, d, Bt, wide, k)
+    return _pairs(lam, X, core, isolated, d, A, wide, k)

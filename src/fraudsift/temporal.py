@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import DataError, concat_ranges, sorted_unique
+from .graph import concat_ranges, sorted_unique
 
 # Cap on a histogram's bin count. It sets outputs, not memory: a segment
 # stores only its kept bins (SegmentHistograms), however many bins it spans.
@@ -362,47 +362,6 @@ def sigma_from_drop_weights(weights: np.ndarray) -> np.ndarray:
     if top <= 0.0:
         return np.ones_like(weights)
     return 1.0 + weights / top
-
-
-def time_obstruction_bound(n_edges: float, bin_width: float,
-                           rise_slope: float, decline_slope: float) -> tuple[float, float]:
-    """Minimum time and burst height needed to land n_edges without an abnormal spike.
-
-    An attack of n_edges finished in less than the returned time must show a
-    rise steeper than rise_slope or a fall steeper than decline_slope.
-    """
-    if min(n_edges, bin_width, rise_slope, decline_slope) <= 0:
-        raise DataError("all bound inputs must be positive")
-    s1, s2 = rise_slope, decline_slope
-    tau = math.sqrt(2.0 * n_edges * bin_width * (s1 + s2) / (s1 * s2))
-    height = math.sqrt(2.0 * n_edges * bin_width * s1 * s2 / (s1 + s2))
-    return tau, height
-
-
-def simulate_triangle_attack(n_events: float, duration: float, bin_width: float,
-                             rise_fraction: float = 0.5) -> np.ndarray:
-    """Binned counts of a triangular attack of given total volume and duration.
-
-    The rise climbs linearly to the peak over the first bins and the fall
-    returns linearly to zero; bin counts sum exactly to n_events.
-    """
-    if duration < 2 * bin_width:
-        raise DataError("attack duration must span at least two bins")
-    n_bins = max(2, int(duration / bin_width))
-    n1 = min(max(int(round(rise_fraction * n_bins)), 1), n_bins - 1)
-    n2 = n_bins - n1
-    height = 2.0 * n_events / n_bins
-    rise = height * np.arange(1, n1 + 1) / n1
-    fall = height * np.arange(n2 - 1, -1, -1) / n2
-    return np.concatenate((rise, fall))
-
-
-def extreme_slopes(counts: np.ndarray, bin_width: float) -> tuple[float, float]:
-    """Steepest adjacent-bin rise and fall of a binned series, in counts per second."""
-    diffs = np.diff(np.asarray(counts, dtype=np.float64)) / bin_width
-    max_rise = float(diffs.max(initial=0.0))
-    max_fall = float((-diffs).max(initial=0.0))
-    return max_rise, max_fall
 
 
 def profile_payloads(sink_ids: Sequence[str], times: np.ndarray,

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections import Counter
 from dataclasses import dataclass
+from typing import Iterable, Mapping
 
 import numpy as np
 import scipy.sparse as sp
@@ -12,6 +14,7 @@ from scipy.sparse.linalg import svds
 
 from fraudsift import BipartiteGraph, DataError, RatingScale
 from fraudsift.contrast import RATING_SMOOTHING, contrast_score
+from fraudsift.evalkit import roc_auc_from_arrays
 from fraudsift.graph import _HEADER_WORDS, _coerce_record, concat_ranges
 from fraudsift.spectral import SVD_SEED, _canonical_signs
 from fraudsift.temporal import BURST_SIGNIFICANCE, MAX_BINS
@@ -425,6 +428,50 @@ def pair_counts(graph, by_sink: bool = False) -> list[tuple[str, str, int]]:
              int(graph.pair_count[p])) for p in order]
 
 
+# -- the time-obstruction bound and triangular attacks --------------------------
+
+
+def time_obstruction_bound(n_edges: float, bin_width: float,
+                           rise_slope: float, decline_slope: float) -> tuple[float, float]:
+    """Minimum time and burst height needed to land n_edges without an abnormal spike.
+
+    An attack of n_edges finished in less than the returned time must show a
+    rise steeper than rise_slope or a fall steeper than decline_slope.
+    """
+    if min(n_edges, bin_width, rise_slope, decline_slope) <= 0:
+        raise DataError("all bound inputs must be positive")
+    s1, s2 = rise_slope, decline_slope
+    tau = math.sqrt(2.0 * n_edges * bin_width * (s1 + s2) / (s1 * s2))
+    height = math.sqrt(2.0 * n_edges * bin_width * s1 * s2 / (s1 + s2))
+    return tau, height
+
+
+def simulate_triangle_attack(n_events: float, duration: float, bin_width: float,
+                             rise_fraction: float = 0.5) -> np.ndarray:
+    """Binned counts of a triangular attack of given total volume and duration.
+
+    The rise climbs linearly to the peak over the first bins and the fall
+    returns linearly to zero; bin counts sum exactly to n_events.
+    """
+    if duration < 2 * bin_width:
+        raise DataError("attack duration must span at least two bins")
+    n_bins = max(2, int(duration / bin_width))
+    n1 = min(max(int(round(rise_fraction * n_bins)), 1), n_bins - 1)
+    n2 = n_bins - n1
+    height = 2.0 * n_events / n_bins
+    rise = height * np.arange(1, n1 + 1) / n1
+    fall = height * np.arange(n2 - 1, -1, -1) / n2
+    return np.concatenate((rise, fall))
+
+
+def extreme_slopes(counts: np.ndarray, bin_width: float) -> tuple[float, float]:
+    """Steepest adjacent-bin rise and fall of a binned series, in counts per second."""
+    diffs = np.diff(np.asarray(counts, dtype=np.float64)) / bin_width
+    max_rise = float(diffs.max(initial=0.0))
+    max_fall = float((-diffs).max(initial=0.0))
+    return max_rise, max_fall
+
+
 # -- per-line ingest and two-lexsort build ---------------------------------------
 
 
@@ -521,6 +568,70 @@ def lexsort_build(user_idx, obj_idx, times, ratings, n_users: int, n_objects: in
                                            pair_count.astype(np.int64))[sorder]
         out["sink_event_indptr"] = np.searchsorted(vs[sorder], np.arange(n_objects + 1))
     return out
+
+
+# -- average-degree baseline and the Mapping AUC ------------------------------
+
+
+def avg_degree_baseline(graph: BipartiteGraph) -> frozenset[str]:
+    """Greedy peeling maximizing total edges over (|users| + |objects|), shaving
+    the node of minimum degree, ties toward the smaller key (users are keys
+    0..nu-1, objects nu..nu+nv-1). The classic density baseline the contrast
+    detector is compared against."""
+    csr = graph.counts_matrix()
+    csc = csr.tocsc()
+    nu, nv = csr.shape
+    deg_u = np.asarray(csr.sum(axis=1)).ravel()
+    deg = np.concatenate((deg_u, np.asarray(csr.sum(axis=0)).ravel())).tolist()
+    alive = [True] * (nu + nv)
+    # lazy deletion: a degree drop pushes a fresh entry; degrees only fall, so a
+    # node's newest entry pops first and its older ones find it dead
+    heap = [(d, key) for key, d in enumerate(deg)]
+    heapq.heapify(heap)
+
+    total = float(deg_u.sum())
+    n_alive = nu + nv
+    best_score = total / n_alive
+    best_step = 0
+    order: list[int] = []
+
+    while n_alive > 1:
+        d, key = heapq.heappop(heap)
+        if not alive[key]:
+            continue
+        order.append(key)
+        alive[key] = False
+        total -= d
+        if key < nu:
+            lo, hi = csr.indptr[key], csr.indptr[key + 1]
+            nbrs = (csr.indices[lo:hi] + nu).tolist()
+            weights = csr.data[lo:hi].tolist()
+        else:
+            lo, hi = csc.indptr[key - nu], csc.indptr[key - nu + 1]
+            nbrs = csc.indices[lo:hi].tolist()
+            weights = csc.data[lo:hi].tolist()
+        for j, e in zip(nbrs, weights):
+            if alive[j]:
+                deg[j] -= e
+                heapq.heappush(heap, (deg[j], j))
+        n_alive -= 1
+        score = total / n_alive
+        if score > best_score:
+            best_score = score
+            best_step = len(order)
+
+    dead_users = {k for k in order[:best_step] if k < nu}
+    return frozenset(graph.user_ids[i] for i in range(nu) if i not in dead_users)
+
+
+def roc_auc(scores: Mapping, truth: Iterable) -> float:
+    """Rank-based AUC (Mann-Whitney, ties averaged) of scored items against a
+    positive set; requires both classes present."""
+    items = list(scores.keys())
+    positive = set(truth)
+    values = np.asarray([scores[i] for i in items], dtype=np.float64)
+    labels = np.asarray([i in positive for i in items], dtype=bool)
+    return roc_auc_from_arrays(values, labels)
 
 
 def avg_degree_peel(counts) -> set[int]:
@@ -773,15 +884,21 @@ def gather_shave(context, seed_idx):
 
 def svds_truncated_svd(matrix, k: int, tol: float = 0.0, max_iter: int | None = None,
                        seed: int = SVD_SEED):
-    """Top-k singular triplets (U, s, V), largest first, from scipy's svds with
-    the starting vector truncated_svd draws: the reference for its eigsh run
-    on the smaller side's Gram operator."""
+    """Top-k left singular vectors and values (U, s), largest first, from
+    scipy's svds with the starting vector truncated_svd draws: the reference
+    for its eigsh run on the smaller side's Gram operator."""
     A = matrix.tocsr() if sp.issparse(matrix) else np.asarray(matrix, dtype=np.float64)
     v0 = np.random.default_rng(seed).standard_normal(min(A.shape))
-    U, s, Vt = svds(A, k=k, tol=tol, maxiter=max_iter, v0=v0)
+    U, s, _ = svds(A, k=k, tol=tol, maxiter=max_iter, v0=v0)
     # svds returns ascending singular values
-    U, V = _canonical_signs(U[:, ::-1].copy(), Vt[::-1].T.copy())
-    return U, s[::-1].copy(), V
+    return _canonical_signs(U[:, ::-1].copy()), s[::-1].copy()
+
+
+def right_vectors(m, U: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """V = mᵀU / s, the right singular vectors of the pairs (U, s) of m, with a
+    zero column where s = 0."""
+    V = np.asarray(m.T @ U)
+    return V * np.divide(1.0, s, out=np.zeros_like(s), where=s > 0)
 
 
 def argsort_truncation(v: np.ndarray, threshold: float, cap: int) -> np.ndarray:

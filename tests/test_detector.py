@@ -272,7 +272,7 @@ def test_svd_seeds_truncates_and_dedups_as_the_argsort_rule(monkeypatch):
     U[[0, 5], 2] = [0.7, -0.7]  # two signs: two orderings
     U[:, 3] = threshold  # nothing strictly above
     monkeypatch.setattr(detector, "truncated_svd",
-                        lambda m, k, tol, max_iter: (U, np.ones(4), None))
+                        lambda m, k, tol, max_iter: (U, np.ones(4)))
     seeds, meta = svd_seeds(sp.csr_matrix((n, 20)), 4, cap_exponent=0.5)
     assert meta["cap"] == 4
     want = []

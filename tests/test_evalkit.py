@@ -1,16 +1,17 @@
 from __future__ import annotations
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fraudsift import (AccuracyCurve, DataError, DetectorConfig, f_measure,
-                       gen_hyperbolic, ingest, roc_auc, avg_degree_baseline)
+from fraudsift import (AccuracyCurve, DataError, DetectorConfig, evalkit, f_measure,
+                       gen_hyperbolic, ingest)
 from fraudsift.evalkit import density_sweep, roc_auc_from_arrays
-from oracles import avg_degree_peel
+from oracles import avg_degree_baseline, avg_degree_peel, roc_auc
 
 
 # -- f-measure -------------------------------------------------------------
@@ -207,40 +208,61 @@ def never_stub(graph, truth):
     return frozenset(), np.arange(graph.n_objects, dtype=float)
 
 
-def test_density_sweep_perfect_stub_reaches_ideal_area():
+def stub_detector(monkeypatch, stub):
+    """Make density_sweep detect with ``stub(graph, truth)``, which returns
+    (user ids, per-sink scores); truth is that of the injection just made."""
+    inject = evalkit.inject
+    last = {}
+
+    def recording_inject(base, cfg):
+        last["injected"], last["truth"] = inject(base, cfg)
+        return last["injected"], last["truth"]
+
+    def fast_greedy(graph, config):
+        assert graph is last["injected"]
+        users, scores = stub(graph, last["truth"])
+        return SimpleNamespace(users=users, sink_scores=scores)
+
+    monkeypatch.setattr(evalkit, "inject", recording_inject)
+    monkeypatch.setattr(evalkit, "fast_greedy", fast_greedy)
+
+
+def test_density_sweep_perfect_stub_reaches_ideal_area(monkeypatch):
     from fraudsift import InjectionConfig
 
+    stub_detector(monkeypatch, perfect_stub)
     proto = InjectionConfig(n_fraudsters=10, n_objects=5, ratings_per_object=5)
     res = density_sweep(sweep_base(), [0.01, 0.05, 0.1, 0.5, 1.0],
-                        DetectorConfig(), inject_proto=proto, seed=1,
-                        detector=perfect_stub)
+                        DetectorConfig(), inject_proto=proto, seed=1)
     assert all(p.error is None for p in res.points)
     assert res.users_curve.area == pytest.approx(0.995, abs=1e-9)
     assert res.sinks_curve.area == pytest.approx(0.995, abs=1e-9)
     assert res.summary()["lowest_detection_density_users"] == 0.01
 
 
-def test_density_sweep_never_detect_stub():
+def test_density_sweep_never_detect_stub(monkeypatch):
     from fraudsift import InjectionConfig
 
+    stub_detector(monkeypatch, never_stub)
     proto = InjectionConfig(n_fraudsters=10, n_objects=5, ratings_per_object=5)
     res = density_sweep(sweep_base(), [0.1, 0.5, 1.0], DetectorConfig(),
-                        inject_proto=proto, seed=1, detector=never_stub)
+                        inject_proto=proto, seed=1)
     assert res.users_curve.area == 0.0
     summary = res.summary()
     assert summary["lowest_detection_density_users"] is None
     assert "users_auc" in summary and "sinks_auc" in summary
 
 
-def test_density_sweep_continues_past_failing_points():
+def test_density_sweep_continues_past_failing_points(monkeypatch):
     from fraudsift import InjectionConfig
 
     def flaky(graph, truth):
         raise RuntimeError("boom")
 
+    stub_detector(monkeypatch, flaky)
     proto = InjectionConfig(n_fraudsters=10, n_objects=5, ratings_per_object=5)
     res = density_sweep(sweep_base(), [0.5, 1.0], DetectorConfig(),
-                        inject_proto=proto, seed=1, detector=flaky)
+                        inject_proto=proto, seed=1)
     assert all(p.error and "boom" in p.error for p in res.points)
     assert res.users_curve.points == ()
 

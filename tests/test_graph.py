@@ -103,6 +103,15 @@ def test_rating_range_rejects_bad_ranges(lo, hi, step, message):
         RatingScale.from_range(lo, hi, step)
 
 
+@pytest.mark.parametrize("values, neutral, message", [
+    ([1, float("nan"), 3], None, "must be finite"), ([1, 3, float("inf")], None, "must be finite"),
+    ([float("-inf")], None, "must be finite"), ([1, 2, 3], [float("nan")], "not on the scale"),
+])
+def test_rating_scale_rejects_non_finite_values(values, neutral, message):
+    with pytest.raises(DataError, match=message):
+        RatingScale(values, neutral=neutral)
+
+
 def test_pair_timestamps_stored_sorted():
     g = ingest([("u1", "v1", 30), ("u1", "v1", 10), ("u1", "v1", 20)])
     assert g.event_time[pair_events(g, 0)].tolist() == [10, 20, 30]

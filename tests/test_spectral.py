@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from scipy.linalg import svd as dense_svd
 
 from fraudsift import ConvergenceError, DataError, spectral, svd_seeds, truncated_svd
-from oracles import triplet_matrix
+from oracles import right_vectors, triplet_matrix
 
 
 def random_sparse(rows, cols, density, seed):
@@ -24,7 +24,7 @@ def test_rank_one_matrix_recovers_outer_product():
     x = np.array([3.0, 0.0, 4.0])
     y = np.array([1.0, 2.0, 2.0, 0.0])
     m = np.outer(x, y)
-    U, s, V = truncated_svd(m, 1, tol=1e-10, max_iter=200)
+    U, s = truncated_svd(m, 1, tol=1e-10, max_iter=200)
     assert s[0] == pytest.approx(np.linalg.norm(x) * np.linalg.norm(y), rel=1e-9)
     u = U[:, 0]
     assert np.allclose(np.abs(u), np.abs(x) / np.linalg.norm(x), atol=1e-8)
@@ -33,7 +33,7 @@ def test_rank_one_matrix_recovers_outer_product():
 def test_diagonal_matrix_gives_diagonal_spectrum():
     d = np.array([9.0, 5.0, 2.0, 1.0])
     m = sp.diags(d).tocsr()
-    _, s, _ = truncated_svd(m, 3, tol=1e-10, max_iter=300)
+    _, s = truncated_svd(m, 3, tol=1e-10, max_iter=300)
     assert np.allclose(s, d[:3], rtol=1e-9)
 
 
@@ -45,14 +45,15 @@ def both_orientations(m):
 def test_random_sparse_topk_matches_dense_oracle():
     for seed in range(3):
         for m in both_orientations(random_sparse(200, 150, 0.03, seed)):
-            U, s, V = truncated_svd(m, 5, tol=1e-9, max_iter=600)
+            U, s = truncated_svd(m, 5, tol=1e-9, max_iter=600)
             s_ref = dense_svd(m.toarray(), compute_uv=False)[:5]
             assert np.allclose(s, s_ref, rtol=1e-6)
 
 
 def test_factors_are_orthonormal_and_reconstruct():
     for m in both_orientations(random_sparse(120, 90, 0.05, 7)):
-        U, s, V = truncated_svd(m, 4, tol=1e-9, max_iter=600)
+        U, s = truncated_svd(m, 4, tol=1e-9, max_iter=600)
+        V = right_vectors(m, U, s)
         assert np.allclose(U.T @ U, np.eye(4), atol=1e-6)
         assert np.allclose(V.T @ V, np.eye(4), atol=1e-6)
         # each pair satisfies M v = s u
@@ -65,16 +66,16 @@ def test_permutation_equivariance():
     dense = m.toarray()
     rng = np.random.default_rng(0)
     perm = rng.permutation(60)
-    U1, s1, _ = truncated_svd(dense, 3, tol=1e-10, max_iter=500)
-    U2, s2, _ = truncated_svd(dense[perm], 3, tol=1e-10, max_iter=500)
+    U1, s1 = truncated_svd(dense, 3, tol=1e-10, max_iter=500)
+    U2, s2 = truncated_svd(dense[perm], 3, tol=1e-10, max_iter=500)
     assert np.allclose(s1, s2, rtol=1e-8)
     assert np.allclose(np.abs(U1[perm]), np.abs(U2), atol=1e-6)
 
 
 def test_scale_equivariance():
     m = random_sparse(50, 30, 0.1, 13)
-    U1, s1, V1 = truncated_svd(m, 2, tol=1e-10, max_iter=500)
-    U2, s2, V2 = truncated_svd(m * 2.5, 2, tol=1e-10, max_iter=500)
+    U1, s1 = truncated_svd(m, 2, tol=1e-10, max_iter=500)
+    U2, s2 = truncated_svd(m * 2.5, 2, tol=1e-10, max_iter=500)
     assert np.allclose(s2, 2.5 * s1, rtol=1e-8)
     assert np.allclose(np.abs(U1), np.abs(U2), atol=1e-6)
 
@@ -90,7 +91,8 @@ def test_deterministic_for_fixed_seed():
 def test_full_rank_request_uses_dense_svd():
     # k == min(shape) is out of ARPACK's reach; the dense path answers it
     m = random_sparse(30, 6, 0.4, 5)
-    U, s, V = truncated_svd(m, 6)
+    U, s = truncated_svd(m, 6)
+    V = right_vectors(m, U, s)
     assert U.shape == (30, 6) and V.shape == (6, 6)
     assert np.allclose(s, dense_svd(m.toarray(), compute_uv=False), rtol=1e-12)
     assert np.allclose((U * s) @ V.T, m.toarray(), atol=1e-12)
@@ -107,7 +109,8 @@ def test_nonconvergence_carries_best_so_far():
         m = positive_dense(*shape, 0)
         with pytest.raises(ConvergenceError) as err:
             truncated_svd(m, 3, tol=1e-12, max_iter=1)
-        U, s, V = err.value.best
+        U, s = err.value.best
+        V = right_vectors(m, U, s)
         j = s.size
         assert 1 <= j < 3
         assert U.shape == (shape[0], j) and V.shape == (shape[1], j)
@@ -150,7 +153,8 @@ def test_rank_deficient_request_stays_finite():
     left = sp.random(80, 2, density=0.5, random_state=rng, format="csr")
     right = sp.random(2, 60, density=0.5, random_state=rng, format="csr")
     for m in both_orientations((left @ right).tocsr()):
-        U, s, V = truncated_svd(m, 4)
+        U, s = truncated_svd(m, 4)
+        V = right_vectors(m, U, s)
         assert np.all(s >= 0) and np.all(np.diff(s) <= 0)
         assert np.isfinite(U).all() and np.isfinite(V).all()
         assert np.allclose(s[:2], dense_svd(m.toarray(), compute_uv=False)[:2], rtol=1e-9)
@@ -187,7 +191,8 @@ def test_isolated_row_outranking_the_core_is_an_exact_pair():
     core = random_sparse(60, 50, 0.1, 37)
     m = with_private_columns(core, [50.0, 0.0, 1e-3, 2.5])
     for m in both_orientations(m):
-        U, s, V = truncated_svd(m, 4)
+        U, s = truncated_svd(m, 4)
+        V = right_vectors(m, U, s)
         assert_matches_dense(m, 4, U, s, V)
         # entry (60, 50), transposed on the wide side, is the top singular triplet
         assert s[0] == 50.0
@@ -205,8 +210,8 @@ def test_core_of_at_most_k_rows_takes_the_dense_eigh(k, monkeypatch):
     m = sp.hstack([m, sp.csr_matrix(([0.7], ([7], [0])), shape=(11, 1))]).tocsr()
     monkeypatch.setattr(spectral, "eigsh", None)
     for m in both_orientations(m):
-        U, s, V = truncated_svd(m, k)
-        assert_matches_dense(m, k, U, s, V)
+        U, s = truncated_svd(m, k)
+        assert_matches_dense(m, k, U, s, right_vectors(m, U, s))
 
 
 def test_empty_rows_give_zero_singular_values():
@@ -214,16 +219,21 @@ def test_empty_rows_give_zero_singular_values():
     m = with_private_columns(core, [0.0] * 30)
     n_nonzero = int(np.sum(dense_svd(m.toarray(), compute_uv=False) > 1e-9))
     for m in both_orientations(m):
-        U, s, V = truncated_svd(m, n_nonzero + 3)
+        U, s = truncated_svd(m, n_nonzero + 3)
+        V = right_vectors(m, U, s)
         assert np.allclose(s[:n_nonzero], dense_svd(m.toarray(), compute_uv=False)[:n_nonzero],
                            rtol=1e-9)
         assert s[n_nonzero:].tolist() == [0.0] * 3
-        # the zero pairs are unit vectors of empty rows on the smaller side,
-        # and zero on the side derived from them
-        small, derived = (U, V) if m.shape[0] < m.shape[1] else (V, U)
+        # the zero pairs are unit vectors of empty rows on the smaller side;
+        # when U is the larger side it comes from one product with them and
+        # is zero there. V is rebuilt from (U, s): only its nonzero pairs
+        # are singular vectors.
+        small = U if m.shape[0] < m.shape[1] else V[:, :n_nonzero]
         assert np.allclose(small.T @ small, np.eye(small.shape[1]), atol=1e-9)
-        assert np.all(np.abs(small[:, n_nonzero:]).max(axis=0) == 1.0)
-        assert not derived[:, n_nonzero:].any()
+        if m.shape[0] < m.shape[1]:
+            assert np.all(np.abs(U[:, n_nonzero:]).max(axis=0) == 1.0)
+        else:
+            assert not U[:, n_nonzero:].any()
 
 
 def test_nonconvergence_merges_isolated_rows_it_can_rank():
@@ -235,7 +245,8 @@ def test_nonconvergence_merges_isolated_rows_it_can_rank():
     for m in both_orientations(m):
         with pytest.raises(ConvergenceError) as err:
             truncated_svd(m, 4, tol=1e-12, max_iter=1)
-        U, s, V = err.value.best
+        U, s = err.value.best
+        V = right_vectors(m, U, s)
         j = s.size
         assert 2 <= j < 4 and s[0] == top
         assert np.all(np.diff(s) <= 0)

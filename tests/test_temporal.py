@@ -10,12 +10,11 @@ from hypothesis import strategies as st
 
 import oracles
 from fraudsift import DataError, temporal
-from fraudsift.temporal import (BURST_SIGNIFICANCE, MAX_BINS, SegmentHistograms, extreme_slopes,
-                                histogram_segments, profile_payloads,
-                                simulate_triangle_attack, spike_weights,
-                                time_obstruction_bound)
+from fraudsift.temporal import (BURST_SIGNIFICANCE, MAX_BINS, SegmentHistograms,
+                                histogram_segments, profile_payloads, spike_weights)
 from oracles import (BurstPair, DropInfo, SpikeProfile, TimeSeriesHist, awakening_point,
-                     burst_mass, drop_edge_weight, phi_involvement)
+                     burst_mass, drop_edge_weight, extreme_slopes, phi_involvement,
+                     simulate_triangle_attack, time_obstruction_bound)
 
 
 def hist_from_counts(counts) -> TimeSeriesHist:
