@@ -71,7 +71,7 @@ def _load_graph(input_path, scale: str | None, neutral: str | None):
         else:
             declared = RatingScale(_parse_floats(scale, "--scale"), neutral=neutral_vals)
     graph = read_delimited(input_path, scale=declared)
-    if declared is None and neutral_vals is not None and graph.scale is not None:
+    if declared is None and neutral_vals is not None and graph.has_ratings:
         # the one change to a built graph: at load time, before any run reads it
         graph.scale = RatingScale(graph.scale.values, neutral=neutral_vals)
     return graph

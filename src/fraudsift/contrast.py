@@ -15,7 +15,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse import _sparsetools
 
 from . import temporal
 from .graph import BipartiteGraph, DataError, concat_ranges, sorted_unique
@@ -104,8 +103,6 @@ class SignalContext:
 
         if self.use_kappa:
             scale = graph.scale
-            if scale is None:
-                raise DataError("rating signal requires a declared or inferred scale")
             self.category_values = np.asarray(
                 [v for v in scale.values if v not in scale.neutral], dtype=np.float64)
             c = max(self.category_values.size, 1)
@@ -121,29 +118,11 @@ class SignalContext:
                 (ones, (graph.pair_dst[pair], cat)), shape=(nv, c)).toarray()
 
 
-def csr_matvec(indptr, cols, vals, x) -> np.ndarray:
-    """``csr_matrix((vals, cols, indptr)) @ x`` without scipy's dispatch:
-    scipy's kernel adds each row's products in stored order into a zeroed
-    output. ``indptr`` and ``cols`` share one integer dtype."""
-    y = np.zeros(indptr.size - 1)
-    _sparsetools.csr_matvec(indptr.size - 1, x.size, indptr, cols, vals, x, y)
-    return y
-
-
-def _sink_sums(cols, weights, n: int) -> np.ndarray:
-    """Per-sink sums of ``weights``, each added from 0.0 in entry order."""
+def _sink_sums(block, n: int) -> np.ndarray:
+    """Per-column sums of ``block``'s entries, each added from 0.0 in row order."""
     # float even when there are no entries
-    return np.bincount(cols, weights=weights, minlength=n).astype(np.float64, copy=False)
-
-
-def _select_rows(indptr, keep, *arrays):
-    """CSR row selection: the indptr of the rows where ``keep`` is set, and
-    the entries of the entry-aligned ``arrays`` in those rows."""
-    lens = np.diff(indptr)
-    entries = np.repeat(keep, lens)
-    new_indptr = np.zeros(np.count_nonzero(keep) + 1, dtype=indptr.dtype)
-    np.cumsum(lens[keep], out=new_indptr[1:])
-    return (new_indptr, *(a[entries] for a in arrays))
+    return np.bincount(block.indices, weights=block.data,
+                       minlength=n).astype(np.float64, copy=False)
 
 
 class ContrastState:
@@ -156,14 +135,15 @@ class ContrastState:
     build time to the sinks adjacent to the seed; the objective numerator
     and denominator sum over that domain.
 
-    The seed block stores only the seed rows ``rows`` (ascending; at build,
-    the active ones) in CSR form: ``row_indptr``, ``row_cols`` (local sinks,
-    ascending within a row) and ``row_vals`` (event counts), plus each
-    stored row's burst weights (``row_phi``) and rating-category entries
-    (``row_cat_*``) when those signals are on. A removal refreshes alpha,
+    The seed block is up to three ``scipy.sparse.csr_matrix`` over the stored
+    seed rows ``rows`` (ascending; at build, the active ones), in one row
+    layout: ``counts`` holds each row's event count per local sink, columns
+    ascending within a row; ``bursts`` the same entries' burst weights when
+    phi is on; ``ratings`` each row's rating-category counts at column
+    local sink * c + category when kappa is on. A removal refreshes alpha,
     phi, raw kappa and P of the removed user's sinks in one pass, and the
-    scores of the stored rows by one matvec over the block. Once the active
-    rows fall to half of the stored ones, one row selection drops the
+    scores of the stored rows by one product ``counts @ w``. Once the active
+    rows fall to half of the stored ones, boolean row indexing drops the
     removed rows. ``S`` is the score of every seed row, +inf on removed ones.
     """
 
@@ -194,44 +174,35 @@ class ContrastState:
         self.domain = domain
         nv = domain.size
 
-        # 32-bit block indices where they fit: the matvec streams fewer bytes
-        index = np.int32 if pids.size < 2**31 else np.int64
-        indptr = np.zeros(m0 + 1, dtype=index)
+        indptr = np.zeros(m0 + 1, dtype=np.int64)
         np.cumsum(stops - starts, out=indptr[1:])
-        cols = cols.astype(index)
         self.rows = np.flatnonzero(self.active)
-        if self.rows.size < m0:
-            indptr, cols, pids = _select_rows(indptr, self.active, cols, pids)
         self._slot = np.zeros(m0, dtype=np.int64)  # seed row -> stored row
         self._slot[self.rows] = np.arange(self.rows.size)
-        self.row_indptr = indptr
-        self.row_cols = cols
-        self.row_vals = graph.pair_count[pids].astype(np.float64)
+
+        def block(data, indices, row_indptr, width):
+            m = sp.csr_matrix((data, indices, row_indptr), shape=(m0, width))
+            return m[self.active] if self.rows.size < m0 else m
 
         self.cnt_total = context.sink_event_total[domain]
         self.sigma_d = context.sigma[domain]
         # each per-sink sum adds the stored entries in row order; a removed
         # row would add +0.0
-        self.cnt_set = _sink_sums(cols, self.row_vals, nv)
+        self.counts = block(graph.pair_count[pids], cols, indptr, nv)
+        self.cnt_set = _sink_sums(self.counts, nv)
         if context.use_phi:
-            self.row_phi = context.pair_phi_weight[pids]
-            self.phi_set = _sink_sums(cols, self.row_phi, nv)
+            self.bursts = block(context.pair_phi_weight[pids], cols, indptr, nv)
+            self.phi_set = _sink_sums(self.bursts, nv)
             phi_total = context.sink_phi_total[domain]
-            self._phi_on = phi_total > 0
-            self._phi_den = np.where(self._phi_on, phi_total, 1.0)
+            # burst weights are >= 0: a sink of zero total keeps phi_set 0.0, so phi 0.0
+            self._phi_den = np.where(phi_total > 0, phi_total, 1.0)
         if context.use_kappa:
-            # each stored row's (local sink * c + category, count) entries,
-            # laid out row by row like row_cols
             cats = context.pair_cats[pids]
             c = cats.shape[1]
-            self.row_cat_flat = np.repeat(cols.astype(np.int64), np.diff(cats.indptr)) * c \
-                + cats.indices
-            self.row_cat_count = cats.data
-            self.row_cat_indptr = cats.indptr[indptr]
-            self.cat_set = _sink_sums(self.row_cat_flat, self.row_cat_count,
-                                      nv * c).reshape(nv, c)
+            flat = np.repeat(cols, np.diff(cats.indptr)) * c + cats.indices
+            self.ratings = block(cats.data, flat, cats.indptr[indptr], nv * c)
+            self.cat_set = _sink_sums(self.ratings, nv * c).reshape(nv, c)
             self.cat_total = context.sink_cat_counts[domain]
-            self._unrated = ~self.cat_total.any(axis=1)
 
         self.alpha = np.zeros(nv)
         self.phi = np.zeros(nv)
@@ -244,7 +215,7 @@ class ContrastState:
         self.kmax = float(self.kw.max()) if context.use_kappa and nv else 0.0
         self._contrast(every, *signals)
         # the scores of the stored rows
-        self._score = self._block_product(self.sigma_d * self.P)
+        self._score = self.counts @ (self.sigma_d * self.P)
         self.num = float((self.sigma_d * self.cnt_set * self.P).sum())
         self.psum = float(self.P.sum())
 
@@ -269,7 +240,6 @@ class ContrastState:
         if ctx.use_phi:
             phi = self.phi_set[cols] / self._phi_den[cols]
             np.minimum(np.maximum(phi, 0.0, out=phi), 1.0, out=phi)
-            phi = np.where(self._phi_on[cols], phi, 0.0)
             self.phi[cols] = phi
         if ctx.use_kappa:
             # the set's and the rest's category counts, smoothed into the
@@ -288,8 +258,8 @@ class ContrastState:
             f_rest = tot - cnt
             ratio = np.maximum(cnt, 1.0) / np.maximum(f_rest, 1.0)
             both = np.minimum(np.minimum(cnt, f_rest), 1.0)
+            # a sink without rated events has all-zero counts: p == q bit for bit, kw 0.0
             kw = kl * (np.minimum(ratio, 1.0 / ratio) * both)
-            kw[self._unrated[cols]] = 0.0  # sinks without any rated events carry no signal
             self.kw[cols] = kw
         return alpha, phi, kw
 
@@ -309,26 +279,17 @@ class ContrastState:
         self.P[cols] = P
         return P
 
-    def _block_product(self, x) -> np.ndarray:
-        """The stored rows' sums of their entries times the per-sink ``x``."""
-        return csr_matvec(self.row_indptr, self.row_cols, self.row_vals, x)
-
     def _compact(self) -> None:
-        """Drop the removed rows from the block by one row selection."""
+        """Drop the removed rows from the block."""
         keep = self.active[self.rows]
         self.rows = self.rows[keep]
         self._slot[self.rows] = np.arange(self.rows.size)
         self._score = self._score[keep]
-        entry_arrays = [self.row_cols, self.row_vals]
+        self.counts = self.counts[keep]
         if self.ctx.use_phi:
-            entry_arrays.append(self.row_phi)
-        self.row_indptr, self.row_cols, self.row_vals, *phi = _select_rows(
-            self.row_indptr, keep, *entry_arrays)
-        if self.ctx.use_phi:
-            (self.row_phi,) = phi
+            self.bursts = self.bursts[keep]
         if self.ctx.use_kappa:
-            self.row_cat_indptr, self.row_cat_flat, self.row_cat_count = _select_rows(
-                self.row_cat_indptr, keep, self.row_cat_flat, self.row_cat_count)
+            self.ratings = self.ratings[keep]
 
     # -- removal ------------------------------------------------------------
 
@@ -344,15 +305,15 @@ class ContrastState:
         self._score[i] = np.inf
 
         ctx = self.ctx
-        lo, hi = self.row_indptr[i], self.row_indptr[i + 1]
-        cols = self.row_cols[lo:hi].astype(np.intp)
-        vals = self.row_vals[lo:hi]
+        lo, hi = self.counts.indptr[i], self.counts.indptr[i + 1]
+        cols = self.counts.indices[lo:hi].astype(np.intp)
+        vals = self.counts.data[lo:hi]
         if ctx.use_phi:
-            self.phi_set[cols] -= self.row_phi[lo:hi]
+            self.phi_set[cols] -= self.bursts.data[lo:hi]
         if ctx.use_kappa:
-            a, b = self.row_cat_indptr[i], self.row_cat_indptr[i + 1]
+            a, b = self.ratings.indptr[i], self.ratings.indptr[i + 1]
             # the flat indices are unique within one row
-            self.cat_set.reshape(-1)[self.row_cat_flat[a:b]] -= self.row_cat_count[a:b]
+            self.cat_set.reshape(-1)[self.ratings.indices[a:b]] -= self.ratings.data[a:b]
         if 2 * self.n_active <= self.rows.size:
             self._compact()
         if cols.size == 0:
@@ -371,7 +332,7 @@ class ContrastState:
             self.kmax = new_kmax
             self._contrast(np.arange(self.P.size), self.alpha, self.phi, self.kw)
             sp_weights = self.sigma_d * self.P
-            self._score = self._block_product(sp_weights)
+            self._score = self.counts @ sp_weights
             self._score[~self.active[self.rows]] = np.inf
             self.num = float((sp_weights * self.cnt_set).sum())
             self.psum = float(self.P.sum())
@@ -385,7 +346,7 @@ class ContrastState:
         # per-sink gather; the zero entries of w add +0.0
         w = self._w
         w[cols] = sigma * dp
-        self._score += self._block_product(w)
+        self._score += self.counts @ w
         w[cols] = 0.0
         self.num += float(np.add.reduce(sigma * (cnt * p_new - cnt_old * p_old)))
         self.psum += float(np.add.reduce(dp))

@@ -176,11 +176,13 @@ def matricize(graph: BipartiteGraph, time_bin: float = 86400.0,
     """Flatten events into a users-by-(object, time-bin, rating-cluster) count matrix.
 
     Ratings cluster into low (0), neutral (1) and high (2) around the scale's
-    neutral band. Only observed triples become columns; each column inherits
-    its object's suspiciousness weight when ``column_weights`` is given.
-    Triples are keyed by one int64, so a time bin that cuts the time span into
-    so many bins that n_bins · n_objects · n_clusters exceeds 2^63 is a
-    DataError.
+    neutral band. Only observed triples become columns, and scipy's COO to CSR
+    conversion sums each (user, column) cell's events; each column's entries
+    are then scaled in place by its object's suspiciousness weight when
+    ``column_weights`` is given. Triples are keyed by one int64, so a time bin
+    that cuts the time span into so many bins that n_bins · n_objects ·
+    n_clusters exceeds 2^63 is a DataError. Returns the CSR matrix and each
+    column's (object, time bin, rating cluster) labels.
     """
     if not graph.has_timestamps:
         raise DataError("matricization requires timestamps")
@@ -208,19 +210,14 @@ def matricize(graph: BipartiteGraph, time_bin: float = 86400.0,
     n_bins = int(bins.max()) + 1
     col_key = (vs * n_bins + bins) * n_clusters + clusters
     uniq_cols, col_of_event = np.unique(col_key, return_inverse=True)
-    cell_key = us * uniq_cols.size + col_of_event
-    uniq_cells, cell_counts = np.unique(cell_key, return_counts=True)
-    rows = (uniq_cells // uniq_cols.size).astype(np.int64)
-    cols = (uniq_cells % uniq_cols.size).astype(np.int64)
-    data = cell_counts.astype(np.float64)
+    m = sp.coo_matrix((np.ones(us.size), (us, col_of_event)),
+                      shape=(graph.n_users, uniq_cols.size)).tocsr()
 
     col_objects = (uniq_cols // n_clusters // n_bins).astype(np.int64)
     col_bins = (uniq_cols // n_clusters % n_bins).astype(np.int64)
     col_clusters = (uniq_cols % n_clusters).astype(np.int64)
     if column_weights is not None:
-        data = data * np.asarray(column_weights, dtype=np.float64)[col_objects[cols]]
-    m = sp.coo_matrix((data, (rows, cols)),
-                      shape=(graph.n_users, uniq_cols.size)).tocsr()
+        m.data *= np.asarray(column_weights, dtype=np.float64)[col_objects[m.indices]]
     labels = {"object": col_objects, "time_bin": col_bins, "rating_cluster": col_clusters}
     return m, labels
 

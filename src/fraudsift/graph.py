@@ -48,8 +48,8 @@ class RatingScale:
     """Declared categorical rating scale plus the set of neutral scores.
 
     The values must be finite and distinct, and the neutral scores must be
-    among them. The neutral set defaults to the middle category and is
-    excluded from rating-deviation tables downstream.
+    among them and not empty. The neutral set defaults to the middle category
+    and is excluded from rating-deviation tables downstream.
     """
 
     def __init__(self, values: Iterable[float], neutral: Iterable[float] | None = None):
@@ -64,6 +64,8 @@ class RatingScale:
         if neutral is None:
             neutral = (vals[(len(vals) - 1) // 2],)
         self.neutral = frozenset(float(v) for v in neutral)
+        if not self.neutral:
+            raise DataError("rating scale must declare at least one neutral score")
         unknown = self.neutral - set(vals)
         if unknown:
             raise DataError(f"neutral scores {sorted(unknown)} are not on the scale")
@@ -107,6 +109,7 @@ class BipartiteGraph:
     the events are also kept in a sink-major view sorted by (sink, time). The
     graph is not changed after construction; per-run state such as the
     per-sink suspiciousness weights lives in the run's ``SignalContext``.
+    A rated graph built without a scale takes the distinct ratings as one.
     """
 
     def __init__(self, user_ids, object_ids, user_idx, obj_idx, times, ratings,
@@ -118,6 +121,8 @@ class BipartiteGraph:
         self._build(np.asarray(user_idx, dtype=np.int64),
                     np.asarray(obj_idx, dtype=np.int64),
                     times, ratings)
+        if scale is None and self.has_ratings:
+            self.scale = RatingScale(np.unique(self.event_rating))
 
     # -- construction -----------------------------------------------------
 
@@ -379,11 +384,8 @@ class _Columns:
             np.concatenate([c for c in column if c is not None]) if present else None
             for column, present in zip(zip(*self.batches), (n, n, self.n_ts, self.n_rated)))
         self.batches.clear()
-        scale = self.scale
-        if ratings is not None and scale is None:
-            scale = RatingScale(np.unique(ratings))
         return BipartiteGraph(list(self.user_index), list(self.object_index), users, objs,
-                              times, ratings, scale=scale)
+                              times, ratings, scale=self.scale)
 
 
 def _record_batch(rows: list[tuple]) -> tuple:

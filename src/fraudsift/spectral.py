@@ -85,13 +85,13 @@ def truncated_svd(matrix, k: int, tol: float = 0.0, max_iter: int | None = None,
 
     ``tol`` is the singular values' relative accuracy (0: machine precision;
     ARPACK runs at ``tol**2``), ``max_iter`` ARPACK's restart cap (None: its
-    default), and ``seed`` draws the starting vector. k equal to the smaller
-    dimension takes a dense SVD. Otherwise Lanczos runs on the core rows'
-    operator x → C(Cᵀx) + d_core∘x (see the module docstring) from the core
-    entries of the seeded starting vector, or a dense ``eigh`` of that Gram
-    matrix replaces it when the core has at most k rows; the core pairs then
-    merge with the k largest isolated ones. Raises ConvergenceError carrying
-    the converged pairs when ARPACK hits the cap.
+    default), and ``seed`` draws the starting vector. Lanczos runs on the core
+    rows' operator x → C(Cᵀx) + d_core∘x (see the module docstring) from the
+    core entries of the seeded starting vector, or a dense ``eigh`` of that
+    Gram matrix replaces it when the core has at most k rows, as it always
+    has when k is the smaller dimension; the core pairs then merge with the k
+    largest isolated ones. Raises ConvergenceError carrying the converged
+    pairs when ARPACK hits the cap.
     """
     A = sp.csr_matrix(matrix, dtype=np.float64)
     n_small = min(A.shape)
@@ -101,9 +101,6 @@ def truncated_svd(matrix, k: int, tol: float = 0.0, max_iter: int | None = None,
         raise DataError(f"tolerance must be finite and non-negative, got {tol}")
     if max_iter is not None and not (isinstance(max_iter, (int, np.integer)) and max_iter >= 1):
         raise DataError(f"max_iter must be None or an integer of at least 1, got {max_iter!r}")
-    if k == n_small:
-        U, s, _ = np.linalg.svd(A.toarray(), full_matrices=False)
-        return _canonical_signs(U[:, :k]), s[:k]
 
     # B = A or Aᵀ, whichever has fewer rows
     wide = A.shape[0] < A.shape[1]

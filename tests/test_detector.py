@@ -140,9 +140,9 @@ def test_shaving_matches_column_gather_oracle_bit_for_bit(case):
         state = ContrastState(ctx, seed)
         # the matvec sums each row in a per-sink gather's order only if
         # the row's columns ascend
-        within_row = np.ones(state.row_cols.size - 1, dtype=bool)
-        within_row[state.row_indptr[1:-1] - 1] = False
-        assert (np.diff(state.row_cols)[within_row] > 0).all()
+        within_row = np.ones(state.counts.indices.size - 1, dtype=bool)
+        within_row[state.counts.indptr[1:-1] - 1] = False
+        assert (np.diff(state.counts.indices)[within_row] > 0).all()
 
         order = []
         remove = ContrastState._remove_local
@@ -477,6 +477,20 @@ def test_fast_greedy_neutral_override_changes_rating_tables(make_graph):
     assert contexts[1].sink_cat_counts.sum() < contexts[0].sink_cat_counts.sum()
     fast_greedy(override, DetectorConfig(num_seeds=2))
     assert override.scale.neutral == frozenset({2.0, 3.0})
+
+
+def test_rated_graph_without_a_scale_runs_without_kappa():
+    rng = np.random.default_rng(9)
+    n = 400
+    us, vs = rng.integers(0, 40, n), rng.integers(0, 15, n)
+    ts, rats = rng.integers(0, 30 * 86400, n), rng.integers(1, 6, n).astype(np.float64)
+    ids = [f"u{i}" for i in range(40)], [f"v{j}" for j in range(15)]
+    inferred = BipartiteGraph(*ids, us, vs, ts, rats)
+    declared = BipartiteGraph(*ids, us, vs, ts, rats, scale=RatingScale(np.unique(rats)))
+    config = DetectorConfig(signals=("alpha", "phi"), num_seeds=3)
+    got, want = fast_greedy(inferred, config), fast_greedy(declared, config)
+    assert got.users == want.users
+    assert got.sink_scores.tobytes() == want.sink_scores.tobytes()
 
 
 def test_detector_config_rejects_a_fractional_num_seeds():

@@ -83,6 +83,14 @@ def test_rating_scale_defaults_middle_neutral():
     assert len(half.values) == 10
 
 
+def test_rated_graph_built_without_a_scale_infers_one():
+    rats = [4.0, 2.0, 4.0, 5.0]
+    g = BipartiteGraph(["u0", "u1"], ["v0", "v1"], [0, 1, 0, 1], [0, 0, 1, 1],
+                       [10, 20, 30, 40], rats)
+    assert g.scale.values == (2.0, 4.0, 5.0) and g.scale.neutral == frozenset({4.0})
+    assert BipartiteGraph(["u0"], ["v0"], [0], [0], None, None).scale is None
+
+
 def test_rating_range_keeps_its_end_value():
     assert RatingScale.from_range(0.5, 2.0, 0.5).values == (0.5, 1.0, 1.5, 2.0)
     assert RatingScale.from_range(3, 3, 1).values == (3.0,)
@@ -106,6 +114,7 @@ def test_rating_range_rejects_bad_ranges(lo, hi, step, message):
 @pytest.mark.parametrize("values, neutral, message", [
     ([1, float("nan"), 3], None, "must be finite"), ([1, 3, float("inf")], None, "must be finite"),
     ([float("-inf")], None, "must be finite"), ([1, 2, 3], [float("nan")], "not on the scale"),
+    ([1, 2, 3, 4, 5], [], "at least one neutral score"),
 ])
 def test_rating_scale_rejects_non_finite_values(values, neutral, message):
     with pytest.raises(DataError, match=message):
@@ -175,8 +184,8 @@ def restricted(graph, users) -> ContrastState:
 
 def test_restrict_identity_and_degree():
     g = ingest([("u1", "v1"), ("u1", "v2"), ("u1", "v1"), ("u2", "v2")])
-    assert restricted(g, g.user_ids).row_vals.sum() == g.n_events
-    assert restricted(g, ["u1"]).row_vals.sum() == 3
+    assert restricted(g, g.user_ids).counts.data.sum() == g.n_events
+    assert restricted(g, ["u1"]).counts.data.sum() == 3
 
 
 def test_restrict_empty_seed_errors():
@@ -193,11 +202,11 @@ def test_restrict_matches_linear_scan_oracle(make_graph):
     # oracle: filter the full pair list by source id
     wanted = set(picked)
     expected = sum(c for u, _, c in pair_counts(g) if u in wanted)
-    assert state.row_vals.sum() == expected
+    assert state.counts.data.sum() == expected
     # the block holds exactly the picked users' pairs, in (source, sink) order
-    users = np.repeat(state.seed_idx[state.rows], np.diff(state.row_indptr))
+    users = np.repeat(state.seed_idx[state.rows], np.diff(state.counts.indptr))
     block = [(g.user_ids[u], g.object_ids[v], int(c))
-             for u, v, c in zip(users, state.domain[state.row_cols], state.row_vals)]
+             for u, v, c in zip(users, state.domain[state.counts.indices], state.counts.data)]
     assert block == [t for t in pair_counts(g) if t[0] in wanted]
 
 

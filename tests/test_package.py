@@ -9,11 +9,33 @@ from fraudsift import gen_hyperbolic, write_delimited
 from fraudsift.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = Path(__file__).resolve().parents[1] / "src" / "fraudsift"
 
 
 def test_every_export_resolves():
     assert len(set(fraudsift.__all__)) == len(fraudsift.__all__)
     assert [name for name in fraudsift.__all__ if not hasattr(fraudsift, name)] == []
+
+
+def test_no_module_imports_a_private_numpy_or_scipy_module():
+    # an underscore module of numpy or scipy may change in any release
+    modules = sorted(SRC.glob("*.py"))
+    assert modules
+    private = []
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            for name in names:
+                top, *parts = name.split(".")
+                if top in ("numpy", "scipy") and any(
+                        p.startswith("_") and not p.endswith("__") for p in parts):
+                    private.append(f"{path.name}:{node.lineno} {name}")
+    assert private == []
 
 
 def test_readme_library_quick_start_runs(tmp_path, monkeypatch, capsys):

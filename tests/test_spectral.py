@@ -89,7 +89,8 @@ def test_deterministic_for_fixed_seed():
 
 
 def test_full_rank_request_uses_dense_svd():
-    # k == min(shape) is out of ARPACK's reach; the dense path answers it
+    # k == min(shape) is out of ARPACK's reach; the core then has at most k
+    # rows, so the dense eigh path answers it
     m = random_sparse(30, 6, 0.4, 5)
     U, s = truncated_svd(m, 6)
     V = right_vectors(m, U, s)
