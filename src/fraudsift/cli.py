@@ -118,6 +118,19 @@ detector_options = [
                  help="Seed size cap exponent over |U|, or 'none'."),
 ]
 
+# a file there is a usage error, not a failed mkdir
+output_dir_option = click.option("--output-dir", "out", required=True, metavar="PATH",
+                                 type=click.Path(file_okay=False, path_type=Path))
+
+# a dataclass field's default is its class attribute
+injection_options = [
+    click.option("--n-objects", type=int, default=InjectionConfig.n_objects, show_default=True),
+    click.option("--ratings-per-object", type=int, default=InjectionConfig.ratings_per_object,
+                 show_default=True),
+    click.option("--max-target-indegree", type=int,
+                 default=InjectionConfig.max_target_indegree, show_default=True),
+]
+
 
 def _with_options(options):
     def deco(fn):
@@ -138,16 +151,15 @@ def cli(verbose: bool) -> None:
 
 @cli.command("detect")
 @click.option("--input", "input_path", required=True, type=click.Path(exists=True))
-@click.option("--output-dir", required=True, type=click.Path())
+@output_dir_option
 @click.option("--scale", default=None, help="Rating scale: lo:hi:step or comma list.")
 @click.option("--neutral", default=None, help="Comma list of neutral scores.")
 @click.option("--dump-profiles", type=click.IntRange(min=0), default=0, show_default=True,
               help="Also write burst/drop profiles for the N top-ranked objects.")
 @_with_options(detector_options)
-def cmd_detect(input_path, output_dir, scale, neutral, dump_profiles, seed, base,
+def cmd_detect(input_path, out, scale, neutral, dump_profiles, seed, base,
                num_seeds, signals, time_bin, cap_exponent) -> None:
     """Detect the most suspicious user block and rank objects."""
-    out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     config = _detector_config(base, num_seeds, signals, time_bin, cap_exponent)
     timings: dict[str, float] = {}
@@ -192,24 +204,23 @@ def cmd_detect(input_path, output_dir, scale, neutral, dump_profiles, seed, base
 
 @cli.command("inject")
 @click.option("--input", "input_path", required=True, type=click.Path(exists=True))
-@click.option("--output-dir", required=True, type=click.Path())
+@output_dir_option
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--n-fraudsters", type=int, required=True)
-@click.option("--n-objects", type=int, default=200, show_default=True)
-@click.option("--ratings-per-object", type=int, default=200, show_default=True)
-@click.option("--max-target-indegree", type=int, default=100, show_default=True)
-@click.option("--camouflage-ratio", type=float, default=0.2, show_default=True)
-@click.option("--rating-values", default="4.0,4.5", show_default=True)
-@click.option("--surge-compression", type=float, default=0.1, show_default=True)
+@_with_options(injection_options)
+@click.option("--camouflage-ratio", type=float, default=InjectionConfig.camouflage_ratio,
+              show_default=True)
+@click.option("--rating-values", default=",".join(map(str, InjectionConfig.rating_values)),
+              show_default=True)
+@click.option("--surge-compression", type=float, default=InjectionConfig.surge_compression,
+              show_default=True)
 @click.option("--scale", default=None)
-@click.option("--neutral", default=None)
-def cmd_inject(input_path, output_dir, seed, n_fraudsters, n_objects,
+def cmd_inject(input_path, out, seed, n_fraudsters, n_objects,
                ratings_per_object, max_target_indegree, camouflage_ratio,
-               rating_values, surge_compression, scale, neutral) -> None:
+               rating_values, surge_compression, scale) -> None:
     """Plant a labeled fraud block into a dataset."""
-    out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    graph = _load_graph(input_path, scale, neutral)
+    graph = _load_graph(input_path, scale, None)
     cfg = InjectionConfig(
         n_fraudsters=n_fraudsters, n_objects=n_objects,
         ratings_per_object=ratings_per_object,
@@ -234,20 +245,17 @@ def cmd_inject(input_path, output_dir, seed, n_fraudsters, n_objects,
 
 @cli.command("sweep")
 @click.option("--input", "input_path", required=True, type=click.Path(exists=True))
-@click.option("--output-dir", required=True, type=click.Path())
+@output_dir_option
 @click.option("--densities", required=True,
               help="Comma list of injected densities in (0, 1].")
-@click.option("--n-objects", type=int, default=200, show_default=True)
-@click.option("--ratings-per-object", type=int, default=200, show_default=True)
-@click.option("--max-target-indegree", type=int, default=100, show_default=True)
+@_with_options(injection_options)
 @click.option("--scale", default=None)
 @click.option("--neutral", default=None)
 @_with_options(detector_options)
-def cmd_sweep(input_path, output_dir, densities, n_objects, ratings_per_object,
+def cmd_sweep(input_path, out, densities, n_objects, ratings_per_object,
               max_target_indegree, scale, neutral, seed, base, num_seeds, signals,
               time_bin, cap_exponent) -> None:
     """Accuracy-vs-density curves over repeated injections."""
-    out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     grid = _parse_floats(densities, "--densities")
     config = _detector_config(base, num_seeds, signals, time_bin, cap_exponent)
@@ -281,12 +289,11 @@ def cmd_sweep(input_path, output_dir, densities, n_objects, ratings_per_object,
 
 @cli.command("bench")
 @click.option("--sizes", required=True, help="Comma list of target edge counts.")
-@click.option("--output-dir", required=True, type=click.Path())
+@output_dir_option
 @_with_options(detector_options)
-def cmd_bench(sizes, output_dir, seed, base, num_seeds, signals, time_bin,
+def cmd_bench(sizes, out, seed, base, num_seeds, signals, time_bin,
               cap_exponent) -> None:
     """Time the full detector on growing synthetic graphs and fit the scaling slope."""
-    out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     grid = _parse_floats(sizes, "--sizes")
     if not all(math.isfinite(s) and s.is_integer() and s >= 1 for s in grid):

@@ -118,13 +118,6 @@ class SignalContext:
                 (ones, (graph.pair_dst[pair], cat)), shape=(nv, c)).toarray()
 
 
-def _sink_sums(block, n: int) -> np.ndarray:
-    """Per-column sums of ``block``'s entries, each added from 0.0 in row order."""
-    # float even when there are no entries
-    return np.bincount(block.indices, weights=block.data,
-                       minlength=n).astype(np.float64, copy=False)
-
-
 class ContrastState:
     """Exact bookkeeping of per-sink contrast scores, per-user scores, and the
     objective for one seed block, under user removals.
@@ -135,16 +128,18 @@ class ContrastState:
     build time to the sinks adjacent to the seed; the objective numerator
     and denominator sum over that domain.
 
-    The seed block is up to three ``scipy.sparse.csr_matrix`` over the stored
-    seed rows ``rows`` (ascending; at build, the active ones), in one row
-    layout: ``counts`` holds each row's event count per local sink, columns
-    ascending within a row; ``bursts`` the same entries' burst weights when
-    phi is on; ``ratings`` each row's rating-category counts at column
-    local sink * c + category when kappa is on. A removal refreshes alpha,
-    phi, raw kappa and P of the removed user's sinks in one pass, and the
-    scores of the stored rows by one product ``counts @ w``. Once the active
-    rows fall to half of the stored ones, boolean row indexing drops the
-    removed rows. ``S`` is the score of every seed row, +inf on removed ones.
+    The seed block is read-only: up to three ``scipy.sparse.csr_matrix``
+    over every seed row, built once in one row layout. ``seed_counts`` holds
+    each row's event count per local sink, columns ascending within a row;
+    ``bursts`` the same entries' burst weights when phi is on; ``ratings``
+    each row's rating-category counts at column local sink * c + category
+    when kappa is on. A removal of seed row ``r`` reads row ``r`` there and
+    refreshes alpha, phi, raw kappa and P of its sinks in one pass. Only the
+    product's matrix ``counts`` changes: it holds the seed-block rows
+    ``rows`` (ascending; at build, the active ones), and one product
+    ``counts @ w`` refreshes their scores. Once the active rows fall to half
+    of ``rows``, boolean row indexing drops the removed ones from
+    ``counts``. ``S`` is the score of every seed row, +inf on removed ones.
     """
 
     def __init__(self, context: SignalContext, seed_idx, active=None):
@@ -177,22 +172,24 @@ class ContrastState:
         indptr = np.zeros(m0 + 1, dtype=np.int64)
         np.cumsum(stops - starts, out=indptr[1:])
         self.rows = np.flatnonzero(self.active)
-        self._slot = np.zeros(m0, dtype=np.int64)  # seed row -> stored row
-        self._slot[self.rows] = np.arange(self.rows.size)
 
-        def block(data, indices, row_indptr, width):
-            m = sp.csr_matrix((data, indices, row_indptr), shape=(m0, width))
-            return m[self.active] if self.rows.size < m0 else m
+        def sink_sums(m):
+            # per-sink sums in row order, each entry times its row's active
+            # flag: entries are >= 0, so an inactive row adds +0.0 and every
+            # sum keeps its bits; float even when there are no entries
+            w = m.data * np.repeat(self.active, np.diff(m.indptr))
+            return np.bincount(m.indices, weights=w,
+                               minlength=m.shape[1]).astype(np.float64, copy=False)
 
         self.cnt_total = context.sink_event_total[domain]
         self.sigma_d = context.sigma[domain]
-        # each per-sink sum adds the stored entries in row order; a removed
-        # row would add +0.0
-        self.counts = block(graph.pair_count[pids], cols, indptr, nv)
-        self.cnt_set = _sink_sums(self.counts, nv)
+        self.seed_counts = sp.csr_matrix((graph.pair_count[pids], cols, indptr), shape=(m0, nv))
+        self.counts = self.seed_counts[self.active] if self.rows.size < m0 else self.seed_counts
+        self.cnt_set = sink_sums(self.seed_counts)
         if context.use_phi:
-            self.bursts = block(context.pair_phi_weight[pids], cols, indptr, nv)
-            self.phi_set = _sink_sums(self.bursts, nv)
+            self.bursts = sp.csr_matrix((context.pair_phi_weight[pids], cols, indptr),
+                                        shape=(m0, nv))
+            self.phi_set = sink_sums(self.bursts)
             phi_total = context.sink_phi_total[domain]
             # burst weights are >= 0: a sink of zero total keeps phi_set 0.0, so phi 0.0
             self._phi_den = np.where(phi_total > 0, phi_total, 1.0)
@@ -200,8 +197,9 @@ class ContrastState:
             cats = context.pair_cats[pids]
             c = cats.shape[1]
             flat = np.repeat(cols, np.diff(cats.indptr)) * c + cats.indices
-            self.ratings = block(cats.data, flat, cats.indptr[indptr], nv * c)
-            self.cat_set = _sink_sums(self.ratings, nv * c).reshape(nv, c)
+            self.ratings = sp.csr_matrix((cats.data, flat, cats.indptr[indptr]),
+                                         shape=(m0, nv * c))
+            self.cat_set = sink_sums(self.ratings).reshape(nv, c)
             self.cat_total = context.sink_cat_counts[domain]
 
         self.alpha = np.zeros(nv)
@@ -214,7 +212,7 @@ class ContrastState:
         signals = self._signals(every, self.cnt_set)
         self.kmax = float(self.kw.max()) if context.use_kappa and nv else 0.0
         self._contrast(every, *signals)
-        # the scores of the stored rows
+        # the scores of the rows of counts
         self._score = self.counts @ (self.sigma_d * self.P)
         self.num = float((self.sigma_d * self.cnt_set * self.P).sum())
         self.psum = float(self.P.sum())
@@ -280,38 +278,32 @@ class ContrastState:
         return P
 
     def _compact(self) -> None:
-        """Drop the removed rows from the block."""
+        """Drop the removed rows from the product's matrix."""
         keep = self.active[self.rows]
         self.rows = self.rows[keep]
-        self._slot[self.rows] = np.arange(self.rows.size)
         self._score = self._score[keep]
         self.counts = self.counts[keep]
-        if self.ctx.use_phi:
-            self.bursts = self.bursts[keep]
-        if self.ctx.use_kappa:
-            self.ratings = self.ratings[keep]
 
     # -- removal ------------------------------------------------------------
 
     def _remove_local(self, r: int) -> None:
         """Drop seed row ``r`` from the active set, updating the sinks adjacent
-        to it and, with one matvec over the stored rows, the user scores;
-        exact within float drift."""
+        to it and, with one matvec over ``counts``, the user scores; exact
+        within float drift."""
         if not self.active[r]:
             raise DataError("user already removed")
         self.active[r] = False
         self.n_active -= 1
-        i = self._slot[r]
-        self._score[i] = np.inf
+        self._score[np.searchsorted(self.rows, r)] = np.inf  # rows ascends
 
         ctx = self.ctx
-        lo, hi = self.counts.indptr[i], self.counts.indptr[i + 1]
-        cols = self.counts.indices[lo:hi].astype(np.intp)
-        vals = self.counts.data[lo:hi]
+        lo, hi = self.seed_counts.indptr[r], self.seed_counts.indptr[r + 1]
+        cols = self.seed_counts.indices[lo:hi].astype(np.intp)
+        vals = self.seed_counts.data[lo:hi]
         if ctx.use_phi:
             self.phi_set[cols] -= self.bursts.data[lo:hi]
         if ctx.use_kappa:
-            a, b = self.ratings.indptr[i], self.ratings.indptr[i + 1]
+            a, b = self.ratings.indptr[r], self.ratings.indptr[r + 1]
             # the flat indices are unique within one row
             self.cat_set.reshape(-1)[self.ratings.indices[a:b]] -= self.ratings.data[a:b]
         if 2 * self.n_active <= self.rows.size:

@@ -117,7 +117,7 @@ def density_sweep(base: BipartiteGraph, densities: Sequence[float],
     if any(not 0 < d <= 1 for d in densities):
         raise DataError("densities must lie in (0, 1]")
     config = config or DetectorConfig()
-    rpo = inject_proto.ratings_per_object if inject_proto else 200
+    rpo = (inject_proto or InjectionConfig).ratings_per_object  # the field's default
 
     children = np.random.SeedSequence(seed).spawn(len(densities))
     points: list[SweepPoint] = []

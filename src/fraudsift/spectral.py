@@ -78,16 +78,15 @@ def _pairs(lam_core, X_core, core, isolated, d, A, wide: bool, k: int):
     return _canonical_signs(X), s
 
 
-def truncated_svd(matrix, k: int, tol: float = 0.0, max_iter: int | None = None,
-                  seed: int = SVD_SEED):
+def truncated_svd(matrix, k: int, tol: float = 0.0, max_iter: int | None = None):
     """Top-k left singular vectors and values (U, s), largest first, by
     implicitly restarted Lanczos.
 
     ``tol`` is the singular values' relative accuracy (0: machine precision;
-    ARPACK runs at ``tol**2``), ``max_iter`` ARPACK's restart cap (None: its
-    default), and ``seed`` draws the starting vector. Lanczos runs on the core
-    rows' operator x → C(Cᵀx) + d_core∘x (see the module docstring) from the
-    core entries of the seeded starting vector, or a dense ``eigh`` of that
+    ARPACK runs at ``tol**2``) and ``max_iter`` ARPACK's restart cap (None:
+    its default). Lanczos runs on the core rows' operator x → C(Cᵀx) +
+    d_core∘x (see the module docstring) from the core entries of a starting
+    vector drawn from ``SVD_SEED``, or a dense ``eigh`` of that
     Gram matrix replaces it when the core has at most k rows, as it always
     has when k is the smaller dimension; the core pairs then merge with the k
     largest isolated ones. Raises ConvergenceError carrying the converged
@@ -105,7 +104,7 @@ def truncated_svd(matrix, k: int, tol: float = 0.0, max_iter: int | None = None,
     # B = A or Aᵀ, whichever has fewer rows
     wide = A.shape[0] < A.shape[1]
     B = A if wide else A.T.tocsr()
-    v0 = np.random.default_rng(seed).standard_normal(n_small)
+    v0 = np.random.default_rng(SVD_SEED).standard_normal(n_small)
     core, isolated, C, Ct, d = _split(B)
     isolated = isolated[np.argsort(-d[isolated], kind="stable")[:k]]
     d_core = d[core]

@@ -882,13 +882,12 @@ def gather_shave(context, seed_idx):
 # -- spectral seeding --------------------------------------------------------
 
 
-def svds_truncated_svd(matrix, k: int, tol: float = 0.0, max_iter: int | None = None,
-                       seed: int = SVD_SEED):
+def svds_truncated_svd(matrix, k: int, tol: float = 0.0, max_iter: int | None = None):
     """Top-k left singular vectors and values (U, s), largest first, from
     scipy's svds with the starting vector truncated_svd draws: the reference
     for its eigsh run on the smaller side's Gram operator."""
     A = matrix.tocsr() if sp.issparse(matrix) else np.asarray(matrix, dtype=np.float64)
-    v0 = np.random.default_rng(seed).standard_normal(min(A.shape))
+    v0 = np.random.default_rng(SVD_SEED).standard_normal(min(A.shape))
     U, s, _ = svds(A, k=k, tol=tol, maxiter=max_iter, v0=v0)
     # svds returns ascending singular values
     return _canonical_signs(U[:, ::-1].copy()), s[::-1].copy()

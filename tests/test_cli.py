@@ -192,6 +192,32 @@ def test_negative_seed_is_usage_error(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["detect", "inject", "sweep", "bench"])
+def test_output_dir_naming_a_file_is_usage_error(tmp_path, capsys, command):
+    data = tmp_path / "data.csv"
+    write_timestamped_base(data)
+    before = data.read_bytes()
+    args = {"detect": ["--input", str(data)],
+            "inject": ["--input", str(data), "--n-fraudsters", "10"],
+            "sweep": ["--input", str(data), "--densities", "0.5"],
+            "bench": ["--sizes", "3000"]}[command]
+    assert main([command, *args, "--output-dir", str(data)]) == 2
+    assert "--output-dir" in capsys.readouterr().err
+    assert data.read_bytes() == before
+
+
+def test_inject_has_no_neutral_option(tmp_path, capsys):
+    # inject's output never depended on the neutral scores
+    data = tmp_path / "data.csv"
+    write_timestamped_base(data)
+    out = tmp_path / "out"
+    assert main(["inject", "--input", str(data), "--output-dir", str(out),
+                 "--n-fraudsters", "40", "--n-objects", "10", "--ratings-per-object", "20",
+                 "--neutral", "3"]) == 2
+    assert "--neutral" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_inject_outputs_are_byte_identical_under_fixed_seed(tmp_path):
     base = tmp_path / "base.csv"
     write_timestamped_base(base)

@@ -375,3 +375,27 @@ def test_incremental_updates_match_rebuild(make_graph):
             ref = ContrastState(ctx, seed, active=keep)
             _assert_state_matches_rebuild(st, ref)
 
+
+def test_shaving_compacts_only_the_product_matrix(make_graph):
+    g = make_graph(n_users=80, n_objects=40, n_events=800, seed=12)
+    st = state_for(g, seed=np.arange(40))
+    assert st.ctx.use_phi and st.ctx.use_kappa and st.kmax > 0
+
+    def seed_block():
+        return [(m.shape, m.data.tobytes(), m.indices.tobytes(), m.indptr.tobytes())
+                for m in (st.seed_counts, st.bursts, st.ratings)]
+
+    built = seed_block()
+    stored = [st.rows.size]
+    while st.n_active > 5:
+        st._remove_local(st.argmin_active_score())
+        stored.append(st.rows.size)
+    assert sum(b < a for a, b in zip(stored, stored[1:])) >= 2
+    # the seed block still holds every seed row, as built
+    assert st.seed_counts.shape[0] == 40
+    assert seed_block() == built
+    # the product's matrix holds exactly the rows ``rows``
+    want = st.seed_counts[st.rows]
+    assert st.counts.shape == want.shape
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(st.counts, name), getattr(want, name)), name
