@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 import math
@@ -116,7 +117,6 @@ class BipartiteGraph:
                  scale: RatingScale | None = None):
         self.user_ids = list(user_ids)
         self.object_ids = list(object_ids)
-        self._object_index = {o: i for i, o in enumerate(self.object_ids)}
         self.scale = scale
         self._build(np.asarray(user_idx, dtype=np.int64),
                     np.asarray(obj_idx, dtype=np.int64),
@@ -129,14 +129,17 @@ class BipartiteGraph:
     def _build(self, us, vs, times, ratings):
         """Sort the events into the pair-major and the sink-major view.
 
-        One stable argsort of the timestamps serves both orders. Pair-major
-        order is a stable sort of user·n_objects + object taken over the time
-        order: events run by (user, object, time, input position). Sink-major
-        order is one stable sort of object·n_distinct_times + time rank over
-        the pair-major events: they run by (object, time, pair-major
-        position). The keys are below n_users·n_objects and
-        n_objects·n_events, so below n_events² when every id has an event:
-        below 2^63 for any graph that fits in memory.
+        Pair-major order runs by (user, object, time, input position): a
+        stable argsort of user·n_objects + object, then one of pair rank ·
+        n_distinct_times + time rank over that order. Sink-major order runs
+        by (object, time, pair-major position): the pair-major positions
+        sorted by the distinct keys time rank·n_events + position, then a
+        stable argsort of their objects as the smallest unsigned dtype that
+        holds them. A stable argsort is quick on keys already in order, as
+        both pair-major keys are on a file that write_delimited wrote, and
+        numpy radix-sorts dtypes of up to 16 bits. The keys are below
+        n_users·n_objects and n_events², so below 2^63 for any graph that
+        fits in memory.
         """
         n = us.size
         if n == 0:
@@ -145,29 +148,29 @@ class BipartiteGraph:
         # each temporary is freed once used, so few index arrays live at once
         pair_key = us * nv
         pair_key += vs
+        order = np.argsort(pair_key, kind="stable")
         if times is None:
-            order = np.argsort(pair_key, kind="stable")
             ts = np.zeros(n, dtype=np.int64)
         else:
             ts = np.asarray(times, dtype=np.int64)
-            by_time = np.argsort(ts, kind="stable")
-            pair_key = pair_key[by_time]
-            order = by_time[np.argsort(pair_key, kind="stable")]
             # dense rank of each event's time among the distinct times
-            ranks = ts[by_time]
-            new_time = np.empty(n, dtype=bool)
-            new_time[0] = False
-            np.not_equal(ranks[1:], ranks[:-1], out=new_time[1:])
-            np.cumsum(new_time, out=ranks)
-            n_times = int(ranks[-1]) + 1
-            time_rank = np.empty(n, dtype=np.int64)
-            time_rank[by_time] = ranks
-            del by_time, ranks, new_time
+            time_rank = np.unique(ts, return_inverse=True)[1].ravel()[order]
+            n_times = int(time_rank.max()) + 1
+            # pair rank·n_times + time rank, in the pair key's place
+            pair_key = pair_key[order]
+            new_pair = pair_key[1:] != pair_key[:-1]
+            pair_key[0] = 0
+            np.cumsum(new_pair, out=pair_key[1:])
+            del new_pair
+            pair_key *= n_times
+            pair_key += time_rank
+            within = np.argsort(pair_key, kind="stable")
+            order = order[within]
+            time_rank = time_rank[within]
+            del within
         del pair_key
         us, vs, ts = us[order], vs[order], ts[order]
         rat = None if ratings is None else np.asarray(ratings, dtype=np.float64)[order]
-        if times is not None:
-            time_rank = time_rank[order]
         del order
 
         new_pair = np.empty(n, dtype=bool)
@@ -187,11 +190,15 @@ class BipartiteGraph:
 
         # sink-major event view, sorted by (sink, time); only needed for temporal work
         if times is not None:
-            sink_key = vs * n_times
-            sink_key += time_rank
+            # pair-major positions by (time, position), then stably by object
+            sorder = time_rank * n
             del time_rank
-            sorder = np.argsort(sink_key, kind="stable")
-            del sink_key
+            sorder += np.arange(n)
+            sorder.sort()
+            sorder %= n
+            sink = vs[sorder].astype(np.min_scalar_type(nv - 1))
+            sorder = sorder[np.argsort(sink, kind="stable")]
+            del sink
             self.sink_event_time = ts[sorder]
             self.sink_event_pair = np.repeat(
                 np.arange(self.pair_src.size, dtype=np.int64),
@@ -229,6 +236,10 @@ class BipartiteGraph:
     @property
     def has_ratings(self) -> bool:
         return self.event_rating is not None
+
+    @functools.cached_property
+    def _object_index(self) -> dict[str, int]:
+        return {o: i for i, o in enumerate(self.object_ids)}
 
     def object_index(self, obj: str) -> int:
         try:
@@ -321,11 +332,17 @@ def _coerce_record(rec):
     return user, obj, ts, rating
 
 
-def _intern(index: dict[str, int], ids: list[str]) -> np.ndarray:
-    """Dense codes of ``ids``; ids new to ``index`` join it in order of first appearance."""
-    fresh = list(itertools.filterfalse(index.__contains__, dict.fromkeys(ids)))
-    index.update(zip(fresh, itertools.count(len(index))))
-    return np.fromiter(map(index.__getitem__, ids), np.int64, len(ids))
+def _intern(index: dict[str, int], column: tuple) -> np.ndarray:
+    """Dense codes of an id column (ids, first, codes): row i holds
+    ``ids[codes[i]]``, and ``ids[j]`` first appears at row ``first[j]`` (an
+    id may be listed twice). Ids new to ``index`` join it in order of first
+    appearance."""
+    ids, first, codes = column
+    lookup = np.fromiter(map(index.get, ids, itertools.repeat(-1)), np.int64, len(ids))
+    new = np.flatnonzero(lookup < 0)
+    new = new[np.argsort(first[new])].tolist()
+    lookup[new] = [index.setdefault(ids[i], len(index)) for i in new]
+    return lookup[codes]
 
 
 class _Columns:
@@ -353,17 +370,21 @@ class _Columns:
             if rating is not None and self.scale is not None and rating not in self.scale:
                 raise DataError(f"rating {rating} outside declared scale")
         except DataError as exc:
-            msg = f"{self.unit} {pos}: {exc}"
-            if self.diagnostics is not None:
-                self.diagnostics.append(msg)
-            else:
-                logger.warning("ingest: %s", msg)
+            self.reject(pos, str(exc))
             return None
         return user, obj, ts, rating
 
-    def add(self, users: list[str], objs: list[str], times: np.ndarray | None,
+    def reject(self, pos: int, reason: str) -> None:
+        msg = f"{self.unit} {pos}: {reason}"
+        if self.diagnostics is not None:
+            self.diagnostics.append(msg)
+        else:
+            logger.warning("ingest: %s", msg)
+
+    def add(self, users: tuple, objs: tuple, times: np.ndarray | None,
             ratings: np.ndarray | None) -> None:
-        """Append a batch of accepted events."""
+        """Append a batch of accepted events; ``users`` and ``objs`` are id
+        columns as ``_intern`` takes them."""
         self.batches.append((_intern(self.user_index, users),
                              _intern(self.object_index, objs), times, ratings))
         if times is not None:
@@ -391,8 +412,9 @@ class _Columns:
 def _record_batch(rows: list[tuple]) -> tuple:
     """``_Columns.add`` arguments for coerced (user, object, timestamp, rating) rows."""
     users, objs, ts, rs = (list(c) for c in zip(*rows)) if rows else ([], [], [], [])
-    return (users, objs, _optional_column(ts, -1, np.int64),
-            _optional_column(rs, np.nan, np.float64))
+    rows_at = np.arange(len(users))
+    return ((users, rows_at, rows_at), (objs, rows_at, rows_at),
+            _optional_column(ts, -1, np.int64), _optional_column(rs, np.nan, np.float64))
 
 
 def _optional_column(values: list, fill, dtype) -> np.ndarray | None:
@@ -427,9 +449,20 @@ def ingest(records: Iterable, scale: RatingScale | None = None,
 
 _HEADER_WORDS = {"user", "object", "item", "timestamp", "time", "rating", "stars"}
 
-# Characters read per chunk of a delimited file; a chunk always ends at the
-# end of a line.
-CHUNK_CHARS = 1 << 18
+# Bytes read per chunk of a delimited file; a chunk always ends at the end of
+# a line.
+CHUNK_BYTES = 1 << 20
+
+# The non-ASCII characters str.strip removes, and their UTF-8 bytes as _window
+# reads them; a field that starts or ends with one takes the per-line path
+_WIDE_SPACES = "".join(map(chr, (0x85, 0xA0, 0x1680, *range(0x2000, 0x200B), 0x2028,
+                                 0x2029, 0x202F, 0x205F, 0x3000)))
+_WIDE_SPACE_KEYS = np.array([int.from_bytes(c.encode(), "little") for c in _WIDE_SPACES],
+                            dtype=np.uint64)
+# _LOW_BYTES[b] keeps the first b bytes of a _window value
+_LOW_BYTES = np.array([(1 << 8 * b) - 1 for b in range(9)], dtype=np.uint64)
+# odd multiplier of the hash that groups keys wider than 8 bytes
+_WORD_MIX = np.uint64(0x9E3779B97F4A7C15)
 
 
 def _line_fields(line: str, lineno: int, delim: str) -> list[str] | None:
@@ -443,19 +476,33 @@ def _line_fields(line: str, lineno: int, delim: str) -> list[str] | None:
     return parts
 
 
+def _padded(data: bytes) -> np.ndarray:
+    """The bytes as uint8 and 8 '0' bytes, for _window and _parse_timestamps."""
+    return np.frombuffer(data + b"00000000", dtype=np.uint8)
+
+
+def _window(buf: np.ndarray) -> np.ndarray:
+    """The 8 bytes from each position of a _padded buffer as a little-endian uint64."""
+    return np.ndarray((buf.size - 7,), dtype="<u8", buffer=buf, strides=(1,))
+
+
 class _DelimitedReader:
     """Chunk-at-a-time columnar reader behind ``read_delimited``.
 
-    Each chunk is checked as a whole over its UTF-8 bytes. A line takes the
-    columnar path when it has the file's field count, no empty field, and no
-    byte outside printable ASCII other than the delimiter, and when its
-    timestamp parses with ``int`` into [0, 2^53) and its rating is finite (and
-    on the declared scale). Such a line reads exactly as ``_coerce_record``
-    would read it. Every other line (blank lines, a header on line 1,
-    non-ASCII text, padded fields, anything malformed) goes through
-    ``_line_fields`` and ``_coerce_record`` at its own position, so
-    diagnostics and the first-appearance order of ids do not depend on which
-    path a line took.
+    Each chunk is checked as a whole over its bytes. A line takes the byte
+    path when it has the file's field count, no empty field, no control or
+    space byte other than the separators, valid UTF-8 and no field that
+    starts or ends with one of ``_WIDE_SPACES``, when it is not a header on
+    line 1, and when its timestamp is 1 to 16 ASCII digits below 2^53 and
+    its rating is finite (and on the declared scale). Such a line reads
+    exactly as ``_coerce_record`` would read it. The byte path takes the
+    fields' bounds from the separators' positions, keys each field by its
+    bytes, decodes only each distinct id and rating, and reads timestamps by
+    a Horner product over their digits. Every other line (blank lines, a
+    header, padded fields, anything malformed) goes through ``_line_fields``
+    and ``_coerce_record`` at its own position, and a line that is not UTF-8
+    is rejected there, so diagnostics and the first-appearance order of ids
+    do not depend on which path a line took.
     """
 
     def __init__(self, columns: _Columns):
@@ -465,76 +512,97 @@ class _DelimitedReader:
         # the field count of the first clean line with two to four fields; 0 until one is seen
         self.n_fields = 0
 
-    def _choose_delimiter(self, text: str) -> bool:
-        """Take the delimiter from the first non-blank line; False while
-        every line so far is blank."""
-        rest = text.lstrip()
-        if not rest:
+    def _choose_delimiter(self, data: bytes) -> bool:
+        """Take the delimiter from the first non-blank line (a line that is
+        not UTF-8 is not blank); False while every line so far is blank."""
+        text = data.decode("utf-8", "replace")
+        at = len(text) - len(text.lstrip())
+        if at == len(text):
             return False
-        at = len(text) - len(rest)
-        end = text.find("\n", at)
-        line = text[text.rfind("\n", 0, at) + 1:end if end >= 0 else None]
+        line = text[text.rfind("\n", 0, at) + 1:].partition("\n")[0]
         self.delim = "\t" if "\t" in line else ","
         return True
 
-    def feed(self, text: str) -> None:
+    def feed(self, data: bytes) -> None:
         """Read one chunk of whole lines."""
         first = self.lines_read
-        if not text.endswith("\n"):
-            text += "\n"
-        self.lines_read += text.count("\n")
-        if self.delim is None and not self._choose_delimiter(text):
+        if b"\r" in data:
+            data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        if not data.endswith(b"\n"):
+            data += b"\n"
+        self.lines_read += data.count(b"\n")
+        if self.delim is None and not self._choose_delimiter(data):
             return
-        suspect = self._suspect_lines(text, first == 0)
-        lines = text.split("\n") if suspect.any() else None
+        buf = _padded(data)
+        suspect = self._suspect_lines(data, buf, first == 0)
+        lines = data.split(b"\n") if suspect.any() else None
         fast_at = np.flatnonzero(~suspect)
         fast = None
         if fast_at.size:
-            clean = text if lines is None else "\n".join(
-                itertools.compress(lines, ~suspect)) + "\n"
+            clean = buf if lines is None else _padded(
+                b"\n".join(itertools.compress(lines, ~suspect)) + b"\n")
             fast, ok = self._parse_clean(clean, fast_at.size)
             if not ok.all():
                 suspect[fast_at[~ok]] = True
                 fast_at = fast_at[ok]
                 if lines is None:
-                    lines = text.split("\n")
+                    lines = data.split(b"\n")
 
         rows, rows_at = [], []
-        delim, coerce = self.delim, self.columns.coerce
+        delim, columns = self.delim, self.columns
         for i in np.flatnonzero(suspect).tolist():
-            parts = _line_fields(lines[i], first + i + 1, delim)
-            if parts is not None and (row := coerce(first + i + 1, parts)) is not None:
+            pos = first + i + 1
+            try:
+                line = lines[i].decode("utf-8")
+            except UnicodeDecodeError:
+                columns.reject(pos, "not valid UTF-8")
+                continue
+            parts = _line_fields(line, pos, delim)
+            if parts is not None and (row := columns.coerce(pos, parts)) is not None:
                 rows.append(row)
                 rows_at.append(i)
         slow = _record_batch(rows)
         if fast is None:
-            self.columns.add(*slow)
+            columns.add(*slow)
         elif not rows:
-            self.columns.add(*fast)
+            columns.add(*fast)
         else:
             order = np.argsort(np.concatenate((fast_at, rows_at)), kind="stable")
-            self.columns.add(*_merge(fast, slow, order))
+            columns.add(*_merge(fast, slow, order))
 
-    def _suspect_lines(self, text: str, has_line_1: bool) -> np.ndarray:
-        """Per line of the chunk, whether it must take the per-line path."""
-        delim = self.delim
-        data = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
-        newline = data == 10
+    def _suspect_lines(self, data: bytes, buf: np.ndarray, has_line_1: bool) -> np.ndarray:
+        """Per line of the _padded chunk, whether it must take the per-line path."""
+        delim, text = self.delim, buf[:-8]
+        newline = text == 10
         ends = np.flatnonzero(newline)
-        is_delim = data == ord(delim)
+        is_delim = text == ord(delim)
         fields = np.diff(np.searchsorted(np.flatnonzero(is_delim), ends), prepend=0) + 1
-        # controls, space and non-ASCII bytes, the separators aside (the
-        # subtraction wraps the bytes below 33 round to the top)
+        # controls and space, the separators aside
         separator = newline | is_delim
-        odd = data - np.uint8(33) > 94
+        odd = text < 33
         odd &= ~separator
         # an empty field puts two separators side by side
         odd[0] |= separator[0]
         odd[1:] |= separator[1:] & separator[:-1]
+        if not data.isascii():
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError:
+                # the per-line path finds and rejects the lines that are not UTF-8
+                odd |= text > 127
+            else:
+                # the first byte of a wide space at a field's edge: its UTF-8
+                # is 2 bytes led by 0xC2 or 3 bytes led by 0xE1 to 0xE3
+                lead = np.flatnonzero((text >= 0xC2) & (text <= 0xE3))
+                width = np.where(text[lead] == 0xC2, 2, 3)
+                hit = np.isin(_window(buf)[lead] & _LOW_BYTES[width], _WIDE_SPACE_KEYS)
+                lead, width = lead[hit], width[hit]
+                odd[lead[(lead == 0) | separator[lead - 1] | separator[lead + width]]] = True
         suspect = np.zeros(ends.size, dtype=bool)
         suspect[np.searchsorted(ends, np.flatnonzero(odd))] = True
         if has_line_1:
-            suspect[0] |= _line_fields(text[:text.find("\n")], 1, delim) is None
+            line = data[:ends[0]].decode("utf-8", "replace")
+            suspect[0] |= _line_fields(line, 1, delim) is None
         if not self.n_fields:
             usable = np.flatnonzero(~suspect & (fields >= 2) & (fields <= 4))
             if usable.size:
@@ -542,46 +610,90 @@ class _DelimitedReader:
         suspect |= fields != self.n_fields
         return suspect
 
-    def _parse_clean(self, text: str, n: int) -> tuple[tuple, np.ndarray]:
-        """``_Columns.add`` arguments for the ``n`` lines of ``text``, which
-        passed ``_suspect_lines``, and the mask of lines whose timestamp and
-        rating read exactly; the arguments cover only those lines."""
-        k, delim = self.n_fields, self.delim
-        cells = text.replace("\n", delim).split(delim)
-        cells.pop()
-        users, objs = cells[0::k], cells[1::k]
+    def _parse_clean(self, buf: np.ndarray, n: int) -> tuple[tuple, np.ndarray]:
+        """``_Columns.add`` arguments for the ``n`` lines of the _padded
+        ``buf``, which passed ``_suspect_lines``, and the mask of lines whose
+        timestamp and rating read exactly; the arguments cover only those
+        lines."""
+        k, text, win = self.n_fields, buf[:-8], _window(buf)
+        ends = np.flatnonzero((text == ord(self.delim)) | (text == 10)).reshape(n, k)
+        starts = np.concatenate(([0], ends.ravel()[:-1] + 1)).reshape(n, k)
         ok = np.ones(n, dtype=bool)
         times = ratings = None
         if k >= 3:
-            times = _parse_timestamps(cells[2::k])
+            times = _parse_timestamps(buf, starts[:, 2], ends[:, 2])
             ok &= times >= 0
         if k == 4:
-            ratings, rated = _parse_ratings(cells[3::k], self.columns.scale)
+            ratings, rated = _parse_ratings(_id_column(win, starts[:, 3], ends[:, 3]),
+                                            self.columns.scale)
             ok &= rated
-        del cells
         if not ok.all():
-            users = list(itertools.compress(users, ok))
-            objs = list(itertools.compress(objs, ok))
+            starts, ends = starts[ok], ends[ok]
             times = None if times is None else times[ok]
             ratings = None if ratings is None else ratings[ok]
+        users = _id_column(win, starts[:, 0], ends[:, 0])
+        objs = _id_column(win, starts[:, 1], ends[:, 1])
         return (users, objs, times, ratings), ok
 
 
-def _int_or_negative(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        return -1
-    return value if 0 <= value < _TIMESTAMP_LIMIT else -1
+def _id_column(win: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tuple:
+    """The fields as an id column for ``_intern``. A field's key is its bytes
+    zero-padded to whole 8-byte words (no field holds a zero byte). Fields
+    are keyed group by group of equal word count, so one long field does not
+    widen every key, and each group's distinct keys are decoded once each,
+    as a fixed-width bytes string, which drops the padding."""
+    widths = ends - starts
+    words = (widths + 7) >> 3
+    names: list[str] = []
+    first, codes = [np.empty(0, dtype=np.int64)], np.empty(starts.size, dtype=np.int64)
+    for w in sorted_unique(words).tolist():
+        rows = np.flatnonzero(words == w)
+        at, left = starts[rows], widths[rows]
+        keys = np.empty((rows.size, w), dtype="<u8")
+        for j in range(w):
+            keys[:, j] = win[at + 8 * j] & _LOW_BYTES[np.minimum(left - 8 * j, 8)]
+        order, new = _group_rows(keys)
+        runs = np.flatnonzero(new)
+        codes[rows[order]] = np.cumsum(new) - 1 + len(names)
+        first.append(rows[np.minimum.reduceat(order, runs)])
+        names += map(bytes.decode, keys[order[runs]].view(f"S{8 * w}").ravel().tolist())
+    return names, np.concatenate(first), codes
 
 
-def _parse_timestamps(column: list[str]) -> np.ndarray:
-    """int() of each field where it is an integer in [0, 2^53), else -1."""
-    try:
-        times = np.fromiter(map(int, column), np.int64, len(column))
-    except (ValueError, OverflowError):
-        return np.fromiter(map(_int_or_negative, column), np.int64, len(column))
-    times[(times < 0) | (times >= _TIMESTAMP_LIMIT)] = -1
+def _group_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """An order of the rows of ``keys`` that puts equal rows side by side, and
+    the mask of rows in that order that differ from the row before. The order
+    is an unstable argsort of a hash of each row's words (faster than sorting
+    the rows), or np.lexsort of the words when two distinct rows share a hash."""
+    by = keys[:, 0].copy()
+    for word in keys.T[1:]:
+        by *= _WORD_MIX
+        by ^= word
+    order = np.argsort(by)
+    ordered, by = keys[order], by[order]
+    new = np.ones(by.size, dtype=bool)
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=new[1:])
+    if (new[1:] & (by[1:] == by[:-1])).any():
+        order = np.lexsort(keys.T)
+        ordered = keys[order]
+        np.any(ordered[1:] != ordered[:-1], axis=1, out=new[1:])
+    return order, new
+
+
+def _parse_timestamps(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """The value of each field of 1 to 16 ASCII digits that is below 2^53 (so
+    every such value), by a Horner product over its digits aligned at the
+    right; -1 for any other field (a sign, a non-digit or more digits)."""
+    widths = ends - starts
+    back = np.arange(min(int(widths.max()), 16), 0, -1)[:, None]
+    # row j: each field's byte j places before its end as a digit (bytes
+    # below '0' wrap round to the top), or the padding's '0' before its start
+    digits = buf[np.where(back > widths, buf.size - 1, ends - back)] - np.uint8(48)
+    times = np.zeros(starts.size, dtype=np.int64)
+    for row in digits:
+        times *= 10
+        times += row
+    times[(widths > 16) | (digits > 9).any(axis=0) | (times >= _TIMESTAMP_LIMIT)] = -1
     return times
 
 
@@ -592,31 +704,36 @@ def _float_or_nan(text: str) -> float:
         return math.nan
 
 
-def _parse_ratings(column: list[str], scale: RatingScale | None):
-    """float() of each field, parsing each distinct string once, and a mask
-    of the finite ones on ``scale``."""
-    code = dict(zip(dict.fromkeys(column), itertools.count()))
-    values = np.fromiter(map(_float_or_nan, code), np.float64, len(code))
+def _parse_ratings(column: tuple, scale: RatingScale | None):
+    """float() of each field of an id column, parsing each distinct string
+    once, and a mask of the finite ones on ``scale``."""
+    strings, _, codes = column
+    values = np.fromiter(map(_float_or_nan, strings), np.float64, len(strings))
     good = np.isfinite(values)
     if scale is not None:
         good &= np.fromiter((v in scale for v in values.tolist()), bool, values.size)
-    codes = np.fromiter(map(code.__getitem__, column), np.intp, len(column))
     return values[codes], good[codes]
 
 
 def _merge(a: tuple, b: tuple, order: np.ndarray) -> tuple:
     """Two batches of ``_Columns.add`` arguments as one, rows taken in ``order``
     of their concatenation."""
-    users = np.asarray(a[0] + b[0], dtype=object)[order].tolist()
-    objs = np.asarray(a[1] + b[1], dtype=object)[order].tolist()
+    at = np.empty_like(order)
+    at[order] = np.arange(order.size)
+    n_a = a[0][2].size
+
+    def ids(i):
+        (names_a, first_a, codes_a), (names_b, first_b, codes_b) = a[i], b[i]
+        return (names_a + names_b, at[np.concatenate((first_a, first_b + n_a))],
+                np.concatenate((codes_a, codes_b + len(names_a)))[order])
 
     def column(i, fill):
         if a[i] is None and b[i] is None:
             return None
-        parts = [np.full(len(x[0]), fill) if x[i] is None else x[i] for x in (a, b)]
+        parts = [np.full(x[0][2].size, fill) if x[i] is None else x[i] for x in (a, b)]
         return np.concatenate(parts)[order]
 
-    return users, objs, column(2, -1), column(3, np.nan)
+    return ids(0), ids(1), column(2, -1), column(3, np.nan)
 
 
 def read_delimited(path: str | Path, scale: RatingScale | None = None,
@@ -625,20 +742,19 @@ def read_delimited(path: str | Path, scale: RatingScale | None = None,
     tab-separated file; a diagnostic names the file line.
 
     The delimiter is a tab when the first non-blank line holds one, else a
-    comma; fields are stripped of surrounding whitespace; blank lines are
-    skipped, and so is line 1 when a field there is a header word. The file
-    is read in chunks of whole lines and parsed column by column (see
-    ``_DelimitedReader``); the ids, arrays and diagnostics are those of
+    comma; a line ends at \\n, \\r or \\r\\n; fields are stripped of
+    surrounding whitespace; blank lines are skipped, and so is line 1 when a
+    field there is a header word; a line that is not UTF-8 is rejected. The
+    file is read in binary chunks of whole lines (a file whose lines all end
+    at a lone \\r, in one chunk) and parsed column by column over their bytes
+    (see ``_DelimitedReader``); the ids, arrays and diagnostics are those of
     passing each line through ``ingest`` in turn.
     """
     columns = _Columns("line", scale, diagnostics)
     reader = _DelimitedReader(columns)
-    with open(path, "r", encoding="utf-8") as fh:
-        while text := fh.read(CHUNK_CHARS):
-            if not text.endswith("\n"):
-                text += fh.readline()
-            reader.feed(text)
-            del text
+    with open(path, "rb") as fh:
+        while data := fh.read(CHUNK_BYTES):
+            reader.feed(data + fh.readline())
     return columns.graph()
 
 

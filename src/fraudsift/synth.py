@@ -242,21 +242,23 @@ def write_labels(truth: GroundTruth, path: str | Path) -> None:
 def read_labels(path: str | Path) -> GroundTruth:
     users: list[str] = []
     objects: list[str] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                node, side = line.split(",")
-            except ValueError:
-                raise DataError(f"labels line {lineno}: expected 'id,side'") from None
-            if side == "user":
-                users.append(node)
-            elif side == "object":
-                objects.append(node)
-            else:
-                raise DataError(f"labels line {lineno}: unknown side {side!r}")
+    for lineno, raw in enumerate(Path(path).read_bytes().splitlines(), start=1):
+        try:
+            line = raw.decode("utf-8").strip()
+        except UnicodeDecodeError:
+            raise DataError(f"labels line {lineno}: not valid UTF-8") from None
+        if not line:
+            continue
+        try:
+            node, side = line.split(",")
+        except ValueError:
+            raise DataError(f"labels line {lineno}: expected 'id,side'") from None
+        if side == "user":
+            users.append(node)
+        elif side == "object":
+            objects.append(node)
+        else:
+            raise DataError(f"labels line {lineno}: unknown side {side!r}")
     return GroundTruth(frozenset(users), frozenset(objects))
 
 

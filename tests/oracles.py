@@ -6,6 +6,7 @@ import heapq
 import math
 from collections import Counter
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -476,14 +477,22 @@ def extreme_slopes(counts: np.ndarray, bin_width: float) -> tuple[float, float]:
 
 
 def delimited_rows(lines):
-    """(line number, fields) of every non-blank line; a header on line 1 is skipped."""
+    """(line number, fields) of every non-blank line of bytes; a header on
+    line 1 is skipped, and a line that is not UTF-8 (never blank) yields
+    None for its fields."""
     delim = None
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\n").rstrip("\r")
-        if not line.strip():
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            line = None
+        if line is not None and not line.strip():
             continue
         if delim is None:
-            delim = "\t" if "\t" in line else ","
+            delim = "\t" if b"\t" in raw else ","
+        if line is None:
+            yield lineno, None
+            continue
         parts = [p.strip() for p in line.split(delim)]
         if lineno == 1 and any(p.lower() in _HEADER_WORDS for p in parts):
             continue
@@ -503,6 +512,9 @@ def ingest_per_record(numbered, unit: str, scale=None, diagnostics=None) -> Bipa
             diagnostics.append(msg)
 
     for pos, rec in numbered:
+        if rec is None:
+            report(f"{unit} {pos}: not valid UTF-8")
+            continue
         try:
             user, obj, ts, rating = _coerce_record(rec)
             if rating is not None and scale is not None and rating not in scale:
@@ -532,9 +544,9 @@ def ingest_per_record(numbered, unit: str, scale=None, diagnostics=None) -> Bipa
 
 
 def read_delimited_per_line(path, scale=None, diagnostics=None) -> BipartiteGraph:
-    """read_delimited one file line at a time."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return ingest_per_record(delimited_rows(fh), "line", scale, diagnostics)
+    """read_delimited one file line at a time; a line ends at \\n, \\r or \\r\\n."""
+    lines = Path(path).read_bytes().splitlines()
+    return ingest_per_record(delimited_rows(lines), "line", scale, diagnostics)
 
 
 def lexsort_build(user_idx, obj_idx, times, ratings, n_users: int, n_objects: int) -> dict:

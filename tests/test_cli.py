@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import json
+import logging
 import math
 from collections import defaultdict
 from dataclasses import asdict
@@ -84,6 +85,30 @@ def test_detect_alpha_only_on_timestamp_free_data(tmp_path):
     rc = main(["detect", "--input", str(data), "--output-dir", str(out),
                "--signals", "alpha"])
     assert rc == 0
+
+
+def test_detect_rejects_a_line_that_is_not_utf8(tmp_path, caplog):
+    data = tmp_path / "data.csv"
+    write_planted_fixture(data)
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"f00,t\xff0\n" + data.read_bytes())
+    assert main(["detect", "--input", str(data), "--output-dir", str(tmp_path / "clean"),
+                 "--num-seeds", "4"]) == 0
+    with caplog.at_level(logging.WARNING, logger="fraudsift.graph"):
+        rc = main(["detect", "--input", str(bad), "--output-dir", str(tmp_path / "bad"),
+                   "--num-seeds", "4"])
+    assert rc == 0
+    assert "line 1: not valid UTF-8" in caplog.text
+    for name in ("users.csv", "objects.csv"):
+        assert (tmp_path / "bad" / name).read_bytes() == (tmp_path / "clean" / name).read_bytes()
+
+
+def test_detect_on_input_without_a_utf8_line_is_data_error(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"u\xff1,o1,10\nu\xfe2,o1,11\n")
+    rc = main(["detect", "--input", str(bad), "--output-dir", str(tmp_path / "out")])
+    assert rc == 3
+    assert "data error: empty input" in capsys.readouterr().err
 
 
 def test_detect_phi_on_timestamp_free_data_is_data_error(tmp_path, capsys):

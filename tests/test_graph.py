@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import collections
 import re
+import sys
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -383,12 +385,12 @@ def read_outcome(reader, path, scale):
         return None, str(exc), diags
 
 
-def assert_reads_like_per_line(path, scale=None, chunk_chars=(1 << 20, 64, 7)):
+def assert_reads_like_per_line(path, scale=None, chunk_bytes=(1 << 20, 64, 7)):
     """read_delimited at each chunk size gives the per-line reference's ids,
     arrays, scale and diagnostics, or its DataError."""
     want = read_outcome(read_delimited_per_line, path, scale)
-    for chunk in chunk_chars:
-        with mock.patch.object(graph_module, "CHUNK_CHARS", chunk):
+    for chunk in chunk_bytes:
+        with mock.patch.object(graph_module, "CHUNK_BYTES", chunk):
             got = read_outcome(read_delimited, path, scale)
         assert got[1:] == want[1:], chunk
         if want[0] is not None:
@@ -429,11 +431,19 @@ def assert_reads_like_per_line(path, scale=None, chunk_chars=(1 << 20, 64, 7)):
     "only\n",
     "",
     "\n \n",
+    # lines that are not UTF-8; the delimiter comes from the first such line as
+    # from any non-blank line
+    b"u1,o1,10\nu\xff2,o1,11\nu3,o2,12\n",
+    b"\xff\tx\nu,1\tv1\n",
+    b"user,\xff\nu1,v1\n",
+    # a truncated sequence, an encoded surrogate, an overlong form, a stray continuation
+    b"u1,v1\nu2,v\xe2\x80\nu\xed\xa0\x80,v1\nu\xc0\xaf,v1\n\x80,v1\nu3,v1\n",
+    b"u1,v1\r\xff,v\r\nu\xfe,v1",
 ])
 @pytest.mark.parametrize("scale", [None, RatingScale.from_range(1, 5, 1)])
 def test_reader_matches_per_line_reference(tmp_path, text, scale):
     path = tmp_path / "events.csv"
-    path.write_bytes(text.encode("utf-8"))
+    path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
     assert_reads_like_per_line(path, scale)
 
 
@@ -447,14 +457,95 @@ def test_bad_lines_on_both_sides_of_a_chunk_border(tmp_path):
     line_chars = len(good[0]) + 1
     for chunk in range(1, 4 * line_chars):
         _, _, diags = assert_reads_like_per_line(path, RatingScale.from_range(1, 5, 1),
-                                                 chunk_chars=(chunk,))
+                                                 chunk_bytes=(chunk,))
     assert [d.split(":")[0] for d in diags] == ["line 10", "line 11", "line 20", "line 22"]
+
+
+def test_a_line_that_is_not_utf8_names_its_line(tmp_path):
+    path = tmp_path / "events.csv"
+    path.write_bytes(b"u1,o1,10\nu\xff2,o1,11\nu3,o2,12\n")
+    diags = []
+    g = read_delimited(path, diagnostics=diags)
+    assert g.user_ids == ["u1", "u3"] and g.event_time.tolist() == [10, 12]
+    assert diags == ["line 2: not valid UTF-8"]
+    path.write_bytes(b"\xff,o1,10\nu\xfe,o1,11\n")
+    diags.clear()
+    with pytest.raises(DataError, match="empty input"):
+        read_delimited(path, diagnostics=diags)
+    assert diags == ["line 1: not valid UTF-8", "line 2: not valid UTF-8"]
+
+
+def test_wide_spaces_are_the_non_ascii_characters_strip_removes():
+    spaces = {chr(c) for c in range(128, sys.maxunicode + 1) if chr(c).isspace()}
+    assert set(graph_module._WIDE_SPACES) == spaces
+
+
+@pytest.mark.parametrize("space", list(graph_module._WIDE_SPACES))
+def test_fields_edged_with_a_non_ascii_space_read_like_the_reference(tmp_path, space):
+    path = tmp_path / "events.csv"
+    path.write_text(f"u1,v1,1\n{space}u2,v1,2\nu3{space},v1,3\nu4,{space}v1,4\n"
+                    f"u5,v1{space},5\nu{space}6,v{space}1,6\n{space}\n", encoding="utf-8")
+    assert_reads_like_per_line(path)
+
+
+# lines the byte path reads, and lines next to them that it hands on
+BORDER_LINES = [
+    # ids wider than 8 bytes, mixed widths, and ids that differ in a trailing byte
+    "wide_user_identifier_01,o1,5", "u1,wide_object_identifier_0001,6",
+    "abcdefgh,abcdefghi,7", "abcdefghi,abcdefgh,8", "abcdefg,abcdefgh1,9",
+    "abcdefgh1,abcdefgh2,10", "u,u1,11", "u1,u,12", "üser12,ōbj7,13",
+    # timestamps the byte path reads, and ones it leaves to the per-line path
+    "u2,o2,011", "u3,o3,+12", "u4,o4,0000000000000012", "u5,o5,00000000000000012",
+    f"u6,o6,{2**53 - 1}", f"u7,o7,{2**53}", "u8,o8,9999999999999999", "u9,o9,0",
+]
+
+
+def test_byte_path_cases_on_both_sides_of_a_chunk_border(tmp_path):
+    filler = [f"u{i % 5},o{i % 3},{100 + i}" for i in range(len(BORDER_LINES))]
+    lines = [line for pair in zip(filler, BORDER_LINES) for line in pair]
+    path = tmp_path / "events.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    longest = max(map(len, lines)) + 1
+    for chunk in range(1, 3 * longest):
+        _, _, diags = assert_reads_like_per_line(path, chunk_bytes=(chunk,))
+    assert diags == [f"line {2 * (BORDER_LINES.index(line) + 1)}: timestamp {value} is not "
+                     "below 2^53 seconds" for line, value in
+                     ((f"u7,o7,{2**53}", 2**53), ("u8,o8,9999999999999999", 9999999999999999))]
+
+
+def test_wide_ids_that_share_a_sort_hash_read_like_the_reference(tmp_path):
+    # with the multiplier 0 the hash is the last 8-byte word, which these ids share
+    ids = ["aaaaaaaa_suffix1", "bbbbbbbb_suffix1", "cccccccc_suffix1"]
+    path = tmp_path / "events.csv"
+    path.write_text("".join(f"{ids[i % 3]},{ids[i % 2]},{i}\n" for i in range(20)),
+                    encoding="utf-8")
+    with mock.patch.object(graph_module, "_WORD_MIX", np.uint64(0)):
+        assert_reads_like_per_line(path)
+
+
+def test_one_long_id_does_not_widen_the_keys_of_the_short_ones(tmp_path):
+    long_id = "x" * (1 << 16)
+    lines = [f"u{i % 50},o{i % 7},{i}" for i in range(2000)]
+    lines.insert(1000, f"{long_id},o1,5")
+    path = tmp_path / "events.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    tracemalloc.start()
+    try:
+        g = read_delimited(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # keys as wide as the long id on every line would take 2001 * 64 KB
+    assert g.user_ids[50] == long_id and peak < 8 << 20
+    assert_reads_like_per_line(path)
 
 
 FIELD_TEXT = st.sampled_from([
     "u1", "u2", "v1", "v2", "a,b", " u1", "u1 ", "ü", "\u00a0", "\ufeffu", "user", "Time",
+    "üser12", "ōbj7", "u\u3000", "\u2000u", "u\u205fv", "\u0085ü", "ü\u2028",
+    "wide_identifier_1", "wide_identifier_2", "abcdefgh", "abcdefghi",
     "", "5", "+5", "1_000", "1e3", "12.0", "-1", "-0", str(2**53 - 1), str(2**53), "x",
-    "3", "4.5", "nan", "inf", "7", "1", "2"])
+    "3", "4.5", "nan", "inf", "7", "1", "2", "011", "0000000000000012"])
 
 
 @settings(max_examples=200, deadline=None)
@@ -468,7 +559,7 @@ def test_reader_property_matches_per_line_reference(tmp_path_factory, rows, deli
     path = tmp_path_factory.mktemp("reader") / "events.csv"
     path.write_bytes(text.encode("utf-8"))
     scale = RatingScale.from_range(1, 5, 1) if declared else None
-    assert_reads_like_per_line(path, scale, chunk_chars=(1 << 20, chunk))
+    assert_reads_like_per_line(path, scale, chunk_bytes=(1 << 20, chunk))
 
 
 @pytest.mark.parametrize("timestamps, ratings", [(False, False), (True, False), (True, True)])
@@ -507,6 +598,16 @@ def test_clean_csv_takes_the_columnar_path(tmp_path, monkeypatch):
     clean = read_delimited(path, scale=g.scale)
     assert calls == []
     assert_same_graph(clean, read_delimited_per_line(path, scale=g.scale))
+
+    # non-ASCII ids take the byte path too
+    wide = tmp_path / "wide.csv"
+    write_delimited(BipartiteGraph([f"üser{u}" for u in g.user_ids],
+                                   [f"ōbj{o}" for o in g.object_ids], *g.event_arrays(),
+                                   scale=g.scale), wide)
+    got = read_delimited(wide, scale=g.scale)
+    assert calls == []
+    assert_same_graph(got, read_delimited_per_line(wide, scale=g.scale))
+    assert got.user_ids[:2] == ["üser" + u for u in clean.user_ids[:2]]
 
     bad = ["u0,o0,soon,3\n", "u0,o0,1,2,3\n", "u0,o0,1,99\n", "u0,o0,-5,3\n", "x\n"]
     at = np.linspace(0, len(lines), len(bad)).astype(int)

@@ -224,3 +224,12 @@ def test_labels_round_trip(tmp_path):
     path = tmp_path / "labels.csv"
     write_labels(truth, path)
     assert read_labels(path) == truth
+
+
+def test_labels_line_that_is_not_utf8_is_a_data_error(tmp_path):
+    path = tmp_path / "labels.csv"
+    path.write_bytes(b"u1,user\r\nu\xff2,user\no3,object\n")
+    with pytest.raises(DataError, match="labels line 2: not valid UTF-8"):
+        read_labels(path)
+    path.write_bytes(b"u1,user\ro3,object\r")
+    assert read_labels(path) == GroundTruth(frozenset({"u1"}), frozenset({"o3"}))
