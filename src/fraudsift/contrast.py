@@ -79,43 +79,61 @@ class SignalContext:
                 raise DataError("signal 'kappa' requires ratings")
         self.base = config.base
         self.graph = graph
-        nv, npairs = graph.n_objects, graph.n_pairs
 
         self.sink_event_total = graph.sink_event_counts()
-        self.pair_phi_weight = np.zeros(npairs, dtype=np.float64)
-        self.sink_phi_total = np.zeros(nv, dtype=np.float64)
-
         if self.use_phi:
-            times = graph.sink_event_time.astype(np.float64)
-            indptr = graph.sink_event_indptr
-            hists = temporal.histogram_segments(times, indptr)
-            event_w, self.sink_phi_total, drop_w, *_ = temporal.spike_weights(
-                hists, times, indptr)
-            # each pair's events sit in one sink, in time order: the sums match
-            # a per-sink accumulation exactly
-            self.pair_phi_weight = np.bincount(graph.sink_event_pair, weights=event_w,
-                                               minlength=npairs)
+            self.pair_phi_weight, self.sink_phi_total, drop_w = _phi_tables(graph)
             self.sigma = temporal.sigma_from_drop_weights(drop_w)
             self.drop_weights = drop_w
         else:
-            self.sigma = np.ones(nv, dtype=np.float64)
-            self.drop_weights = np.zeros(nv, dtype=np.float64)
+            self.pair_phi_weight = np.zeros(graph.n_pairs, dtype=np.float64)
+            self.sink_phi_total = np.zeros(graph.n_objects, dtype=np.float64)
+            self.sigma = np.ones(graph.n_objects, dtype=np.float64)
+            self.drop_weights = np.zeros(graph.n_objects, dtype=np.float64)
 
         if self.use_kappa:
             scale = graph.scale
             self.category_values = np.asarray(
                 [v for v in scale.values if v not in scale.neutral], dtype=np.float64)
-            c = max(self.category_values.size, 1)
-            # per-pair (category, count) rows for incremental updates; neutral
-            # and off-scale ratings carry no category
-            rated = np.isin(graph.event_rating, self.category_values)
-            pair = np.repeat(np.arange(npairs, dtype=np.int64),
-                             graph.pair_count.astype(np.int64))[rated]
-            cat = np.searchsorted(self.category_values, graph.event_rating[rated])
-            ones = np.ones(pair.size)
-            self.pair_cats = sp.csr_matrix((ones, (pair, cat)), shape=(npairs, c))
-            self.sink_cat_counts = sp.coo_matrix(
-                (ones, (graph.pair_dst[pair], cat)), shape=(nv, c)).toarray()
+            self.pair_cats, self.sink_cat_counts = _category_tables(graph, self.category_values)
+
+
+def _phi_tables(graph: BipartiteGraph):
+    """Each pair's burst weight, each sink's phi denominator and drop edge weight."""
+    times = graph.sink_event_time.astype(np.float64)
+    indptr = graph.sink_event_indptr
+    hists = temporal.histogram_segments(times, indptr)
+    event_w, sink_phi_total, drop_w, *_ = temporal.spike_weights(hists, times, indptr)
+    del times, hists
+    # each pair's events sit in one sink, in time order: the sums match a
+    # per-sink accumulation exactly
+    pair_phi_weight = np.bincount(graph.sink_event_pair, weights=event_w,
+                                  minlength=graph.n_pairs)
+    return pair_phi_weight, sink_phi_total, drop_w
+
+
+def _category_tables(graph: BipartiteGraph, category_values: np.ndarray):
+    """Each pair's rating-category counts as CSR rows, for incremental
+    updates, and each sink's as a dense table; neutral and off-scale ratings
+    carry no category. Both are read off the sorted keys pair * c + category
+    of the rated events."""
+    npairs, c = graph.n_pairs, max(category_values.size, 1)
+    ratings = graph.event_rating
+    rated = np.isin(ratings, category_values)
+    key = np.repeat(np.arange(0, npairs * c, c), graph.pair_count.astype(np.int64))[rated]
+    key += np.searchsorted(category_values, ratings[rated])
+    del rated
+    key.sort()
+    at = np.flatnonzero(np.diff(key, prepend=-1))
+    pair, cat = np.divmod(key[at], c)
+    counts = np.diff(at, append=key.size).astype(np.float64)
+    del key, at
+    pair_cats = sp.csr_matrix((counts, cat, np.searchsorted(pair, np.arange(npairs + 1))),
+                              shape=(npairs, c))
+    # float even when no event is rated
+    sink_cat_counts = np.bincount(graph.pair_dst[pair] * c + cat, weights=counts,
+                                  minlength=graph.n_objects * c).astype(np.float64, copy=False)
+    return pair_cats, sink_cat_counts.reshape(graph.n_objects, c)
 
 
 class ContrastState:

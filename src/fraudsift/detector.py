@@ -12,7 +12,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .contrast import ContrastState, SignalContext
-from .graph import BipartiteGraph, DataError
+from .graph import BipartiteGraph, DataError, unique_inverse
 from .spectral import ConvergenceError, truncated_svd
 
 logger = logging.getLogger(__name__)
@@ -177,8 +177,8 @@ def matricize(graph: BipartiteGraph, time_bin: float = 86400.0,
     """Flatten events into a users-by-(object, time-bin, rating-cluster) count matrix.
 
     Ratings cluster into low (0), neutral (1) and high (2) around the scale's
-    neutral band. Only observed triples become columns, and scipy's COO to CSR
-    conversion sums each (user, column) cell's events; each column's entries
+    neutral band. Only observed triples become columns, and scipy's
+    ``sum_duplicates`` sums each (user, column) cell's events; each column's entries
     are then scaled in place by its object's suspiciousness weight when
     ``column_weights`` is given. Triples are keyed by one int64, so a time bin
     that cuts the time span into so many bins that n_bins · n_objects ·
@@ -189,36 +189,54 @@ def matricize(graph: BipartiteGraph, time_bin: float = 86400.0,
         raise DataError("matricization requires timestamps")
     if time_bin <= 0:
         raise DataError("time bin must be positive")
-    us, vs, ts, ratings = graph.event_arrays()
-    if graph.has_ratings:
-        values, value_of_event = np.unique(ratings, return_inverse=True)
-        neutral = graph.scale.neutral
-        # 0 below the neutral band, 1 inside it, 2 above it
-        lut = (values >= min(neutral)).astype(np.int64) + (values > max(neutral))
-        clusters = lut[value_of_event]
-        n_clusters = int(lut.max()) + 1
-    else:
-        clusters = np.zeros(us.size, dtype=np.int64)
-        n_clusters = 1
+    ts, ratings = graph.event_time, graph.event_rating
+    n_clusters = 1
+    if ratings is not None:
+        # 0 below the neutral band, 1 inside it, 2 above it; the clusters in
+        # use run up to the top rating's
+        low, high = min(graph.scale.neutral), max(graph.scale.neutral)
+        top = ratings.max()
+        n_clusters += int(top >= low) + int(top > high)
 
-    span = int(ts.max() - ts.min())
+    t0 = int(ts.min())
+    span = int(ts.max()) - t0
     last_bin = span / float(time_bin)
     if not last_bin < 2.0 ** 63 or (int(last_bin) + 1) * graph.n_objects * n_clusters > 2 ** 63:
         raise DataError(f"time bin {time_bin:g} s is too fine for the {span} s time span: "
                         f"{last_bin + 1:.3g} bins x {graph.n_objects} objects x "
                         f"{n_clusters} rating clusters do not fit in 64-bit column keys")
-    bins = ((ts - ts.min()) / float(time_bin)).astype(np.int64)
+    # timestamps are below 2^53, so float64 holds them and their differences exactly
+    bins = np.subtract(ts, t0, dtype=np.float64)
+    bins /= float(time_bin)
+    bins = bins.astype(np.int64)
     n_bins = int(bins.max()) + 1
-    col_key = (vs * n_bins + bins) * n_clusters + clusters
-    uniq_cols, col_of_event = np.unique(col_key, return_inverse=True)
-    m = sp.coo_matrix((np.ones(us.size), (us, col_of_event)),
-                      shape=(graph.n_users, uniq_cols.size)).tocsr()
+    # each event's key (object * n_bins + time bin) * n_clusters + cluster,
+    # built in place in pair-major order
+    col_key = np.repeat(graph.pair_dst * n_bins, graph.pair_count.astype(np.int64))
+    col_key += bins
+    del bins
+    if ratings is not None:
+        col_key *= n_clusters
+        col_key += ratings >= low
+        col_key += ratings > high
+    # the distinct keys, ascending, and each event's column: its key's rank
+    uniq_cols, col_of_event = unique_inverse(col_key)
+    del col_key
+    # events run by user: each row lists its events' columns, and scipy sums
+    # each (user, column) cell's events
+    m = sp.csr_matrix((np.ones(col_of_event.size), col_of_event,
+                       graph.pair_event_indptr[graph.src_pair_indptr]),
+                      shape=(graph.n_users, uniq_cols.size))
+    del col_of_event
+    m.sum_duplicates()
 
-    col_objects = (uniq_cols // n_clusters // n_bins).astype(np.int64)
-    col_bins = (uniq_cols // n_clusters % n_bins).astype(np.int64)
-    col_clusters = (uniq_cols % n_clusters).astype(np.int64)
+    col_objects = uniq_cols // n_clusters // n_bins
     if column_weights is not None:
-        m.data *= np.asarray(column_weights, dtype=np.float64)[col_objects[m.indices]]
+        m.data *= np.asarray(column_weights, dtype=np.float64)[col_objects][m.indices]
+    q, col_clusters = np.divmod(uniq_cols, n_clusters)
+    del uniq_cols
+    col_bins = q % n_bins
+    del q
     labels = {"object": col_objects, "time_bin": col_bins, "rating_cluster": col_clusters}
     return m, labels
 
@@ -233,13 +251,14 @@ def fast_greedy(graph: BipartiteGraph, config: DetectorConfig | None = None) -> 
     context = SignalContext(graph, config)
 
     if context.use_phi:
-        design, _ = matricize(graph, time_bin=config.time_bin,
-                              column_weights=context.sigma)
+        # the labels are dropped at once: they are as long as the design's columns
+        design = matricize(graph, time_bin=config.time_bin, column_weights=context.sigma)[0]
     else:
         design = graph.counts_matrix(column_weights=context.sigma)
 
     seeds, seed_meta = svd_seeds(design, config.num_seeds,
                                  cap_exponent=config.cap_exponent)
+    del design
     if not seeds:
         raise DataError("no usable seeds above the truncation threshold")
 

@@ -30,6 +30,25 @@ def concat_ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
     return np.repeat(starts - offsets, lens) + np.arange(total, dtype=np.int64)
 
 
+def unique_inverse(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.unique(values, return_inverse=True) of a 1-d integer array: the
+    distinct values, ascending, and each value's index among them. It holds
+    at most three arrays of the input's length besides the input, where
+    np.unique holds six."""
+    order = np.argsort(values)
+    values = values[order]
+    first = np.empty(values.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(values[1:], values[:-1], out=first[1:])
+    distinct = values[first]
+    np.cumsum(first, out=values)
+    del first
+    values -= 1
+    inverse = np.empty_like(order)
+    inverse[order] = values
+    return distinct, inverse
+
+
 def sorted_unique(values) -> np.ndarray:
     """The distinct values in ascending order. This is np.unique's sorting
     path; without return arrays np.unique takes a hash table, which is slower
@@ -115,19 +134,25 @@ class BipartiteGraph:
 
     def __init__(self, user_ids, object_ids, user_idx, obj_idx, times, ratings,
                  scale: RatingScale | None = None):
-        self.user_ids = list(user_ids)
-        self.object_ids = list(object_ids)
-        self.scale = scale
-        self._build(np.asarray(user_idx, dtype=np.int64),
-                    np.asarray(obj_idx, dtype=np.int64),
-                    times, ratings)
-        if scale is None and self.has_ratings:
-            self.scale = RatingScale(np.unique(self.event_rating))
+        self._build(user_ids, object_ids, [user_idx, obj_idx, times, ratings], scale)
+
+    @classmethod
+    def _from_columns(cls, user_ids, object_ids, columns: list,
+                      scale: RatingScale | None) -> BipartiteGraph:
+        """The graph of ``columns`` [user_idx, obj_idx, times, ratings], which
+        it empties: when the list held the only references, each unsorted
+        column is freed once it is sorted."""
+        graph = cls.__new__(cls)
+        graph._build(user_ids, object_ids, columns, scale)
+        return graph
 
     # -- construction -----------------------------------------------------
 
-    def _build(self, us, vs, times, ratings):
+    def _build(self, user_ids, object_ids, columns: list, scale: RatingScale | None):
         """Sort the events into the pair-major and the sink-major view.
+
+        ``columns`` is emptied, and each input column is dropped once its
+        sorted copy exists; input arrays are only read, never written.
 
         Pair-major order runs by (user, object, time, input position): a
         stable argsort of user·n_objects + object, then one of pair rank ·
@@ -141,23 +166,34 @@ class BipartiteGraph:
         n_users·n_objects and n_events², so below 2^63 for any graph that
         fits in memory.
         """
+        self.user_ids = list(user_ids)
+        self.object_ids = list(object_ids)
+        self.scale = scale
+        us, vs, times, ratings = columns
+        columns.clear()
+        us = np.asarray(us, dtype=np.int64)
+        vs = np.asarray(vs, dtype=np.int64)
         n = us.size
         if n == 0:
             raise DataError("empty input")
         nu, nv = len(self.user_ids), len(self.object_ids)
-        # each temporary is freed once used, so few index arrays live at once
+        # each temporary is freed once used, so few event arrays live at once
         pair_key = us * nv
         pair_key += vs
         order = np.argsort(pair_key, kind="stable")
-        if times is None:
-            ts = np.zeros(n, dtype=np.int64)
-        else:
-            ts = np.asarray(times, dtype=np.int64)
+        pair_key = None if times is None else pair_key[order]
+        us = us[order]
+        vs = vs[order]
+        ts = None if times is None else np.asarray(times, dtype=np.int64)[order]
+        del times
+        rat = None if ratings is None else np.asarray(ratings, dtype=np.float64)[order]
+        del ratings, order
+        if ts is not None:
             # dense rank of each event's time among the distinct times
-            time_rank = np.unique(ts, return_inverse=True)[1].ravel()[order]
-            n_times = int(time_rank.max()) + 1
+            distinct, time_rank = unique_inverse(ts)
+            n_times = distinct.size
+            del distinct
             # pair rank·n_times + time rank, in the pair key's place
-            pair_key = pair_key[order]
             new_pair = pair_key[1:] != pair_key[:-1]
             pair_key[0] = 0
             np.cumsum(new_pair, out=pair_key[1:])
@@ -165,51 +201,57 @@ class BipartiteGraph:
             pair_key *= n_times
             pair_key += time_rank
             within = np.argsort(pair_key, kind="stable")
-            order = order[within]
+            del pair_key
+            us = us[within]
+            vs = vs[within]
+            ts = ts[within]
+            rat = None if rat is None else rat[within]
             time_rank = time_rank[within]
             del within
-        del pair_key
-        us, vs, ts = us[order], vs[order], ts[order]
-        rat = None if ratings is None else np.asarray(ratings, dtype=np.float64)[order]
-        del order
 
         new_pair = np.empty(n, dtype=bool)
         new_pair[0] = True
         new_pair[1:] = (us[1:] != us[:-1]) | (vs[1:] != vs[:-1])
         pair_start = np.flatnonzero(new_pair)
+        del new_pair
         self.pair_src = us[pair_start]
+        del us
         self.pair_dst = vs[pair_start]
         self.pair_event_indptr = np.concatenate((pair_start, [n])).astype(np.int64)
+        del pair_start
         self.pair_count = np.diff(self.pair_event_indptr).astype(np.float64)
 
-        self.event_time = ts if times is not None else None
+        self.event_time = ts
         self.event_rating = rat
 
         # pairs are already grouped by source
         self.src_pair_indptr = np.searchsorted(self.pair_src, np.arange(nu + 1))
 
+        sink_counts = np.bincount(vs, minlength=nv)
+        self._sink_event_counts = sink_counts.astype(np.float64)
         # sink-major event view, sorted by (sink, time); only needed for temporal work
-        if times is not None:
+        if ts is not None:
             # pair-major positions by (time, position), then stably by object
             sorder = time_rank * n
             del time_rank
             sorder += np.arange(n)
             sorder.sort()
             sorder %= n
-            sink = vs[sorder].astype(np.min_scalar_type(nv - 1))
+            sink = vs.astype(np.min_scalar_type(nv - 1))[sorder]
+            del vs
             sorder = sorder[np.argsort(sink, kind="stable")]
             del sink
             self.sink_event_time = ts[sorder]
             self.sink_event_pair = np.repeat(
                 np.arange(self.pair_src.size, dtype=np.int64),
                 self.pair_count.astype(np.int64))[sorder]
-            self.sink_event_indptr = np.searchsorted(vs[sorder], np.arange(nv + 1))
+            self.sink_event_indptr = np.concatenate(([0], np.cumsum(sink_counts)))
         else:
             self.sink_event_time = None
             self.sink_event_pair = None
             self.sink_event_indptr = None
-
-        self._sink_event_counts = np.bincount(vs, minlength=nv).astype(np.float64)
+        if scale is None and self.has_ratings:
+            self.scale = RatingScale(np.unique(self.event_rating))
 
     # -- basic shape -------------------------------------------------------
 
@@ -359,7 +401,8 @@ class _Columns:
         self.diagnostics = diagnostics
         self.user_index: dict[str, int] = {}
         self.object_index: dict[str, int] = {}
-        self.batches: list[tuple[np.ndarray, ...]] = []
+        # users, objects, times and ratings, one list of batch arrays each
+        self.parts: tuple[list, ...] = ([], [], [], [])
         self.n_ts = self.n_rated = 0
 
     def coerce(self, pos: int, rec):
@@ -385,28 +428,33 @@ class _Columns:
             ratings: np.ndarray | None) -> None:
         """Append a batch of accepted events; ``users`` and ``objs`` are id
         columns as ``_intern`` takes them."""
-        self.batches.append((_intern(self.user_index, users),
-                             _intern(self.object_index, objs), times, ratings))
+        batch = (_intern(self.user_index, users), _intern(self.object_index, objs), times,
+                 ratings)
+        for parts, column in zip(self.parts, batch):
+            parts.append(column)
         if times is not None:
             self.n_ts += int(np.count_nonzero(times >= 0))
         if ratings is not None:
             self.n_rated += int(np.count_nonzero(~np.isnan(ratings)))
 
     def graph(self) -> BipartiteGraph:
-        n = sum(batch[0].size for batch in self.batches)
+        n = sum(users.size for users in self.parts[0])
         if n == 0:
             raise DataError("empty input")
         if 0 < self.n_ts < n:
             raise DataError("timestamps must be present on all records or on none")
         if 0 < self.n_rated < n:
             raise DataError("ratings must be present on all records or on none")
-        # every non-empty batch holds a column that all events hold
-        users, objs, times, ratings = (
-            np.concatenate([c for c in column if c is not None]) if present else None
-            for column, present in zip(zip(*self.batches), (n, n, self.n_ts, self.n_rated)))
-        self.batches.clear()
-        return BipartiteGraph(list(self.user_index), list(self.object_index), users, objs,
-                              times, ratings, scale=self.scale)
+        # every non-empty batch holds a column that all events hold; each
+        # column's batches are freed once joined, and the joined column once
+        # the graph has sorted it
+        columns = []
+        for parts, present in zip(self.parts, (n, n, self.n_ts, self.n_rated)):
+            columns.append(np.concatenate([c for c in parts if c is not None])
+                           if present else None)
+            parts.clear()
+        return BipartiteGraph._from_columns(list(self.user_index), list(self.object_index),
+                                            columns, self.scale)
 
 
 def _record_batch(rows: list[tuple]) -> tuple:
@@ -745,16 +793,28 @@ def read_delimited(path: str | Path, scale: RatingScale | None = None,
     comma; a line ends at \\n, \\r or \\r\\n; fields are stripped of
     surrounding whitespace; blank lines are skipped, and so is line 1 when a
     field there is a header word; a line that is not UTF-8 is rejected. The
-    file is read in binary chunks of whole lines (a file whose lines all end
-    at a lone \\r, in one chunk) and parsed column by column over their bytes
-    (see ``_DelimitedReader``); the ids, arrays and diagnostics are those of
-    passing each line through ``ingest`` in turn.
+    file is read in binary chunks of whole lines and parsed column by
+    column over their bytes (see ``_DelimitedReader``); the ids, arrays and
+    diagnostics are those of passing each line through ``ingest`` in turn.
     """
     columns = _Columns("line", scale, diagnostics)
     reader = _DelimitedReader(columns)
     with open(path, "rb") as fh:
+        held: list[bytes] = []
         while data := fh.read(CHUNK_BYTES):
-            reader.feed(data + fh.readline())
+            # a chunk ends at a read's last \r or \n; a \r that ends a read
+            # may be half of a \r\n, so it waits for the next read
+            if held and held[-1].endswith(b"\r") and not data.startswith(b"\n"):
+                reader.feed(b"".join(held))
+                held.clear()
+            stop = len(data) - data.endswith(b"\r")
+            end = max(data.rfind(b"\n", 0, stop), data.rfind(b"\r", 0, stop)) + 1
+            if end:
+                reader.feed(b"".join(held) + data[:end])
+                held.clear()
+            held.append(data[end:])
+        if rest := b"".join(held):
+            reader.feed(rest)
     return columns.graph()
 
 

@@ -28,9 +28,14 @@ class ConvergenceError(RuntimeError):
 
 
 def _canonical_signs(U: np.ndarray) -> np.ndarray:
-    # fix the SVD sign ambiguity: largest-magnitude left entry made positive
-    flip = U[np.abs(U).argmax(axis=0), np.arange(U.shape[1])] < 0
-    U *= np.where(flip, -1.0, 1.0)
+    # fix the SVD sign ambiguity: largest-magnitude left entry made positive,
+    # the first such row on a tie, as np.abs(U).argmax(axis=0) picks it but
+    # without an n_rows x k copy
+    cols = np.arange(U.shape[1])
+    top, bottom = U.argmax(axis=0), U.argmin(axis=0)
+    high, low = U[top, cols], -U[bottom, cols]
+    row = np.where(high > low, top, np.where(low > high, bottom, np.minimum(top, bottom)))
+    U *= np.where(U[row, cols] < 0, -1.0, 1.0)
     return U
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -18,6 +18,9 @@ from .graph import concat_ranges, sorted_unique
 MAX_BINS = 65536
 # A burst pair is kept when its altitude reaches this share of the largest one.
 BURST_SIGNIFICANCE = 0.5
+# Events binned per block by histogram_segments; it bounds that pass's
+# temporaries, not its outputs.
+_BLOCK_EVENTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -68,10 +71,16 @@ class SegmentHistograms:
         # a run of empty bins starts at ids + 1 or a segment's first bin and
         # ends at ids - 1 or its last bin, so ids - 2 or last - 1 is its
         # second-to-last; each of these is kept or outside the histograms
-        kept = np.sort(np.concatenate((ids, ids + 1, ids - 1, ids - 2, first, last, last - 1,
-                                       concat_ranges(first[tight], last[tight] + 1))))
-        kept = kept[(kept >= 0) & (kept < bin_indptr[-1])]
-        kept = kept[np.diff(kept, prepend=-1) != 0]
+        near = np.add.outer(ids, np.arange(-2, 2)).ravel()
+        kept = np.concatenate((near, first, last - 1, last,
+                               concat_ranges(first[tight], last[tight] + 1)))
+        del near
+        kept.sort()
+        kept = kept[np.searchsorted(kept, 0):np.searchsorted(kept, bin_indptr[-1])]
+        new = np.empty(kept.size, dtype=bool)
+        new[:1] = True
+        np.not_equal(kept[1:], kept[:-1], out=new[1:])
+        kept = kept[new]
         kept_counts = np.zeros(kept.size, dtype=np.int64)
         kept_counts[np.searchsorted(kept, ids)] = counts
         return cls(bin_indptr, kept, kept_counts, lo, widths, spread)
@@ -94,7 +103,7 @@ def _quantile_sorted(ts: np.ndarray, starts: np.ndarray, n: np.ndarray, q: float
 
 def histogram_segments(times: np.ndarray, indptr: np.ndarray) -> SegmentHistograms:
     """Bin every segment ``times[indptr[s]:indptr[s + 1]]`` (sorted within itself)
-    with the finer of the Sturges and Freedman-Diaconis rules, in one pass.
+    with the finer of the Sturges and Freedman-Diaconis rules, all segments at once.
 
     Bin count is max(ceil(log2 n) + 1, ceil(range / (2 * IQR * n^(-1/3)))),
     capped at MAX_BINS; a zero IQR falls back to Sturges alone, and identical
@@ -104,6 +113,25 @@ def histogram_segments(times: np.ndarray, indptr: np.ndarray) -> SegmentHistogra
     """
     ts = np.asarray(times, dtype=np.float64)
     indptr = np.asarray(indptr, dtype=np.int64)
+    rule = _bin_rule(ts, indptr)
+    ids, counts = _bin_runs(ts, indptr, rule)
+    return SegmentHistograms.from_bins(rule.bin_indptr, ids, counts, rule.lo, rule.widths,
+                                       rule.spread)
+
+
+class _BinRule(NamedTuple):
+    """Each segment's first and last timestamp, bin count and width, whether
+    it spans more than one timestamp, and where its bins start globally."""
+
+    lo: np.ndarray
+    hi: np.ndarray
+    k: np.ndarray
+    widths: np.ndarray
+    spread: np.ndarray
+    bin_indptr: np.ndarray
+
+
+def _bin_rule(ts: np.ndarray, indptr: np.ndarray) -> _BinRule:
     starts = indptr[:-1]
     n = np.diff(indptr)
     present = n > 0
@@ -129,23 +157,45 @@ def histogram_segments(times: np.ndarray, indptr: np.ndarray) -> SegmentHistogra
         k[spread] = np.minimum(np.maximum(k_sturges, k_fd), MAX_BINS).astype(np.int64)
     bin_indptr = np.concatenate(([0], np.cumsum(k))).astype(np.int64)
     widths = np.where(spread, span / np.maximum(k, 1), 1.0)
+    return _BinRule(lo, hi, k, widths, spread, bin_indptr)
 
-    # each event's bin, by np.histogram's uniform-bin rule with its one-ulp corrections
-    seg = np.repeat(np.arange(n.size), n)
-    bins = np.zeros(ts.size, dtype=np.int64)
-    ev = np.flatnonzero(spread[seg])
+
+def _event_bins(t: np.ndarray, seg: np.ndarray, rule: _BinRule) -> np.ndarray:
+    """The global bin of events at times ``t`` in segments ``seg``, by
+    np.histogram's uniform-bin rule with its one-ulp corrections."""
+    bins = rule.bin_indptr[seg]
+    ev = np.flatnonzero(rule.spread[seg])
     if ev.size:
         s = seg[ev]
-        t, lo_e, k_e, step = ts[ev], lo[s], k[s], widths[s]
-        idx = (((t - lo_e) / span[s]) * k_e).astype(np.intp)
-        idx[idx == k_e] -= 1
-        idx[t < idx * step + lo_e] -= 1
-        upper = np.where(idx + 1 == k_e, hi[s], (idx + 1) * step + lo_e)
-        idx[(t >= upper) & (idx != k_e - 1)] += 1
-        bins[ev] = idx
-    ids, counts = np.unique(bin_indptr[seg] + bins, return_counts=True)
-    return SegmentHistograms.from_bins(bin_indptr, ids, counts.astype(np.int64), lo, widths,
-                                       spread)
+        t, lo, hi, k, step = t[ev], rule.lo[s], rule.hi[s], rule.k[s], rule.widths[s]
+        idx = (((t - lo) / (hi - lo)) * k).astype(np.intp)
+        idx[idx == k] -= 1
+        idx[t < idx * step + lo] -= 1
+        upper = np.where(idx + 1 == k, hi, (idx + 1) * step + lo)
+        idx[(t >= upper) & (idx != k - 1)] += 1
+        bins[ev] += idx
+    return bins
+
+
+def _bin_runs(ts: np.ndarray, indptr: np.ndarray, rule: _BinRule):
+    """Each non-empty global bin, ascending, and its event count.
+
+    Events are binned _BLOCK_EVENTS at a time, so the temporaries do not
+    grow with the event count. Global bins never fall along the events
+    (segments in order, times sorted within each), so a bin's count is the
+    length of its run of events."""
+    ids, starts = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    last = -1
+    for b0 in range(0, ts.size, _BLOCK_EVENTS):
+        block = ts[b0:b0 + _BLOCK_EVENTS]
+        seg = np.searchsorted(indptr, np.arange(b0, b0 + block.size), side="right") - 1
+        bins = _event_bins(block, seg, rule)
+        # a run that goes on from the block before does not start here
+        at = np.flatnonzero(np.diff(bins, prepend=last))
+        ids.append(bins[at])
+        starts.append(at + b0)
+        last = bins[-1]
+    return np.concatenate(ids), np.diff(np.concatenate(starts), append=ts.size)
 
 
 def _centers(hists: SegmentHistograms, seg, idx) -> np.ndarray:

@@ -326,7 +326,10 @@ def test_rating_tables_match_an_event_count(make_graph, seed, all_neutral):
             pair_counts[pair_of[user, obj], cats.index(rating)] += 1
             sink_counts[g.object_index(obj), cats.index(rating)] += 1
     assert ctx.pair_cats.toarray().tolist() == pair_counts.tolist()
-    assert ctx.sink_cat_counts.tolist() == sink_counts.tolist()
+    assert ctx.pair_cats.has_canonical_format
+    # float64 whether or not any event is rated
+    assert ctx.sink_cat_counts.dtype == sink_counts.dtype
+    assert ctx.sink_cat_counts.tobytes() == sink_counts.tobytes()
     st = ContrastState(ctx, np.arange(g.n_users // 2))
     if all_neutral:
         # one all-zero column: no sink carries rating signal, yet detection runs

@@ -562,6 +562,31 @@ def test_reader_property_matches_per_line_reference(tmp_path_factory, rows, deli
     assert_reads_like_per_line(path, scale, chunk_bytes=(1 << 20, chunk))
 
 
+@pytest.mark.parametrize("ends", [["\r"], ["\r\n"], ["\r", "\r\n", "\n", "\r"]])
+def test_lines_ending_in_cr_are_read_in_chunks(tmp_path, monkeypatch, ends):
+    lines = [f"u{i % 7},v{i % 5},{100 + i},{1 + i % 5}" for i in range(30)]
+    text = "".join(line + ends[i % len(ends)] for i, line in enumerate(lines)).encode()
+    path, lf_path = tmp_path / "events.csv", tmp_path / "lf.csv"
+    path.write_bytes(text)
+    lf_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    want = read_delimited(lf_path)
+    feed = graph_module._DelimitedReader.feed
+    fed: list[bytes] = []
+    monkeypatch.setattr(graph_module._DelimitedReader, "feed",
+                        lambda self, data: fed.append(data) or feed(self, data))
+    # every chunk size up to two lines puts a border inside each CRLF somewhere
+    for chunk in range(1, 2 * len(lines[0]) + 4):
+        fed.clear()
+        monkeypatch.setattr(graph_module, "CHUNK_BYTES", chunk)
+        assert_same_graph(read_delimited(path), want)
+        assert len(fed) > 1 and b"".join(fed) == text
+        # each chunk ends at a line end, and no CRLF is split between two
+        for data, after in zip(fed, fed[1:]):
+            assert data.endswith((b"\n", b"\r")), chunk
+            assert not (data.endswith(b"\r") and after.startswith(b"\n")), chunk
+    assert_reads_like_per_line(path, chunk_bytes=(5, 64))
+
+
 @pytest.mark.parametrize("timestamps, ratings", [(False, False), (True, False), (True, True)])
 def test_write_then_read_gives_an_equal_graph(tmp_path, make_graph, timestamps, ratings):
     g = make_graph(n_users=30, n_objects=20, n_events=400, seed=8, timestamps=timestamps,
@@ -657,6 +682,26 @@ def test_build_order_matches_two_lexsorts(seed, n, n_users, n_objects, n_times,
 def test_build_of_a_single_event_matches_two_lexsorts(ts):
     assert_build_matches_lexsort([0], [0], ts, [3.0], 1, 1)
     assert_build_matches_lexsort([1], [2], ts, None, 3, 4)
+
+
+def test_build_never_writes_to_the_callers_arrays():
+    rng = np.random.default_rng(3)
+    columns = [rng.integers(0, 5, 200), rng.integers(0, 4, 200),
+               rng.integers(0, 50, 200), rng.choice([1.0, 3.0, 5.0], 200)]
+    before = [c.copy() for c in columns]
+    BipartiteGraph([f"u{i}" for i in range(5)], [f"o{j}" for j in range(4)], *columns)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(columns, before))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-2**62, 2**62) | st.integers(0, 5), max_size=60))
+def test_unique_inverse_matches_np_unique(values):
+    values = np.asarray(values, dtype=np.int64)
+    distinct, inverse = graph_module.unique_inverse(values.copy())
+    want_distinct, want_inverse = np.unique(values, return_inverse=True)
+    assert distinct.tobytes() == want_distinct.tobytes()
+    assert inverse.dtype == want_inverse.dtype
+    assert inverse.tobytes() == want_inverse.ravel().tobytes()
 
 
 # -- ids that the CSV layout cannot carry ---------------------------------------

@@ -5,6 +5,8 @@ import logging
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import svd as dense_svd
 
 from fraudsift import ConvergenceError, DataError, spectral, svd_seeds, truncated_svd
@@ -254,3 +256,15 @@ def test_nonconvergence_merges_isolated_rows_it_can_rank():
         dense = m.toarray()
         assert np.linalg.norm(dense @ V - U * s, axis=0).max() <= 1e-8 * s[0]
         assert np.allclose(s, dense_svd(dense, compute_uv=False)[:j], rtol=1e-10)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0]), min_size=3,
+                         max_size=3), min_size=1, max_size=6))
+# +x and -x tie in either order, and a column of zeros
+@example([[0.5, -0.5, 0.0], [-0.5, 0.5, -0.0], [0.5, 0.5, 0.0]])
+def test_canonical_signs_flip_by_the_first_largest_magnitude_row(rows):
+    U = np.asarray(rows)
+    cols = np.arange(U.shape[1])
+    want = U * np.where(U[np.abs(U).argmax(axis=0), cols] < 0, -1.0, 1.0)
+    assert spectral._canonical_signs(U.copy()).tobytes() == want.tobytes()

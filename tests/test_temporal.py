@@ -157,6 +157,34 @@ def test_segmented_histograms_match_per_segment_oracle(segments):
         assert 1 <= len(got) <= MAX_BINS
 
 
+# the segments the run-length count must get right: empty, one timestamp
+# repeated, MAX_BINS-capped by a far outlier, and near 2^40 with bins so
+# narrow that the histograms keep every bin
+count_segment = st.one_of(
+    st.just([]),
+    st.tuples(st.integers(0, 10**6), st.integers(1, 20)).map(lambda t: [t[0]] * t[1]),
+    st.lists(st.integers(0, 3), min_size=20, max_size=60).map(lambda xs: xs + [10**9]),
+    st.lists(st.integers(0, 60), min_size=2, max_size=60).map(
+        lambda xs: [2.0**40 + x / 2048 for x in xs]),
+    segment,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(count_segment, min_size=1, max_size=8), st.sampled_from([1, 2, 3, 5, 64]))
+@example([[], [5, 5, 5], [0] * 10 + [1] * 10 + [10**9],
+          [2.0**40 + x / 2048 for x in (0, 1, 5, 60)]], 2)
+def test_run_length_bin_counts_match_np_unique(segments, block):
+    times = np.concatenate([np.sort(np.asarray(seg, dtype=np.float64)) for seg in segments])
+    indptr = np.concatenate(([0], np.cumsum([len(seg) for seg in segments])))
+    rule = temporal._bin_rule(times, indptr)
+    seg = np.repeat(np.arange(len(segments)), np.diff(indptr))
+    want = np.unique(temporal._event_bins(times, seg, rule), return_counts=True)
+    with mock.patch.object(temporal, "_BLOCK_EVENTS", block):
+        got = temporal._bin_runs(times, indptr, rule)
+    assert [x.tobytes() for x in got] == [x.astype(np.int64).tobytes() for x in want]
+
+
 def kept_bins(counts) -> list[int]:
     """Every non-empty bin, and the first, second-to-last and last bin of each
     run of empty bins, by a scan over the bins."""
