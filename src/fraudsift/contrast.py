@@ -43,8 +43,9 @@ class SignalContext:
     """The signal set of one run and the graph-wide precompute shared by every
     shaving run: spike profiles, the per-pair burst weights behind the
     temporal signal, the drop-based column weights ``sigma``, and per-sink
-    rating tables. The graph is only read, so contexts built on one graph
-    with different configs do not interfere.
+    rating tables. The burst and rating tables exist only while their signal
+    is on; with phi off, ``sigma`` is all ones. The graph is only read, so
+    contexts built on one graph with different configs do not interfere.
 
     ``use_alpha``, ``use_phi`` and ``use_kappa`` are decided here and only
     here, from ``config.signals`` and the data: ``signals=None`` enables
@@ -86,10 +87,7 @@ class SignalContext:
             self.sigma = temporal.sigma_from_drop_weights(drop_w)
             self.drop_weights = drop_w
         else:
-            self.pair_phi_weight = np.zeros(graph.n_pairs, dtype=np.float64)
-            self.sink_phi_total = np.zeros(graph.n_objects, dtype=np.float64)
             self.sigma = np.ones(graph.n_objects, dtype=np.float64)
-            self.drop_weights = np.zeros(graph.n_objects, dtype=np.float64)
 
         if self.use_kappa:
             scale = graph.scale
@@ -140,27 +138,29 @@ class ContrastState:
     """Exact bookkeeping of per-sink contrast scores, per-user scores, and the
     objective for one seed block, under user removals.
 
-    ``seed_idx`` holds user indices into ``context.graph``; ``active``
-    optionally masks the seed rows (sorted by user index) still in the set.
-    The signals and the base are the context's. The sink domain is fixed at
-    build time to the sinks adjacent to the seed; the objective numerator
-    and denominator sum over that domain.
+    ``seed_idx`` holds user indices into ``context.graph``; the seed rows are
+    sorted by user index, and every one is active at build. The signals and
+    the base are the context's. The sink domain is fixed at build time to
+    the sinks adjacent to the seed; the objective numerator and denominator
+    sum over that domain.
 
-    The seed block is read-only: up to three ``scipy.sparse.csr_matrix``
-    over every seed row, built once in one row layout. ``seed_counts`` holds
-    each row's event count per local sink, columns ascending within a row;
-    ``bursts`` the same entries' burst weights when phi is on; ``ratings``
-    each row's rating-category counts at column local sink * c + category
-    when kappa is on. A removal of seed row ``r`` reads row ``r`` there and
+    The seed block is read-only and built once in one row layout over every
+    seed row: ``seed_counts``, a ``scipy.sparse.csr_matrix``, holds each
+    row's event count per local sink, columns ascending within a row;
+    ``bursts`` the same entries' burst weights, aligned with
+    ``seed_counts.data``, when phi is on; ``ratings``, a CSR matrix, each
+    row's rating-category counts at column local sink * c + category when
+    kappa is on. A removal of seed row ``r`` reads row ``r`` there and
     refreshes alpha, phi, raw kappa and P of its sinks in one pass. Only the
     product's matrix ``counts`` changes: it holds the seed-block rows
-    ``rows`` (ascending; at build, the active ones), and one product
+    ``rows`` (ascending; after a reset, the active ones), and one product
     ``counts @ w`` refreshes their scores. Once the active rows fall to half
     of ``rows``, boolean row indexing drops the removed ones from
-    ``counts``. ``S`` is the score of every seed row, +inf on removed ones.
+    ``counts``. ``reset(active)`` recomputes every sum, signal and score
+    from the seed block for the seed rows a mask keeps.
     """
 
-    def __init__(self, context: SignalContext, seed_idx, active=None):
+    def __init__(self, context: SignalContext, seed_idx):
         self.ctx = context
         graph = context.graph
 
@@ -169,13 +169,6 @@ class ContrastState:
             raise DataError("empty seed")
         self.seed_idx = seed_idx
         m0 = seed_idx.size
-        if active is None:
-            self.active = np.ones(m0, dtype=bool)
-        else:
-            self.active = np.asarray(active, dtype=bool).copy()
-            if self.active.shape != (m0,):
-                raise DataError("active mask must match the seed size")
-        self.n_active = int(self.active.sum())
         self.n_rescales = 0
 
         starts = graph.src_pair_indptr[seed_idx]
@@ -189,25 +182,11 @@ class ContrastState:
 
         indptr = np.zeros(m0 + 1, dtype=np.int64)
         np.cumsum(stops - starts, out=indptr[1:])
-        self.rows = np.flatnonzero(self.active)
-
-        def sink_sums(m):
-            # per-sink sums in row order, each entry times its row's active
-            # flag: entries are >= 0, so an inactive row adds +0.0 and every
-            # sum keeps its bits; float even when there are no entries
-            w = m.data * np.repeat(self.active, np.diff(m.indptr))
-            return np.bincount(m.indices, weights=w,
-                               minlength=m.shape[1]).astype(np.float64, copy=False)
-
         self.cnt_total = context.sink_event_total[domain]
         self.sigma_d = context.sigma[domain]
         self.seed_counts = sp.csr_matrix((graph.pair_count[pids], cols, indptr), shape=(m0, nv))
-        self.counts = self.seed_counts[self.active] if self.rows.size < m0 else self.seed_counts
-        self.cnt_set = sink_sums(self.seed_counts)
         if context.use_phi:
-            self.bursts = sp.csr_matrix((context.pair_phi_weight[pids], cols, indptr),
-                                        shape=(m0, nv))
-            self.phi_set = sink_sums(self.bursts)
+            self.bursts = context.pair_phi_weight[pids]
             phi_total = context.sink_phi_total[domain]
             # burst weights are >= 0: a sink of zero total keeps phi_set 0.0, so phi 0.0
             self._phi_den = np.where(phi_total > 0, phi_total, 1.0)
@@ -217,7 +196,6 @@ class ContrastState:
             flat = np.repeat(cols, np.diff(cats.indptr)) * c + cats.indices
             self.ratings = sp.csr_matrix((cats.data, flat, cats.indptr[indptr]),
                                          shape=(m0, nv * c))
-            self.cat_set = sink_sums(self.ratings).reshape(nv, c)
             self.cat_total = context.sink_cat_counts[domain]
 
         self.alpha = np.zeros(nv)
@@ -226,21 +204,46 @@ class ContrastState:
         self.kappa = np.zeros(nv)
         self.P = np.zeros(nv)
         self._w = np.zeros(nv)  # the product's weights; zero between steps
-        every = np.arange(nv)
+        self.reset(np.ones(m0, dtype=bool))
+
+    def reset(self, active) -> None:
+        """Make the seed rows that the boolean mask ``active`` keeps the set,
+        recomputing every sum, signal and score from the seed block; the
+        count of kappa rescales carries on."""
+        active = np.array(active, dtype=bool)
+        m0 = self.seed_idx.size
+        if active.shape != (m0,):
+            raise DataError("active mask must match the seed size")
+        self.active = active
+        self.n_active = int(active.sum())
+        self.rows = np.flatnonzero(active)
+
+        def sink_sums(m, data):
+            # per-sink sums in row order, each entry times its row's active
+            # flag: entries are >= 0, so an inactive row adds +0.0 and every
+            # sum keeps its bits; float even when there are no entries
+            w = data * np.repeat(active, np.diff(m.indptr))
+            return np.bincount(m.indices, weights=w,
+                               minlength=m.shape[1]).astype(np.float64, copy=False)
+
+        counts = self.seed_counts
+        self.counts = counts[active] if self.rows.size < m0 else counts
+        self.cnt_set = sink_sums(counts, counts.data)
+        if self.ctx.use_phi:
+            self.phi_set = sink_sums(counts, self.bursts)
+        if self.ctx.use_kappa:
+            self.cat_set = sink_sums(self.ratings, self.ratings.data).reshape(
+                self.cat_total.shape)
+
+        every = np.arange(self.P.size)
         signals = self._signals(every, self.cnt_set)
-        self.kmax = float(self.kw.max()) if context.use_kappa and nv else 0.0
+        # the domain is never empty
+        self.kmax = float(self.kw.max()) if self.ctx.use_kappa else 0.0
         self._contrast(every, *signals)
         # the scores of the rows of counts
         self._score = self.counts @ (self.sigma_d * self.P)
         self.num = float((self.sigma_d * self.cnt_set * self.P).sum())
         self.psum = float(self.P.sum())
-
-    @property
-    def S(self) -> np.ndarray:
-        """Score of every seed row; removed rows hold +inf."""
-        S = np.full(self.active.size, np.inf)
-        S[self.rows] = self._score
-        return S
 
     # -- signal recomputation ----------------------------------------------
 
@@ -319,7 +322,7 @@ class ContrastState:
         cols = self.seed_counts.indices[lo:hi].astype(np.intp)
         vals = self.seed_counts.data[lo:hi]
         if ctx.use_phi:
-            self.phi_set[cols] -= self.bursts.data[lo:hi]
+            self.phi_set[cols] -= self.bursts[lo:hi]
         if ctx.use_kappa:
             a, b = self.ratings.indptr[r], self.ratings.indptr[r + 1]
             # the flat indices are unique within one row

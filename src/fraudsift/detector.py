@@ -83,7 +83,7 @@ class DetectionResult:
 def greedy_shaving(context: SignalContext, seed_idx) -> DetectionResult:
     """Peel minimum-score users off the seed (user indices into
     ``context.graph``) one at a time, returning the prefix of the trajectory
-    that maximizes the objective."""
+    that maximizes the objective, rescored on the same seed block."""
     graph = context.graph
     state = ContrastState(context, seed_idx)
     best_obj = state.objective()
@@ -102,19 +102,17 @@ def greedy_shaving(context: SignalContext, seed_idx) -> DetectionResult:
             best_obj = obj
             best_removals = len(removal_order)
 
-    seed_idx, n_rescales = state.seed_idx, state.n_rescales
-    del state  # one seed block alive at a time
-    keep = np.ones(seed_idx.size, dtype=bool)
+    keep = np.ones(state.seed_idx.size, dtype=bool)
     keep[removal_order[:best_removals]] = False
-    final = ContrastState(context, seed_idx, active=keep)
+    state.reset(keep)
     sink_scores = np.zeros(graph.n_objects, dtype=np.float64)
-    sink_scores[final.domain] = final.sigma_d * final.cnt_set * final.P
-    users_idx = seed_idx[keep]
+    sink_scores[state.domain] = state.sigma_d * state.cnt_set * state.P
+    users_idx = state.seed_idx[keep]
     users = tuple(sorted(graph.user_ids[i] for i in users_idx))
     return DetectionResult(
-        users=users, user_indices=users_idx, objective=final.objective(),
+        users=users, user_indices=users_idx, objective=state.objective(),
         sink_scores=sink_scores, trace=tuple(trace),
-        meta={"seed_size": int(seed_idx.size), "kappa_rescales": n_rescales})
+        meta={"seed_size": int(state.seed_idx.size), "kappa_rescales": state.n_rescales})
 
 
 def _above(v: np.ndarray, threshold: float, cap: int) -> np.ndarray:

@@ -572,10 +572,8 @@ class _DelimitedReader:
         return True
 
     def feed(self, data: bytes) -> None:
-        """Read one chunk of whole lines."""
+        """Read one chunk of whole lines, each ended by \\n but maybe the last."""
         first = self.lines_read
-        if b"\r" in data:
-            data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
         if not data.endswith(b"\n"):
             data += b"\n"
         self.lines_read += data.count(b"\n")
@@ -793,28 +791,24 @@ def read_delimited(path: str | Path, scale: RatingScale | None = None,
     comma; a line ends at \\n, \\r or \\r\\n; fields are stripped of
     surrounding whitespace; blank lines are skipped, and so is line 1 when a
     field there is a header word; a line that is not UTF-8 is rejected. The
-    file is read in binary chunks of whole lines and parsed column by
-    column over their bytes (see ``_DelimitedReader``); the ids, arrays and
-    diagnostics are those of passing each line through ``ingest`` in turn.
+    file is read in chunks of whole lines and parsed column by column over
+    their bytes (see ``_DelimitedReader``); the ids, arrays and diagnostics
+    are those of passing each line through ``ingest`` in turn.
     """
     columns = _Columns("line", scale, diagnostics)
     reader = _DelimitedReader(columns)
-    with open(path, "rb") as fh:
-        held: list[bytes] = []
-        while data := fh.read(CHUNK_BYTES):
-            # a chunk ends at a read's last \r or \n; a \r that ends a read
-            # may be half of a \r\n, so it waits for the next read
-            if held and held[-1].endswith(b"\r") and not data.startswith(b"\n"):
-                reader.feed(b"".join(held))
-                held.clear()
-            stop = len(data) - data.endswith(b"\r")
-            end = max(data.rfind(b"\n", 0, stop), data.rfind(b"\r", 0, stop)) + 1
+    # latin-1 maps each byte to one character and back, and universal
+    # newlines turn \r\n and a lone \r into \n
+    with open(path, encoding="latin-1", newline=None) as fh:
+        held: list[str] = []
+        while text := fh.read(CHUNK_BYTES):
+            end = text.rfind("\n") + 1
             if end:
-                reader.feed(b"".join(held) + data[:end])
+                reader.feed(("".join(held) + text[:end]).encode("latin-1"))
                 held.clear()
-            held.append(data[end:])
-        if rest := b"".join(held):
-            reader.feed(rest)
+            held.append(text[end:])
+        if rest := "".join(held):
+            reader.feed(rest.encode("latin-1"))
     return columns.graph()
 
 

@@ -674,10 +674,18 @@ def avg_degree_peel(counts) -> set[int]:
     return set(np.flatnonzero(best_alive[:nu]).tolist())
 
 
+def row_scores(state) -> np.ndarray:
+    """Incremental score of every seed row of a ContrastState; removed rows
+    hold +inf."""
+    S = np.full(state.active.size, np.inf)
+    S[state.rows] = state._score
+    return S
+
+
 def user_scores(state) -> dict[str, float]:
-    """Incremental score ``S`` of every active seed user, by user id."""
+    """Incremental score of every active seed user, by user id."""
     ids = state.ctx.graph.user_ids
-    S = state.S
+    S = row_scores(state)
     return {ids[state.seed_idx[r]]: float(S[r]) for r in np.flatnonzero(state.active)}
 
 

@@ -6,12 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from fraudsift import (DataError, DetectorConfig, RatingScale, bench_graph, contrast_score,
-                       fast_greedy, ingest)
-from fraudsift.contrast import ContrastState, SignalContext
+from fraudsift import DataError, DetectorConfig, RatingScale, bench_graph, fast_greedy, ingest
+from fraudsift.contrast import ContrastState, SignalContext, contrast_score
 from fraudsift.temporal import MAX_BINS, histogram_segments, sigma_from_drop_weights
 from oracles import (build_profile, events, involvement_ratio, phi_involvement,
-                     rating_divergence, seed_row, signal_arrays, suspicion_scale, user_scores)
+                     rating_divergence, row_scores, seed_row, signal_arrays, suspicion_scale,
+                     user_scores)
 
 
 def state_for(graph, seed=None):
@@ -355,8 +355,8 @@ def _assert_state_matches_rebuild(st, ref):
     for name in ("cnt_set", "alpha", "phi", "kw", "kappa", "P"):
         assert np.allclose(getattr(st, name), getattr(ref, name),
                            rtol=1e-9, atol=1e-12), name
-    live_a = np.where(st.active, st.S, 0.0)
-    live_b = np.where(ref.active, ref.S, 0.0)
+    live_a = np.where(st.active, row_scores(st), 0.0)
+    live_b = np.where(ref.active, row_scores(ref), 0.0)
     assert np.allclose(live_a, live_b, rtol=1e-9, atol=1e-12)
     if st.n_active:
         assert st.objective() == pytest.approx(ref.objective(), rel=1e-9)
@@ -375,7 +375,8 @@ def test_incremental_updates_match_rebuild(make_graph):
             removed.append(int(u))
             keep = np.ones(50, dtype=bool)
             keep[removed] = False
-            ref = ContrastState(ctx, seed, active=keep)
+            ref = ContrastState(ctx, seed)
+            ref.reset(keep)
             _assert_state_matches_rebuild(st, ref)
 
 
@@ -385,8 +386,9 @@ def test_shaving_compacts_only_the_product_matrix(make_graph):
     assert st.ctx.use_phi and st.ctx.use_kappa and st.kmax > 0
 
     def seed_block():
-        return [(m.shape, m.data.tobytes(), m.indices.tobytes(), m.indptr.tobytes())
-                for m in (st.seed_counts, st.bursts, st.ratings)]
+        return [st.bursts.tobytes()] + [
+            (m.shape, m.data.tobytes(), m.indices.tobytes(), m.indptr.tobytes())
+            for m in (st.seed_counts, st.ratings)]
 
     built = seed_block()
     stored = [st.rows.size]
@@ -394,6 +396,7 @@ def test_shaving_compacts_only_the_product_matrix(make_graph):
         st._remove_local(st.argmin_active_score())
         stored.append(st.rows.size)
     assert sum(b < a for a, b in zip(stored, stored[1:])) >= 2
+    assert st.n_rescales >= 1
     # the seed block still holds every seed row, as built
     assert st.seed_counts.shape[0] == 40
     assert seed_block() == built
@@ -402,3 +405,26 @@ def test_shaving_compacts_only_the_product_matrix(make_graph):
     assert st.counts.shape == want.shape
     for name in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(st.counts, name), getattr(want, name)), name
+
+    # a reset of the shaved block equals one of a fresh block, byte for byte
+    mask = np.random.default_rng(5).random(40) < 0.5
+    rescales = st.n_rescales
+    st.reset(mask)
+    fresh = state_for(g, seed=np.arange(40))
+    fresh.reset(mask)
+    assert st.n_rescales == rescales and seed_block() == built
+    for name in ("active", "rows", "cnt_set", "phi_set", "cat_set", "alpha", "phi", "kw",
+                 "kappa", "P", "_score"):
+        assert getattr(st, name).tobytes() == getattr(fresh, name).tobytes(), name
+    for name in ("n_active", "kmax", "num", "psum"):
+        assert getattr(st, name) == getattr(fresh, name), name
+    for name in ("data", "indices", "indptr"):
+        assert getattr(st.counts, name).tobytes() == getattr(fresh.counts, name).tobytes()
+
+
+def test_reset_refuses_a_mask_of_the_wrong_shape():
+    st = state_for(ingest([("u1", "v1"), ("u2", "v1"), ("u3", "v2")]))
+    for mask in (np.ones(2, dtype=bool), np.ones(4, dtype=bool), np.ones((3, 1), dtype=bool)):
+        with pytest.raises(DataError, match="active mask must match the seed size"):
+            st.reset(mask)
+    assert st.active.tolist() == [True] * 3

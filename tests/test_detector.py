@@ -13,10 +13,12 @@ from hypothesis import strategies as st
 
 from fraudsift import (BipartiteGraph, DataError, DetectorConfig, RatingScale,
                        bench_graph, fast_greedy, gen_hyperbolic, greedy_shaving, ingest,
-                       inject, InjectionConfig, matricize, svd_seeds, f_measure)
+                       inject, InjectionConfig, f_measure)
 from fraudsift import detector
+from fraudsift.detector import matricize, svd_seeds
 from fraudsift.contrast import ContrastState, SignalContext
-from oracles import GatherState, argsort_truncation, gather_shave, svds_truncated_svd
+from oracles import (GatherState, argsort_truncation, gather_shave, row_scores,
+                     svds_truncated_svd)
 
 
 def brute_force_best(graph, base=32.0):
@@ -97,7 +99,8 @@ def test_shaving_trajectory_matches_scratch_recompute(make_graph):
         st._remove_local(r)
         keep = np.ones(12, dtype=bool)
         keep[removed] = False
-        ref = ContrastState(ctx, seed, active=keep)
+        ref = ContrastState(ctx, seed)
+        ref.reset(keep)
         objs.append(ref.objective())
     assert res.objective == pytest.approx(max(objs), rel=1e-9)
 
@@ -164,7 +167,23 @@ def test_shaving_matches_column_gather_oracle_bit_for_bit(case):
         for r in order[:-1]:
             state._remove_local(r)
             ref._remove_local(r)
-            assert state.S[ref.active].tobytes() == ref.S[ref.active].tobytes()
+            assert row_scores(state)[ref.active].tobytes() == ref.S[ref.active].tobytes()
+
+
+def test_fast_greedy_builds_one_seed_block_per_seed(make_graph):
+    g = make_graph(n_users=60, n_objects=30, n_events=600, seed=21)
+    built = []
+    init = ContrastState.__init__
+
+    def counting(state, *args, **kwargs):
+        init(state, *args, **kwargs)
+        built.append(state.seed_idx)
+
+    with mock.patch.object(ContrastState, "__init__", counting):
+        res = fast_greedy(g, DetectorConfig(num_seeds=4))
+    n_shaved = len(res.meta["seed_sizes"]) - res.meta["n_degenerate_seeds"]
+    assert n_shaved >= 2
+    assert len(built) == n_shaved
 
 
 def test_compacting_shave_matches_gather_oracle_at_every_step():
@@ -198,8 +217,8 @@ def test_compacting_shave_matches_gather_oracle_at_every_step():
         ref._remove_local(r)
         stored.append(state.rows.size)
         rescales.append(state.n_rescales)
-        assert state.S[ref.active].tobytes() == ref.S[ref.active].tobytes()
-        assert np.isinf(state.S[~state.active]).all()
+        assert row_scores(state)[ref.active].tobytes() == ref.S[ref.active].tobytes()
+        assert np.isinf(row_scores(state)[~state.active]).all()
         assert state.objective() == ref.objective()
     compactions = [t for t in range(1, len(stored)) if stored[t] < stored[t - 1]]
     assert len(compactions) >= 2

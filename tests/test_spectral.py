@@ -9,7 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import svd as dense_svd
 
-from fraudsift import ConvergenceError, DataError, spectral, svd_seeds, truncated_svd
+from fraudsift import DataError, spectral
+from fraudsift.detector import svd_seeds
+from fraudsift.spectral import ConvergenceError, truncated_svd
 from oracles import right_vectors, triplet_matrix
 
 
