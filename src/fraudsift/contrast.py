@@ -138,8 +138,9 @@ class ContrastState:
     """Exact bookkeeping of per-sink contrast scores, per-user scores, and the
     objective for one seed block, under user removals.
 
-    ``seed_idx`` holds user indices into ``context.graph``; the seed rows are
-    sorted by user index, and every one is active at build. The signals and
+    ``seed_idx`` holds user indices into ``context.graph``, integers in
+    ``[0, n_users)``, else a DataError; the seed rows are sorted by user
+    index, and every one is active at build. The signals and
     the base are the context's. The sink domain is fixed at build time to
     the sinks adjacent to the seed; the objective numerator and denominator
     sum over that domain.
@@ -164,9 +165,15 @@ class ContrastState:
         self.ctx = context
         graph = context.graph
 
-        seed_idx = sorted_unique(np.asarray(seed_idx, dtype=np.int64))
+        seed_idx = np.asarray(seed_idx)
         if seed_idx.size == 0:
             raise DataError("empty seed")
+        if seed_idx.dtype.kind not in "iu":
+            raise DataError(f"seed indices must be integers, got dtype {seed_idx.dtype}")
+        if seed_idx.min() < 0 or seed_idx.max() >= graph.n_users:
+            raise DataError(f"seed indices must lie in [0, {graph.n_users}), got "
+                            f"{seed_idx.min()} to {seed_idx.max()}")
+        seed_idx = sorted_unique(seed_idx.astype(np.int64))
         self.seed_idx = seed_idx
         m0 = seed_idx.size
         self.n_rescales = 0
@@ -371,6 +378,30 @@ class ContrastState:
         if self.n_active == 0:
             raise DataError("empty set")
         return self.num / (self.n_active + self.psum)
+
+    def ceiling(self) -> float:
+        """An upper bound on the objective of every non-empty subset of the
+        active set; -inf when the set is empty.
+
+        Let S be such a subset. A sink's alpha and phi at S are at most their
+        values at the active set (counts and burst weights are >= 0), and
+        kappa never exceeds 1, so P at S is at most Q, the contrast of alpha
+        and phi alone (1 when neither is on). So the numerator at S is at
+        most the sum over S of the row scores u = counts @ (sigma * Q). Each
+        of the k enabled signals lies in [0, 1], so every P is at least
+        base^-k and the denominator at least |S| + |domain| * base^-k. For
+        |S| = t the best case takes the t largest u: the bound is the largest
+        cumsum(u, descending)[t - 1] / (t + |domain| * base^-k)."""
+        ctx = self.ctx
+        signals = ([self.alpha] if ctx.use_alpha else []) + ([self.phi] if ctx.use_phi else [])
+        q = contrast_score(signals, ctx.base) if signals else 1.0
+        # the live rows of the product, without copying the block
+        u = (self.counts @ (self.sigma_d * q))[self.active[self.rows]]
+        u[::-1].sort()
+        floor = self.P.size * ctx.base ** -(ctx.use_alpha + ctx.use_phi + ctx.use_kappa)
+        bound = np.cumsum(u)
+        bound /= np.arange(1, u.size + 1) + floor
+        return float(bound.max(initial=-np.inf))
 
     def argmin_active_score(self) -> int:
         """Active row of least score; removed rows hold +inf."""

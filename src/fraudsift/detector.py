@@ -80,17 +80,40 @@ class DetectionResult:
         return [(graph.object_ids[i], float(self.sink_scores[i])) for i in order]
 
 
-def greedy_shaving(context: SignalContext, seed_idx) -> DetectionResult:
+def greedy_shaving(context: SignalContext, seed_idx, beat: float = -math.inf) -> DetectionResult:
     """Peel minimum-score users off the seed (user indices into
     ``context.graph``) one at a time, returning the prefix of the trajectory
-    that maximizes the objective, rescored on the same seed block."""
+    that maximizes the objective, rescored on the same seed block.
+
+    The peel stops early once it is proved unable to reach ``beat``. Before
+    the first removal, and again each time the active set has shrunk by a
+    sixteenth since the last check, ``ContrastState.ceiling()`` bounds the
+    objective of every subset of the active set, so every prefix still to
+    come (see its docstring for the proof). The prefixes already peeled are
+    bounded by the best objective so far. Once ``max(best, ceiling) * (1 +
+    1e-9)`` is below ``beat``, no prefix of this seed reaches ``beat``, and
+    the peel stops. The margin covers the float drift between the
+    incremental objective and the objective that ``reset`` recomputes. The
+    best prefix peeled so far is then rescored as after a full peel, and its
+    objective stays below ``beat``. With the default ``beat`` no check runs,
+    and every seed is peeled to the end.
+
+    ``meta`` holds ``seed_size``, ``kappa_rescales`` and ``steps``, the
+    removals made: ``seed_size`` after a full peel, fewer after a stop.
+    """
     graph = context.graph
     state = ContrastState(context, seed_idx)
     best_obj = state.objective()
     best_removals = 0
     trace: list[tuple[int, float]] = [(state.n_active, best_obj)]
     removal_order: list[int] = []
+    # the active count at or below which the next check runs
+    next_check = state.n_active if beat > -math.inf else -1
     while state.n_active > 0:
+        if state.n_active <= next_check:
+            next_check = state.n_active * 15 / 16
+            if max(best_obj, state.ceiling()) * (1 + 1e-9) < beat:
+                break
         r = state.argmin_active_score()
         removal_order.append(r)
         state._remove_local(r)
@@ -112,7 +135,8 @@ def greedy_shaving(context: SignalContext, seed_idx) -> DetectionResult:
     return DetectionResult(
         users=users, user_indices=users_idx, objective=state.objective(),
         sink_scores=sink_scores, trace=tuple(trace),
-        meta={"seed_size": int(state.seed_idx.size), "kappa_rescales": state.n_rescales})
+        meta={"seed_size": int(state.seed_idx.size), "kappa_rescales": state.n_rescales,
+              "steps": len(removal_order)})
 
 
 def _above(v: np.ndarray, threshold: float, cap: int) -> np.ndarray:
@@ -243,7 +267,11 @@ def fast_greedy(graph: BipartiteGraph, config: DetectorConfig | None = None) -> 
     """Run greedy shaving from every spectral seed and keep the best block.
 
     Seeds come from the flattened attribute matrix when the temporal signal is
-    active, from the plain weighted adjacency otherwise.
+    active, from the plain weighted adjacency otherwise. Each seed is shaved
+    with ``beat`` set to the best objective so far, so a seed whose peel is
+    proved unable to beat it stops early; the winner, the first seed of
+    strictly greatest objective, is always peeled in full, so the result is
+    that of peeling every seed.
     """
     config = config or DetectorConfig()
     context = SignalContext(graph, config)
@@ -261,20 +289,27 @@ def fast_greedy(graph: BipartiteGraph, config: DetectorConfig | None = None) -> 
         raise DataError("no usable seeds above the truncation threshold")
 
     best: DetectionResult | None = None
-    n_degenerate = 0
+    n_degenerate = n_pruned = 0
     for i, seed in enumerate(seeds):
+        beat = -math.inf if best is None else best.objective
         try:
-            result = greedy_shaving(context, seed)
+            result = greedy_shaving(context, seed, beat=beat)
         except DataError as exc:
             n_degenerate += 1
             logger.debug("seed %d degenerate: %s", i, exc)
             continue
-        if best is None or result.objective > best.objective:
+        if result.meta["steps"] < result.meta["seed_size"]:
+            # its objective stays below beat: it cannot win
+            n_pruned += 1
+            logger.debug("seed %d stopped after %d of %d removals: it cannot beat %r",
+                         i, result.meta["steps"], result.meta["seed_size"], beat)
+        elif best is None or result.objective > best.objective:
             best = result
     if best is None:
         raise DataError("all seeds degenerate")
     best.meta.update(seed_meta)
     best.meta["n_degenerate_seeds"] = n_degenerate
+    best.meta["n_pruned_seeds"] = n_pruned
     best.meta["signals"] = {"alpha": context.use_alpha, "phi": context.use_phi,
                             "kappa": context.use_kappa}
     return best

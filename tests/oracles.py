@@ -14,7 +14,8 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import svds
 
 from fraudsift import BipartiteGraph, DataError, RatingScale
-from fraudsift.contrast import RATING_SMOOTHING, contrast_score
+from fraudsift.contrast import RATING_SMOOTHING, SignalContext, contrast_score
+from fraudsift.detector import greedy_shaving, matricize, svd_seeds
 from fraudsift.evalkit import roc_auc_from_arrays
 from fraudsift.graph import _HEADER_WORDS, _coerce_record, concat_ranges
 from fraudsift.spectral import SVD_SEED, _canonical_signs
@@ -897,6 +898,39 @@ def gather_shave(context, seed_idx):
     sink_scores = np.zeros(graph.n_objects)
     sink_scores[final.domain] = final.sigma_d * final.cnt_set * final.P
     return order, tuple(trace), sink_scores
+
+
+def seeding_design(graph, config):
+    """The matrix fast_greedy seeds from."""
+    context = SignalContext(graph, config)
+    if context.use_phi:
+        return matricize(graph, time_bin=config.time_bin,
+                         column_weights=context.sigma)[0]
+    return graph.counts_matrix(column_weights=context.sigma)
+
+
+def full_peel_fast_greedy(graph, config):
+    """fast_greedy with every seed peeled to the end (greedy_shaving's
+    default ``beat``): the winner is the first seed of strictly greatest
+    objective after its reset. ``meta`` has every key but ``n_pruned_seeds``."""
+    context = SignalContext(graph, config)
+    seeds, seed_meta = svd_seeds(seeding_design(graph, config), config.num_seeds,
+                                 cap_exponent=config.cap_exponent)
+    best, n_degenerate = None, 0
+    for seed in seeds:
+        try:
+            result = greedy_shaving(context, seed)
+        except DataError:
+            n_degenerate += 1
+            continue
+        assert result.meta["steps"] == result.meta["seed_size"]
+        if best is None or result.objective > best.objective:
+            best = result
+    best.meta.update(seed_meta)
+    best.meta["n_degenerate_seeds"] = n_degenerate
+    best.meta["signals"] = {"alpha": context.use_alpha, "phi": context.use_phi,
+                            "kappa": context.use_kappa}
+    return best
 
 
 # -- spectral seeding --------------------------------------------------------

@@ -17,8 +17,8 @@ from fraudsift import (BipartiteGraph, DataError, DetectorConfig, RatingScale,
 from fraudsift import detector
 from fraudsift.detector import matricize, svd_seeds
 from fraudsift.contrast import ContrastState, SignalContext
-from oracles import (GatherState, argsort_truncation, gather_shave, row_scores,
-                     svds_truncated_svd)
+from oracles import (GatherState, argsort_truncation, full_peel_fast_greedy, gather_shave,
+                     row_scores, seeding_design, svds_truncated_svd)
 
 
 def brute_force_best(graph, base=32.0):
@@ -186,6 +186,47 @@ def test_fast_greedy_builds_one_seed_block_per_seed(make_graph):
     assert len(built) == n_shaved
 
 
+def test_a_seed_that_cannot_beat_is_stopped_and_one_that_can_is_peeled_in_full():
+    g, config = sweep_shaped(0.05)
+    ctx = SignalContext(g, config)
+    seeds, _ = svd_seeds(seeding_design(g, config), config.num_seeds,
+                         cap_exponent=config.cap_exponent)
+    seed = max(seeds, key=len)
+    full = greedy_shaving(ctx, seed)
+    assert full.meta["steps"] == full.meta["seed_size"] == seed.size
+    # its own objective is within reach: the peel runs to the end, unchanged
+    same = greedy_shaving(ctx, seed, beat=full.objective)
+    assert same.meta == full.meta
+    assert (same.users, same.objective, same.trace) == (full.users, full.objective, full.trace)
+    assert same.sink_scores.tobytes() == full.sink_scores.tobytes()
+    # nothing reaches +inf: the check before the first removal stops the peel
+    none = greedy_shaving(ctx, seed, beat=math.inf)
+    assert none.meta["steps"] == 0 and len(none.trace) == 1
+    assert none.user_indices.tolist() == seed.tolist()
+    # a bar just above the best objective stops the peel partway
+    above = greedy_shaving(ctx, seed, beat=full.objective * 1.01)
+    assert 0 < above.meta["steps"] < seed.size
+    assert above.objective <= full.objective
+    assert above.trace == full.trace[:len(above.trace)]
+
+
+@pytest.mark.parametrize("shaped", ["topology", "sweep_d005"])
+def test_pruned_fast_greedy_equals_the_full_peel_oracle(shaped, caplog):
+    g, config = topology_shaped() if shaped == "topology" else sweep_shaped(0.05)
+    with caplog.at_level("DEBUG", logger=detector.__name__):
+        got = fast_greedy(g, config)
+    want = full_peel_fast_greedy(g, config)
+    n_pruned = got.meta.pop("n_pruned_seeds")
+    assert n_pruned >= 1
+    assert sum("stopped after" in m for m in caplog.messages) == n_pruned
+    assert got.users == want.users
+    assert got.user_indices.tobytes() == want.user_indices.tobytes()
+    assert np.float64(got.objective).tobytes() == np.float64(want.objective).tobytes()
+    assert got.sink_scores.tobytes() == want.sink_scores.tobytes()
+    assert np.array(got.trace).tobytes() == np.array(want.trace).tobytes()
+    assert got.meta == want.meta
+
+
 def test_compacting_shave_matches_gather_oracle_at_every_step():
     # hundreds of seed rows: the block drops its removed rows several times,
     # and kappa rescales on a compacted block
@@ -302,15 +343,6 @@ def test_svd_seeds_truncates_and_dedups_as_the_argsort_rule(monkeypatch):
                 want.append(idx)
     assert [s.tolist() for s in seeds] == [w.tolist() for w in want]
     assert [s.tolist() for s in seeds] == [[1, 2, 3, 4], [0], [5]]
-
-
-def seeding_design(graph, config):
-    # the matrix fast_greedy seeds from
-    context = SignalContext(graph, config)
-    if context.use_phi:
-        return matricize(graph, time_bin=config.time_bin,
-                         column_weights=context.sigma)[0]
-    return graph.counts_matrix(column_weights=context.sigma)
 
 
 def sweep_shaped(density):
@@ -554,6 +586,19 @@ def test_greedy_shaving_isolated_seed_user_is_degenerate():
     g = BipartiteGraph(["u0", "u1", "zz"], ["v0"], [0, 1], [0, 0], None, None)
     with pytest.raises(DataError, match="degenerate seed"):
         shave(g, [g.user_ids.index("zz")])
+
+
+@pytest.mark.parametrize("case", ["fractional", "negative", "past_the_end"])
+def test_bad_seed_indices_are_data_errors(case):
+    g = bench_graph(20_000, seed=1)[0]
+    seed_idx, message = {"fractional": ([0.7, 1.2], "must be integers"),
+                         "negative": ([-1, 0, 1], r"must lie in \[0, "),
+                         "past_the_end": ([g.n_users, 0], r"must lie in \[0, ")}[case]
+    ctx = SignalContext(g, DetectorConfig())
+    with pytest.raises(DataError, match=message):
+        greedy_shaving(ctx, seed_idx)
+    with pytest.raises(DataError, match=message):
+        ContrastState(ctx, seed_idx)
 
 
 def test_svd_seeds_returns_fewer_when_rank_limits():

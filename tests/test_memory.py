@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from fraudsift import DetectorConfig, bench_graph, read_delimited, write_delimited
-from fraudsift.contrast import SignalContext
+from fraudsift.contrast import ContrastState, SignalContext
 from fraudsift.detector import matricize, svd_seeds
 from fraudsift.temporal import histogram_segments
 
@@ -55,3 +55,17 @@ def stage_peaks(tmp_path_factory):
 @pytest.mark.parametrize("stage", list(BOUNDS))
 def test_stage_peak_per_event_stays_bounded(stage_peaks, stage):
     assert stage_peaks[stage] < BOUNDS[stage], f"{stage_peaks[stage]:.1f} bytes per event"
+
+
+def test_ceiling_peak_scales_with_rows_and_sinks_not_entries(make_graph):
+    # a dense block, a quarter peeled: a copy of the live rows' entries
+    # (12 bytes each) would cost far more than the bound
+    g = make_graph(n_users=300, n_objects=200, n_events=60_000, seed=5)
+    state = ContrastState(SignalContext(g, DetectorConfig()), np.arange(g.n_users))
+    for _ in range(g.n_users // 4):
+        state._remove_local(state.argmin_active_score())
+    rows, sinks = state.rows.size, state.P.size
+    assert state.counts.nnz > 40 * (rows + sinks)
+    _, peak = traced_peak(state.ceiling)
+    # measured 23 bytes per row and sink
+    assert peak < 64 * (rows + sinks), f"{peak / (rows + sinks):.1f} bytes per row and sink"
